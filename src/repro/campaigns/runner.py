@@ -123,6 +123,12 @@ class CampaignPlan:
     def point_count(self) -> int:
         return self.sweep().point_count()
 
+    def validate(self) -> None:
+        """Raise :class:`~repro.errors.ExperimentError` if any point's spec
+        cannot build, so a bad plan fails before any worker starts."""
+        for point in self.sweep().points():
+            point.spec.validate()
+
     def worker_indices(self, worker: int) -> List[int]:
         """The point indices spooled by ``worker``, in execution order."""
         return list(range(worker, self.point_count(), self.workers))
@@ -404,15 +410,10 @@ class CampaignRunner:
     derives all randomness from its own seed.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
             raise ExperimentError(f"jobs must be at least 1, got {jobs}")
         self.jobs = jobs
-        self.start_method = start_method
 
     def run(
         self,
@@ -440,6 +441,7 @@ class CampaignRunner:
             workers=workers if workers is not None else self.jobs,
             checkpoint_every=checkpoint_every,
         )
+        plan.validate()
         plan.save(directory)
         return self._execute(plan, directory, fail_after, fail_worker)
 
@@ -451,6 +453,7 @@ class CampaignRunner:
     ) -> CampaignStatus:
         """Re-execute only the missing points of an existing campaign."""
         plan = CampaignPlan.load(directory)
+        plan.validate()
         return self._execute(plan, directory, fail_after, fail_worker)
 
     def _execute(
@@ -465,7 +468,7 @@ class CampaignRunner:
             for worker in worker_ids:
                 _worker_main(directory, worker)
             return campaign_status(directory)
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context()
         pending = list(worker_ids)
         running: List[Tuple[int, Any]] = []
         while pending or running:

@@ -6,13 +6,14 @@
 * :mod:`repro.core.quantum` — the heterogeneous-request extension (§5).
 * :mod:`repro.core.admission` — the undefended baseline the paper compares against.
 * :mod:`repro.core.pricing` — price bookkeeping ("the going rate ... emerges").
-* :mod:`repro.core.fleet` — the sharded thinner fleet (§4.3 scale-out):
-  dispatch policies and pooled admission over the shared server.
+* :mod:`repro.core.routing` and :mod:`repro.core.fleet` — the sharded thinner
+  fleet (§4.3 scale-out): dispatch strategies; pooled admission, ejection.
 * :mod:`repro.core.frontend` — Deployment: wires engine, network, server(s),
   thinner(s) and clients together.
 """
 
-from repro.core.fleet import ADMISSION_MODES, SHARD_POLICIES, ShardRouter
+from repro.core.fleet import ADMISSION_MODES
+from repro.core.routing import SHARD_POLICIES, ShardRouter
 from repro.core.payment import PaymentChannel, PaymentChannelState
 from repro.core.pricing import PriceBook, PriceSample
 from repro.core.thinner import Contender, ThinnerBase, ThinnerStats

@@ -8,12 +8,12 @@ what must cover ``G + B``.  This module supplies the pieces a
 :class:`~repro.core.frontend.Deployment` uses when
 ``DeploymentConfig.thinner_shards > 1``:
 
-* :class:`ShardRouter` (re-exported from :mod:`repro.core.routing`) — the
-  dispatch strategy that pins each client to one front-end shard (the moral
-  equivalent of DNS round-robin or a consistent-hashing load balancer;
-  clients stick to their shard for the whole run, as browsers stick to a
-  resolved address).  The strategy registry in ``core/routing.py`` supplies
-  the legacy hash/least-loaded/random policies plus power-of-two-choices,
+* :class:`~repro.core.routing.ShardRouter` — the dispatch strategy that
+  pins each client to one front-end shard (the moral equivalent of DNS
+  round-robin or a consistent-hashing load balancer; clients stick to their
+  shard for the whole run, as browsers stick to a resolved address).  The
+  strategy registry in :mod:`repro.core.routing` supplies the legacy
+  hash/least-loaded/random policies plus power-of-two-choices,
   weighted-by-measured-sink-rate, and sticky-with-spill;
 * :class:`PooledAdmission` / :class:`PooledServerView` — the shared-server
   coordination used by the ``"pooled"`` admission mode, where every shard
@@ -43,13 +43,7 @@ from dataclasses import asdict, dataclass
 from statistics import median
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.routing import (  # noqa: F401  (re-exported for compatibility)
-    ROUTER_STRATEGIES,
-    ROUTER_STRATEGY_NAMES,
-    RouterSpec,
-    SHARD_POLICIES,
-    ShardRouter,
-)
+from repro.core.routing import ShardRouter
 from repro.errors import ThinnerError
 from repro.httpd.messages import Request
 from repro.httpd.server import EmulatedServer
@@ -272,7 +266,8 @@ class HealthProber:
     ``min_samples`` ticks, still has clients pinned to it, and at least one
     other routable shard would remain.  Ejection re-pins the shard's clients
     immediately (the operator's load balancer flips, not a DNS TTL) via the
-    same sticky :meth:`ShardRouter.reassign` path the fault injector uses.
+    same sticky :meth:`~repro.core.routing.ShardRouter.reassign` path the
+    fault injector uses.
 
     After ``holddown_s`` the shard is readmitted on probation: its EWMAs and
     sample counts reset, and because re-pinned clients never migrate back,

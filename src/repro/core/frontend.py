@@ -20,9 +20,10 @@ defense-name dispatch here.
 A deployment normally runs **one** thinner (the paper's evaluation setup);
 setting ``DeploymentConfig.thinner_shards`` above 1 deploys a sharded
 *fleet* of independent thinner front-ends instead (the §4.3 scale-out
-sketch) — see :mod:`repro.core.fleet` for the dispatch policies and the
-partitioned/pooled admission modes.  With ``thinner_shards=1`` the wiring
-is byte-for-byte the historical single-thinner construction.
+sketch) — see :mod:`repro.core.routing` for the dispatch policies and
+:mod:`repro.core.fleet` for the partitioned/pooled admission modes.  With
+``thinner_shards=1`` the wiring is byte-for-byte the historical
+single-thinner construction.
 """
 
 from __future__ import annotations
@@ -38,15 +39,14 @@ from repro.constants import (
     SUSPEND_ABORT_TIMEOUT,
 )
 from repro.errors import DefenseError, ExperimentError, FaultError, ThinnerError
-from repro.core.fleet import (
-    ADMISSION_MODES,
+from repro.core.fleet import ADMISSION_MODES, HealthProbeSpec, HealthProber, PooledAdmission
+from repro.core.routing import (
     SHARD_POLICIES,
-    HealthProbeSpec,
-    HealthProber,
-    PooledAdmission,
+    RouterSpec,
     ShardRouter,
+    build_probe,
+    strategy_needs_rng,
 )
-from repro.core.routing import RouterSpec, build_probe, strategy_needs_rng
 from repro.core.payment import PaymentChannel
 from repro.core.thinner import ThinnerBase
 from repro.httpd.messages import Request
@@ -127,7 +127,7 @@ class DeploymentConfig:
     #: How clients are pinned to shards when ``thinner_shards > 1``:
     #: ``"hash"`` (stable CRC32 of the client name — consistent hashing),
     #: ``"least-loaded"`` (fewest assigned clients), or ``"random"`` (a
-    #: seeded uniform draw per client).  See :class:`repro.core.fleet.ShardRouter`.
+    #: seeded uniform draw per client).  See :class:`repro.core.routing.ShardRouter`.
     shard_policy: str = "hash"
     #: Full dispatch-strategy configuration (see
     #: :class:`repro.core.routing.RouterSpec`).  ``None`` (the default) uses
@@ -162,20 +162,6 @@ class DeploymentConfig:
     telemetry: Optional[TelemetrySpec] = None
     #: Model TCP slow start on payment POSTs (disable for speed in huge sweeps).
     model_slow_start: bool = True
-    #: Use the struct-of-arrays vectorized recompute paths (large-component
-    #: waterfill, batch bid re-keys, bulk integration).  Bit-identical to the
-    #: per-object paths — set False only to exercise those directly (the
-    #: equivalence tests do) or to debug.
-    vectorized: bool = True
-    #: Pause Python's *cyclic* garbage collector while the event loop runs.
-    #: The loop allocates at a huge rate but almost entirely acyclically
-    #: (events, heap tuples, flows and index entries are freed by reference
-    #: counting; the few true cycles are broken explicitly on completion),
-    #: so the collector's periodic full-heap scans are pure overhead — ~40%
-    #: of wall-clock at the 50k-client bench scale.  Re-enabled (never
-    #: force-collected) as soon as ``run()`` returns; set False to keep the
-    #: collector running, e.g. when embedding in a larger application.
-    pause_gc_during_run: bool = True
 
     def defense_spec(self) -> "DefenseSpec":
         """The configured defense as a normalised :class:`DefenseSpec`."""
@@ -297,9 +283,7 @@ class Deployment:
         self.engine = Engine()
         self.streams = StreamFactory(self.config.seed)
         self.tracer = Tracer() if self.config.enable_tracing else None
-        self.network = FluidNetwork(
-            self.engine, topology, tracer=self.tracer, vectorized=self.config.vectorized
-        )
+        self.network = FluidNetwork(self.engine, topology, tracer=self.tracer)
         self.slow_start = SlowStartRamp(self.network) if self.config.model_slow_start else None
 
         #: The rollup telemetry collector, or ``None`` in full mode.  Full
@@ -504,7 +488,12 @@ class Deployment:
             start = getattr(client, "start", None)
             if callable(start):
                 start()
-        pause_gc = self.config.pause_gc_during_run and gc.isenabled()
+        # The loop allocates almost entirely acyclically (reference counting
+        # frees it; the few true cycles are broken on completion), so the
+        # cyclic collector's full-heap scans are pure overhead — ~40% of
+        # wall-clock at the 50k-client bench scale.  Pause it for the loop;
+        # re-enable (never force-collect) on the way out.
+        pause_gc = gc.isenabled()
         if pause_gc:
             gc.disable()
         try:

@@ -157,10 +157,7 @@ class ThinnerBase:
         #: Kinetic index over the contenders' bid trajectories; kept in sync
         #: by the ``_add_contender``/``_remove_contender`` pair and refreshed
         #: by payment-channel ``on_bid_change`` notifications.
-        self._bid_index = KineticBidIndex(
-            self.counters,
-            store=network.soa if getattr(network, "vectorized", False) else None,
-        )
+        self._bid_index = KineticBidIndex(self.counters, store=network.soa)
         self._next_seq = 0
         self._server_idle = True
         #: Gray-failure admission stall (the ``stall`` fault): a stalled

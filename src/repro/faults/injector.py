@@ -8,7 +8,7 @@ keeping fault-free runs byte-identical to deployments with no plan at all.
 What a **kill** does, in order (all within one engine event):
 
 1. the shard leaves every dispatch candidate set — the
-   :class:`~repro.core.fleet.ShardRouter` liveness mask and, in pooled
+   :class:`~repro.core.routing.ShardRouter` liveness mask and, in pooled
    admission, the :class:`~repro.core.fleet.PooledAdmission` offer rotation;
 2. the shard's thinner evicts its contenders: payment channels close (their
    POST flows stop), owners are dropped with reason ``"shard-killed"``, and

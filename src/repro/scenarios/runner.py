@@ -208,17 +208,16 @@ def run_spec(spec: ScenarioSpec) -> RunResult:
 class SweepRunner:
     """Executes sweeps, serially (``jobs=1``) or with a process pool."""
 
-    def __init__(self, jobs: int = 1, start_method: Optional[str] = None) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
             raise ExperimentError(f"jobs must be at least 1, got {jobs}")
         self.jobs = jobs
-        self.start_method = start_method
 
     def run_specs(self, specs: Sequence[ScenarioSpec]) -> List[RunResult]:
         """Run a list of scenarios, preserving order."""
         if self.jobs == 1 or len(specs) <= 1:
             return [run_spec(spec) for spec in specs]
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context()
         workers = min(self.jobs, len(specs))
         with context.Pool(processes=workers) as pool:
             return pool.map(run_spec, specs)

@@ -23,9 +23,9 @@ from repro.constants import DEFAULT_CLIENT_BANDWIDTH
 from repro.errors import ClientError, DefenseError, ExperimentError, FaultError, ThinnerError
 from repro.clients.base import RetryPolicy
 from repro.clients.population import PopulationSpec, build_population
-from repro.core.fleet import ADMISSION_MODES, SHARD_POLICIES, HealthProbeSpec
+from repro.core.fleet import ADMISSION_MODES, HealthProbeSpec
 from repro.core.frontend import CrossTrafficDriver, Deployment, DeploymentConfig
-from repro.core.routing import RouterSpec
+from repro.core.routing import SHARD_POLICIES, RouterSpec
 from repro.defenses.spec import DefenseSpec, normalise_defense
 from repro.faults.spec import FaultPlan
 from repro.metrics.collector import RunResult
@@ -455,6 +455,19 @@ class ScenarioSpec:
                 )
         if self.telemetry is not None:
             self.telemetry.validate()
+        config_fields = {item.name for item in fields(DeploymentConfig)}
+        spec_owned = self._spec_config()
+        for key, _value in self.config_overrides:
+            if key not in config_fields:
+                raise ExperimentError(
+                    f"unknown config_overrides key {key!r} "
+                    f"(not a DeploymentConfig field)"
+                )
+            if key in spec_owned:
+                raise ExperimentError(
+                    f"config_overrides key {key!r} is set by the scenario itself; "
+                    f"use the scenario's own field instead"
+                )
         if self.total_clients() == 0 and self.topology.kind != "dumbbell":
             raise ExperimentError("scenario needs at least one client")
         if self.topology.kind != "lan" and any(g.extra_delay_s for g in self.groups):
@@ -504,8 +517,9 @@ class ScenarioSpec:
 
     # -- building and running ------------------------------------------------------
 
-    def deployment_config(self) -> DeploymentConfig:
-        return DeploymentConfig(
+    def _spec_config(self) -> Dict[str, Any]:
+        """The :class:`DeploymentConfig` fields the scenario sets itself."""
+        return dict(
             server_capacity_rps=self.capacity_rps,
             defense=self.defense_spec if self.defense_spec is not None else self.defense,
             seed=self.seed,
@@ -517,8 +531,10 @@ class ScenarioSpec:
             fault_plan=self.fault_plan,
             health_probe=self.health_probe,
             telemetry=self.telemetry,
-            **dict(self.config_overrides),
         )
+
+    def deployment_config(self) -> DeploymentConfig:
+        return DeploymentConfig(**self._spec_config(), **dict(self.config_overrides))
 
     def build(self) -> Deployment:
         """Materialise the scenario: topology, deployment, and population."""

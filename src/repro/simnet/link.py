@@ -14,20 +14,20 @@ Runtime bookkeeping lives directly on the link as ``__slots__`` fields
 path reads and writes plain attributes:
 
 * ``_flows`` — the active flows currently crossing the link;
-* ``_potential`` — the link's *potential load* in bits/s, an upper bound on
-  the aggregate rate its flows could ever jointly push through it.  A link
-  whose capacity covers its potential load can never saturate and therefore
-  never constrains anyone, which is what keeps rate recomputation scoped to
-  a small component of the network (see
-  :class:`~repro.simnet.network.FluidNetwork`).
-* ``_entry_sums`` — per *entry link* partial sums backing the potential
-  load.  Flows are grouped by the first link of their path (a client's
-  access uplink): the group's joint contribution to any later link is capped
-  by that entry link's capacity, because the group's aggregate rate already
-  had to fit through it.  Without this grouping a well-provisioned core link
-  crossed by thousands of flows would be flagged as potentially saturated
-  (every flow counted at its full individual bound) and every rate update
-  would degenerate into a global recomputation.
+* ``_entry_sums`` — per *entry link* partial sums backing the link's
+  *potential load* (kept in the owning store's ``l_pot`` array): an upper
+  bound, in bits/s, on the aggregate rate its flows could ever jointly
+  push through it.  A link whose capacity covers its potential load can
+  never saturate and therefore never constrains anyone, which is what
+  keeps rate recomputation scoped to a small component of the network (see
+  :class:`~repro.simnet.network.FluidNetwork`).  Flows are grouped by the
+  first link of their path (a client's access uplink): the group's joint
+  contribution to any later link is capped by that entry link's capacity,
+  because the group's aggregate rate already had to fit through it.
+  Without this grouping a well-provisioned core link crossed by thousands
+  of flows would be flagged as potentially saturated (every flow counted at
+  its full individual bound) and every rate update would degenerate into a
+  global recomputation.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class Link:
         "_entry_sums",
         "_lid",
         "_soa",
-        "_spot",
     )
 
     #: Default drop-tail buffer, sized like a small home-router queue.  Only
@@ -90,32 +89,16 @@ class Link:
         self._flows: Dict = {}
         self._entry_sums: Dict[int, float] = {}
         #: Dense id in the owning network's :class:`~repro.simnet.soa.SoAStore`
-        #: (-1 until registered) and the store itself; the potential load
-        #: lives in the store's ``l_pot`` array while registered, in the
-        #: ``_spot`` scalar fallback otherwise.
+        #: (-1 until registered) and the store itself, whose ``l_pot`` array
+        #: holds the potential load.  The network registers every path link
+        #: before a flow attaches, so a link carrying load is registered.
         self._lid = -1
         self._soa = None
-        self._spot = 0.0
 
     @property
     def flow_count(self) -> int:
         """Number of active flows currently crossing this link."""
         return self._flow_count
-
-    @property
-    def _potential(self) -> float:
-        soa = self._soa
-        if soa is not None:
-            return soa.lm_pot[self._lid]
-        return self._spot
-
-    @_potential.setter
-    def _potential(self, value: float) -> None:
-        soa = self._soa
-        if soa is not None:
-            soa.lm_pot[self._lid] = value
-        else:
-            self._spot = value
 
     def max_queueing_delay(self) -> float:
         """Worst-case drop-tail queueing delay (full buffer drained at capacity)."""
@@ -155,7 +138,6 @@ class Link:
         self._entry_sums = {}
         self._lid = -1
         self._soa = None
-        self._spot = 0.0
 
     def _add_entry_load(self, entry: "Link", delta: float) -> None:
         """Shift the load contributed via ``entry`` by ``delta`` bits/s.
@@ -176,11 +158,7 @@ class Link:
         else:
             sums[key] = new
             new_capped = cap if new > cap else new
-        soa = self._soa
-        if soa is not None:
-            soa.lm_pot[self._lid] += new_capped - old_capped
-        else:
-            self._spot += new_capped - old_capped
+        self._soa.lm_pot[self._lid] += new_capped - old_capped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -33,9 +33,8 @@ for affected flows only crosses links whose potential load exceeds capacity.
 Rates for the affected component are then recomputed with progressive
 filling; everything outside the component keeps its previous, still-valid
 rate.  The brute-force global computation
-(:func:`repro.simnet.bandwidth.max_min_fair_rates`) remains available both
-as a reference for the property-based tests and as an ``incremental=False``
-escape hatch.
+(:func:`repro.simnet.bandwidth.max_min_fair_rates`) remains the reference
+the property-based tests compare against.
 
 Steady-state traffic recomputes the *same* component shapes over and over
 (one more identical payment POST on an otherwise unchanged uplink), so the
@@ -49,13 +48,13 @@ Since the struct-of-arrays refactor the hot numeric state (flow rates, caps
 and paths; link capacities and potential loads; payment counters) lives in a
 :class:`~repro.simnet.soa.SoAStore` owned by the network, with the
 ``Flow``/``Link`` objects as thin views.  The flush then has two
-bit-identical implementations: the historical per-object loops (always used
-below :attr:`FluidNetwork.VEC_MIN_COMPONENT` flows, or everywhere when
-``vectorized=False``), and an array path that recomputes a large component
-with numpy segment operations (:meth:`_flush_component_vec`).  Both produce
-the same rates, the same event stream and the same counters; the split
-exists purely because numpy's per-call overhead loses to plain Python on
-the small components that dominate steady state.
+bit-identical implementations, chosen by component size alone: the
+per-object loops below :attr:`FluidNetwork.VEC_MIN_COMPONENT` flows, and an
+array path that recomputes a wider component with numpy segment operations
+(:meth:`_flush_component_vec`).  Both produce the same rates, the same event
+stream and the same counters; the split exists purely because numpy's
+per-call overhead loses to plain Python on the small components that
+dominate steady state.
 
 Propagation delays are *not* folded into byte accounting — they are exposed
 via :meth:`FluidNetwork.rtt` and the higher layers (thinner, clients, HTTP
@@ -72,7 +71,7 @@ import numpy as np
 
 from repro.errors import FlowError
 from repro.perf.counters import SimCounters
-from repro.simnet.bandwidth import RATE_EPSILON, max_min_fair_rates, waterfill_lists
+from repro.simnet.bandwidth import RATE_EPSILON, waterfill_lists
 from repro.simnet.engine import Engine
 from repro.simnet.flow import Flow, FlowState
 from repro.simnet.host import Host
@@ -107,34 +106,20 @@ class FluidNetwork:
     #: bends — wide components recomputed repeatedly in steady state.
     RATE_CACHE_MIN_FLOWS = 16
 
-    #: Components at least this wide take the vectorized recompute path
-    #: (when ``vectorized=True``); below it, numpy call overhead loses to
-    #: the plain loops.  Both paths are bit-identical, so this is purely a
-    #: performance knob.
+    #: Components at least this wide take the vectorized recompute path;
+    #: below it, numpy call overhead loses to the plain loops.  Both paths
+    #: are bit-identical, so this is purely a performance knob.
     VEC_MIN_COMPONENT = 64
-
-    #: :meth:`sync` integrates the whole active set in one array pass at or
-    #: above this many flows.
-    VEC_MIN_SYNC = 512
 
     def __init__(
         self,
         engine: Engine,
         topology: Topology,
         tracer: Optional[Tracer] = None,
-        incremental: bool = True,
-        vectorized: bool = True,
     ) -> None:
         self.engine = engine
         self.topology = topology
         self.tracer = tracer
-        #: When False, every change triggers a global recomputation (slower,
-        #: used as a cross-check in tests).
-        self.incremental = incremental
-        #: When False, the array-based recompute paths are disabled and the
-        #: historical per-object loops run everywhere (the "object path" the
-        #: equivalence tests drive); results are bit-identical either way.
-        self.vectorized = vectorized
 
         #: The struct-of-arrays store backing flows, links and channels.
         self.soa = SoAStore()
@@ -374,11 +359,7 @@ class FluidNetwork:
                 old_capped = old_cap if group_sum > old_cap else group_sum
                 new_capped = capacity_bps if group_sum > capacity_bps else group_sum
                 if new_capped != old_capped:
-                    dsoa = downstream._soa
-                    if dsoa is not None:
-                        dsoa.lm_pot[downstream._lid] += new_capped - old_capped
-                    else:
-                        downstream._spot += new_capped - old_capped
+                    soa.lm_pot[downstream._lid] += new_capped - old_capped
         f_cap = soa.fm_cap
         f_bound = soa.fm_bound
         pot = soa.lm_pot
@@ -408,12 +389,8 @@ class FluidNetwork:
         """Flush pending rate updates, then bring every active flow's
         ``delivered_bytes`` up to the current time."""
         self._flush_rates()
-        active = self._active
-        if self.vectorized and len(active) >= self.VEC_MIN_SYNC:
-            self._integrate_all_vec()
-        else:
-            for flow in active:
-                self._integrate(flow)
+        for flow in self._active:
+            self._integrate(flow)
 
     def delivered_bytes(self, flow: Flow) -> float:
         """Delivered bytes of ``flow`` as of now (integrating if still active).
@@ -538,35 +515,6 @@ class FluidNetwork:
                 self.total_delivered_bytes += delivered
         f_last[fid] = now
 
-    def _integrate_all_vec(self) -> None:
-        """One array pass over every active flow (same math as ``_integrate``)."""
-        active = self._active
-        n = len(active)
-        if not n:
-            return
-        soa = self.soa
-        now = self.engine.now
-        fids = np.fromiter((f._fid for f in active), dtype=np.int64, count=n)
-        last = soa.f_last[fids]
-        rate = soa.f_rate[fids]
-        dt = now - last
-        live = (dt > 0) & (rate > 0)
-        delivered = np.where(live, rate * dt / 8.0, 0.0)
-        done = soa.f_delivered[fids]
-        remaining = soa.f_size[fids] - done
-        delivered = np.where(delivered > remaining, remaining, delivered)
-        soa.f_delivered[fids] = done + delivered
-        # Accumulate sequentially, in active-set order, to match the scalar
-        # loop bit for bit (adding 0.0 for idle flows is an exact identity).
-        total = self.total_delivered_bytes
-        for value in delivered.tolist():
-            total += value
-        self.total_delivered_bytes = total
-        soa.f_last[fids] = now
-
-    def _is_constraining(self, link: Link) -> bool:
-        return link._potential > link.capacity_bps + _CAPACITY_SLACK
-
     # -- deferred rate recomputation ---------------------------------------------------
 
     def _flush_rates(self) -> None:
@@ -590,14 +538,6 @@ class FluidNetwork:
         self._dirty_pre = set()
         self._dirty_flows = {}
 
-        if not self.incremental:
-            flows = list(self._active)
-            counters.waterfill_calls += 1
-            counters.flows_touched += len(flows)
-            rates_map = max_min_fair_rates(flows)
-            self._apply_rates(flows, [rates_map.get(flow, 0.0) for flow in flows])
-            return
-
         slack = _CAPACITY_SLACK
         soa = self.soa
         pot = soa.lm_pot
@@ -615,7 +555,7 @@ class FluidNetwork:
         flows = list(component)
         n = len(flows)
 
-        if self.vectorized and n >= self.VEC_MIN_COMPONENT:
+        if n >= self.VEC_MIN_COMPONENT:
             self._flush_component_vec(flows)
             return
 

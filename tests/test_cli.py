@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -174,6 +176,42 @@ def test_campaign_cli_run_kill_resume_merge(tmp_path, capsys):
     reference = tmp_path / "reference.json"
     assert main(["sweep", *common, "--out", str(reference)]) == 0
     assert merged.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"bogus": 1}, "unknown config_overrides key 'bogus'"),
+        ({"seed": 5}, "config_overrides key 'seed' is set by the scenario itself"),
+    ],
+    ids=["unknown", "spec-owned"],
+)
+def test_campaign_resume_rejects_bad_config_overrides(tmp_path, capsys, jobs, overrides, message):
+    """A stored plan whose base spec carries an unknown override, or one the
+    spec sets itself, fails in one line before any worker starts."""
+    directory = tmp_path / "campaign"
+    assert main([
+        "campaign", "run", "--scenario", "lan-baseline",
+        "--set", "good_clients=1", "--set", "bad_clients=1",
+        "--set", "duration=1", "--grid", "capacity_rps=5,10",
+        "--dir", str(directory), "--workers", "2",
+    ]) == 0
+    capsys.readouterr()
+    plan_file = directory / "campaign.json"
+    plan = json.loads(plan_file.read_text())
+    plan["base"]["config_overrides"] = overrides
+    plan_file.write_text(json.dumps(plan))
+    for spool in directory.glob("spool-*"):
+        spool.unlink()
+
+    assert main(["campaign", "resume", "--dir", str(directory), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("speakup-repro: error: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert not list(directory.glob("spool-*")), "a worker ran before validation"
 
 
 def test_campaign_cli_rejects_bad_directories(tmp_path, capsys):

@@ -11,8 +11,9 @@ import pytest
 from repro.analysis.provisioning import payment_traffic_estimate
 from repro.clients.population import build_mixed_population
 from repro.constants import MBIT
-from repro.core.fleet import HealthProbeSpec, PooledAdmission, ShardRouter
+from repro.core.fleet import HealthProbeSpec, PooledAdmission
 from repro.core.frontend import Deployment, DeploymentConfig
+from repro.core.routing import ShardRouter
 from repro.errors import ExperimentError, ThinnerError, TopologyError
 from repro.experiments.base import ExperimentScale
 from repro.experiments.fleet import fleet_provisioning_curve, format_fleet

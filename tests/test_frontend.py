@@ -101,11 +101,12 @@ def test_gc_reenabled_even_when_run_raises():
     import gc
 
     deployment, _hosts = build()
-    assert deployment.config.pause_gc_during_run
 
     boom = RuntimeError("engine exploded")
+    enabled_in_loop = []
 
     def exploding(_flow=None):
+        enabled_in_loop.append(gc.isenabled())
         raise boom
 
     deployment.engine.schedule_after(0.5, exploding)
@@ -113,6 +114,7 @@ def test_gc_reenabled_even_when_run_raises():
     with pytest.raises(RuntimeError) as excinfo:
         deployment.run(1.0)
     assert excinfo.value is boom
+    assert enabled_in_loop == [False], "the event loop must run with the GC paused"
     assert gc.isenabled(), "a failing run must not leave the GC disabled"
 
 

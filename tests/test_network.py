@@ -16,10 +16,10 @@ from repro.simnet.topology import build_bottleneck, build_lan, uniform_bandwidth
 from repro.simnet.trace import Tracer
 
 
-def make_network(clients=3, bandwidth=2 * MBIT, incremental=True, tracer=None):
+def make_network(clients=3, bandwidth=2 * MBIT, tracer=None):
     topology, hosts, thinner = build_lan(uniform_bandwidths(clients, bandwidth))
     engine = Engine()
-    network = FluidNetwork(engine, topology, tracer=tracer, incremental=incremental)
+    network = FluidNetwork(engine, topology, tracer=tracer)
     return engine, network, hosts, thinner
 
 
@@ -170,7 +170,7 @@ def test_incremental_rates_match_global_recomputation(operations):
     are compared (exactly what the engine does before firing each event)."""
     topology, hosts, thinner = build_lan(uniform_bandwidths(4, 2 * MBIT))
     engine = Engine()
-    network = FluidNetwork(engine, topology, incremental=True)
+    network = FluidNetwork(engine, topology)
     live = []
     clock = 0.0
     for host_index, action in operations:

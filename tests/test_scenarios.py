@@ -163,6 +163,28 @@ def test_spec_from_dict_accepts_mapping_overrides():
     assert spec.groups[0] == GroupSpec(count=1)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"vectorized": False}, "unknown config_overrides key 'vectorized'"),
+        ({"bogus": 1}, "unknown config_overrides key 'bogus'"),
+        ({"seed": 5}, "config_overrides key 'seed' is set by the scenario itself"),
+        ({"thinner_shards": 2}, "'thinner_shards' is set by the scenario itself"),
+    ],
+    ids=["vectorized", "bogus", "seed", "thinner_shards"],
+)
+def test_bad_config_overrides_fail_with_one_clear_error(overrides, message):
+    """An override that is not a DeploymentConfig field, or one the spec
+    already sets itself, is a config error naming the key, not a TypeError."""
+    spec = ScenarioSpec.from_dict({
+        "groups": [{"count": 1}],
+        "duration": 1.0,
+        "config_overrides": overrides,
+    })
+    with pytest.raises(ExperimentError, match=message):
+        spec.build()
+
+
 def test_spec_validation_rejects_nonsense():
     with pytest.raises(ExperimentError):
         _small_lan_spec(capacity_rps=0.0).validate()

@@ -3,57 +3,97 @@
 The fluid network keeps every flow/link/channel scalar in a
 :class:`~repro.simnet.soa.SoAStore` and picks, per component (and per dirty
 batch in the kinetic bid index), between a scalar index-based path and a
-vectorized numpy path.  ``DeploymentConfig.vectorized`` pins the choice for a
-whole run, which gives an end-to-end property: the same scenario run both
-ways must produce bit-identical rates, auction outcomes, and counters.
+vectorized numpy path by size alone.  Raising the two size thresholds
+(``FluidNetwork.VEC_MIN_COMPONENT`` and ``KineticBidIndex.VEC_MIN_DIRTY``)
+forces the scalar paths for a whole run, which gives an end-to-end
+property: the same scenario run both ways must produce bit-identical rates,
+auction outcomes, and counters.
 """
 
-import dataclasses
 import random
+import sys
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.bidindex import KineticBidIndex
 from repro.scenarios.registry import build_scenario
-from repro.scenarios.spec import freeze_overrides
+from repro.simnet.network import FluidNetwork
 from repro.simnet.soa import SoAStore
 
 
-def _run(spec, vectorized, vec_component_sizes=None):
-    spec = dataclasses.replace(
-        spec, config_overrides=freeze_overrides({"vectorized": vectorized})
-    )
-    deployment = spec.build()
-    assert deployment.network.vectorized is vectorized
-    if vec_component_sizes is not None:
-        # Observe (without altering) every array-path flush: record the
-        # component width, then delegate to the real implementation.
-        inner = deployment.network._flush_component_vec
+def _run(spec, monkeypatch, scalar, changes=()):
+    """Run ``spec`` and fingerprint it, watching which paths it took.
 
-        def _spy(flows):
-            vec_component_sizes.append(len(flows))
-            return inner(flows)
+    ``scalar=True`` raises both size thresholds past any run's reach, so
+    every flush and every bid re-key takes the scalar path.  ``changes`` is
+    a list of ``(at_s, factor)`` pairs; each one scales both directions of
+    the thinner host's access link through ``Link.set_capacity_factor`` —
+    the same entry point the gray-failure ``degrade`` fault uses — so every
+    waterfill after it sees a different capacity vector than the one the
+    flows were admitted under.
 
-        deployment.network._flush_component_vec = _spy
-    deployment.run(spec.duration)
+    Returns the fingerprint and a spy that observed without altering:
+    ``vec_component_sizes`` holds the width of every array-path flush and
+    ``rekey_batches`` counts the bid index's batched trajectory re-keys.
+    """
+    spy = SimpleNamespace(vec_component_sizes=[], rekey_batches=0)
+    flush = FluidNetwork._flush_component_vec
+    trajectories = SoAStore.bid_trajectories
+
+    def flush_spy(network, flows):
+        spy.vec_component_sizes.append(len(flows))
+        return flush(network, flows)
+
+    def trajectories_spy(store, cids, now):
+        spy.rekey_batches += 1
+        return trajectories(store, cids, now)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FluidNetwork, "_flush_component_vec", flush_spy)
+        patch.setattr(SoAStore, "bid_trajectories", trajectories_spy)
+        if scalar:
+            patch.setattr(FluidNetwork, "VEC_MIN_COMPONENT", sys.maxsize)
+            patch.setattr(KineticBidIndex, "VEC_MIN_DIRTY", sys.maxsize)
+        deployment = spec.build()
+        network = deployment.network
+        host = deployment.thinner_hosts[0]
+        for at_s, factor in changes:
+            for link in (host.access.up, host.access.down):
+                deployment.engine.schedule_at(
+                    at_s,
+                    lambda link=link, factor=factor: link.set_capacity_factor(
+                        factor, network=network
+                    ),
+                )
+        deployment.run(spec.duration)
     result = deployment.results()
-    network = deployment.network
     # ``label`` embeds a globally increasing request id, which keeps counting
     # across the two in-process runs — compare the kind, not the id.
     flows = sorted(
         (flow.label.split(":")[0], flow.state.value, flow.rate_bps, flow.delivered_bytes)
         for flow in network._active
     )
-    return {
+    outcome = {
         "counters": network.counters.snapshot(),
         "served": result.total_served,
         "good_allocation": result.good_allocation,
         "total_delivered": network.total_delivered_bytes,
         "flows": flows,
     }
+    return outcome, spy
+
+
+def _assert_paths(scalar_spy, vector_spy):
+    """The forced run stayed scalar; the default run took both array paths."""
+    assert scalar_spy.vec_component_sizes == [], "forced run made an array-path flush"
+    assert scalar_spy.rekey_batches == 0, "forced run made a batched bid re-key"
+    assert vector_spy.vec_component_sizes, "default run made no array-path flush"
+    assert vector_spy.rekey_batches > 0, "default run made no batched bid re-key"
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_vectorized_and_scalar_paths_are_bit_identical(seed):
+def test_vectorized_and_scalar_paths_are_bit_identical(seed, monkeypatch):
     """A ≥500-flow component through both paths: identical rates and winners.
 
     The population is drawn from a seeded RNG so each parametrization checks
@@ -72,8 +112,9 @@ def test_vectorized_and_scalar_paths_are_bit_identical(seed):
         duration=0.1,
         seed=seed,
     )
-    scalar = _run(spec, vectorized=False)
-    vector = _run(spec, vectorized=True)
+    scalar, scalar_spy = _run(spec, monkeypatch, scalar=True)
+    vector, vector_spy = _run(spec, monkeypatch, scalar=False)
+    _assert_paths(scalar_spy, vector_spy)
 
     # The run must actually have driven wide components down the array path.
     counters = vector["counters"]
@@ -91,7 +132,7 @@ def test_vectorized_and_scalar_paths_are_bit_identical(seed):
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
-def test_fat_tree_components_are_identical_down_both_paths(seed):
+def test_fat_tree_components_are_identical_down_both_paths(seed, monkeypatch):
     """Multi-level fabric components through scalar and vectorized waterfill.
 
     Star topologies couple flows only through access links; a fat-tree
@@ -116,14 +157,15 @@ def test_fat_tree_components_are_identical_down_both_paths(seed):
         duration=0.1,
         seed=seed,
     )
-    vec_component_sizes = []
-    scalar = _run(spec, vectorized=False)
-    vector = _run(spec, vectorized=True, vec_component_sizes=vec_component_sizes)
+    scalar, scalar_spy = _run(spec, monkeypatch, scalar=True)
+    vector, vector_spy = _run(spec, monkeypatch, scalar=False)
+    _assert_paths(scalar_spy, vector_spy)
 
     # The run must actually have pushed multi-level fabric components down
     # the array path (unlike soa-mega, a fabric mixes wide converging
     # components with many narrow same-edge ones, so the *average* size is
     # meaningless — count the vectorized flushes themselves).
+    vec_component_sizes = vector_spy.vec_component_sizes
     assert len(vec_component_sizes) > 0, "no component reached the array path"
     assert max(vec_component_sizes) >= 64
     assert vector["counters"]["flows_touched"] >= 500
@@ -135,46 +177,8 @@ def test_fat_tree_components_are_identical_down_both_paths(seed):
     assert scalar["flows"] == vector["flows"]
 
 
-def _run_with_capacity_changes(spec, vectorized, changes):
-    """Like :func:`_run`, but rescale thinner access capacity mid-run.
-
-    ``changes`` is a list of ``(at_s, factor)`` pairs; each one scales both
-    directions of the thinner host's access link through
-    ``Link.set_capacity_factor`` — the same entry point the gray-failure
-    ``degrade`` fault uses — so every waterfill after it sees a different
-    capacity vector than the one the flows were admitted under.
-    """
-    spec = dataclasses.replace(
-        spec, config_overrides=freeze_overrides({"vectorized": vectorized})
-    )
-    deployment = spec.build()
-    network = deployment.network
-    host = deployment.thinner_hosts[0]
-    for at_s, factor in changes:
-        for link in (host.access.up, host.access.down):
-            deployment.engine.schedule_at(
-                at_s,
-                lambda link=link, factor=factor: link.set_capacity_factor(
-                    factor, network=network
-                ),
-            )
-    deployment.run(spec.duration)
-    result = deployment.results()
-    flows = sorted(
-        (flow.label.split(":")[0], flow.state.value, flow.rate_bps, flow.delivered_bytes)
-        for flow in network._active
-    )
-    return {
-        "counters": network.counters.snapshot(),
-        "served": result.total_served,
-        "good_allocation": result.good_allocation,
-        "total_delivered": network.total_delivered_bytes,
-        "flows": flows,
-    }
-
-
 @pytest.mark.parametrize("seed", [11, 12, 13])
-def test_capacity_changes_keep_scalar_and_vector_paths_identical(seed):
+def test_capacity_changes_keep_scalar_and_vector_paths_identical(seed, monkeypatch):
     """Mid-run capacity rescales reallocate identically down both paths.
 
     A degrade-style capacity change re-derives every crossing flow's bound
@@ -197,8 +201,9 @@ def test_capacity_changes_keep_scalar_and_vector_paths_identical(seed):
         (round(rng.uniform(0.01, 0.09), 4), round(rng.uniform(0.3, 1.0), 3))
         for _ in range(rng.randint(3, 5))
     )
-    scalar = _run_with_capacity_changes(spec, False, changes)
-    vector = _run_with_capacity_changes(spec, True, changes)
+    scalar, scalar_spy = _run(spec, monkeypatch, scalar=True, changes=changes)
+    vector, vector_spy = _run(spec, monkeypatch, scalar=False, changes=changes)
+    _assert_paths(scalar_spy, vector_spy)
 
     counters = vector["counters"]
     assert counters["waterfill_calls"] > 0
