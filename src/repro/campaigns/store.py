@@ -18,11 +18,7 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import ExperimentError
 from repro.metrics.summary import Summary
-from repro.scenarios.runner import (
-    RESULTS_VERSION,
-    SweepRecord,
-    validate_record,
-)
+from repro.scenarios.runner import SweepRecord, validate_record, write_results
 from repro.campaigns.runner import CampaignPlan, campaign_status, spool_path
 
 
@@ -177,12 +173,12 @@ class CampaignStore:
     def merge(self, out_path: str) -> int:
         """Write the full results document to ``out_path``, streaming.
 
-        The output is byte-identical to
-        :func:`repro.scenarios.runner.save_results` over the same records:
-        spool lines are parsed and re-dumped with the document's
-        formatting, never round-tripped through ``from_dict`` (which would
-        coerce types).  Refuses to merge an incomplete campaign.  Returns
-        the number of records written.
+        Spool lines go through :func:`repro.scenarios.runner.write_results`,
+        the writer :func:`~repro.scenarios.runner.save_results` uses, so the
+        output is byte-identical to it over the same records.  They are
+        parsed and re-dumped, never round-tripped through ``from_dict``
+        (which would coerce types).  Refuses to merge an incomplete
+        campaign.  Returns the number of records written.
         """
         status = campaign_status(self.directory)
         if not status.complete:
@@ -191,19 +187,4 @@ class CampaignStore:
                 f"({status.done}/{status.points} points); "
                 f"run 'campaign resume' first"
             )
-        tmp = out_path + ".tmp"
-        written = 0
-        with open(tmp, "w", encoding="utf-8") as out:
-            out.write('{\n  "records": [')
-            for entry in self.iter_dicts():
-                text = json.dumps(entry, indent=2, sort_keys=True)
-                indented = "\n".join("    " + line for line in text.splitlines())
-                out.write(("," if written else "") + "\n" + indented)
-                written += 1
-            if written:
-                out.write("\n  ],\n")
-            else:
-                out.write("],\n")
-            out.write(f'  "version": {RESULTS_VERSION}\n}}\n')
-        os.replace(tmp, out_path)
-        return written
+        return write_results(self.iter_dicts(), out_path)

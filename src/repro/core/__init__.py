@@ -15,7 +15,7 @@
 from repro.core.fleet import ADMISSION_MODES
 from repro.core.routing import SHARD_POLICIES, ShardRouter
 from repro.core.payment import PaymentChannel, PaymentChannelState
-from repro.core.pricing import PriceBook, PriceSample
+from repro.core.pricing import PriceBook
 from repro.core.thinner import Contender, ThinnerBase, ThinnerStats
 from repro.core.auction import VirtualAuctionThinner
 from repro.core.retry import RandomDropThinner
@@ -30,7 +30,6 @@ __all__ = [
     "PaymentChannel",
     "PaymentChannelState",
     "PriceBook",
-    "PriceSample",
     "Contender",
     "ThinnerBase",
     "ThinnerStats",

@@ -48,6 +48,7 @@ from repro.core.routing import (
     strategy_needs_rng,
 )
 from repro.core.payment import PaymentChannel
+from repro.core.pricing import PriceBook
 from repro.core.thinner import ThinnerBase
 from repro.httpd.messages import Request
 from repro.httpd.server import EmulatedServer
@@ -288,26 +289,22 @@ class Deployment:
 
         #: The rollup telemetry collector, or ``None`` in full mode.  Full
         #: mode (and an unset spec) is the byte-identity baseline: no
-        #: ``"telemetry"`` streams are created, the client layer keeps its
-        #: per-request lists, and the thinners keep exact
-        #: :class:`~repro.core.pricing.PriceBook` instances.  Rollup mode
-        #: must be wired *before* the thinners are built so they pick up
-        #: the bounded price-book factory through the network hook.
+        #: ``"telemetry"`` stream is created and the client layer keeps its
+        #: per-request lists.
         self.telemetry = None
         telemetry_spec = self.config.telemetry
         if telemetry_spec is not None and telemetry_spec.mode == "rollup":
             # Imported lazily for the same layering reason as the defenses.
-            from repro.telemetry.collector import StreamingPriceBook, TelemetryCollector
+            from repro.telemetry.collector import TelemetryCollector
 
             self.telemetry = TelemetryCollector(
                 telemetry_spec,
                 self.streams.stream("telemetry"),
                 counters=self.network.counters,
             )
-            price_rng = self.streams.stream("telemetry:prices")
-            self.network.price_book_factory = lambda: StreamingPriceBook(
-                telemetry_spec.reservoir, price_rng
-            )
+        #: The one price book every thinner a defense builds records its
+        #: winning bids into, across shards and engagement sides alike.
+        self.prices = PriceBook()
 
         #: The back-end server(s).  A single-thinner or pooled-fleet
         #: deployment has exactly one; a partitioned fleet has one

@@ -1,120 +1,46 @@
 """Price bookkeeping.
 
 With speak-up "the price for access ... emerges naturally" (§3.2, §3.3): it
-is simply the number of bytes the winning bid delivered.  The thinner records
-every winning bid here so the evaluation can reproduce Figure 5 (average
-price per served request, by client class, against the upper bound
-(G+B)/c) and so operators could expose a "price tag" (§9).
+is simply the number of bytes the winning bid delivered.  A deployment keeps
+one book that every thinner it builds records its winning bids into, so the
+evaluation can reproduce Figure 5 (average price per served request, by
+client class, against the upper bound (G+B)/c) and so operators could expose
+a "price tag" (§9).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-
-@dataclass(frozen=True)
-class PriceSample:
-    """One winning bid."""
-
-    time: float
-    price_bytes: float
-    client_class: str
-    request_id: int
+from typing import Dict
 
 
 class PriceBook:
-    """A time series of winning bids with the summaries the evaluation needs."""
+    """Running per-class totals of winning bids: O(classes) state.
+
+    Bids add up in the order they are recorded, so a deployment whose
+    thinners share one book sums them in event order.
+    """
 
     def __init__(self) -> None:
-        self._samples: List[PriceSample] = []
+        self._sums: Dict[str, float] = {}
+        self._counts: Dict[str, int] = {}
+        self._last_price = 0.0
 
-    def record(self, time: float, price_bytes: float, client_class: str, request_id: int) -> None:
+    def record(self, price_bytes: float, client_class: str) -> None:
         """Record the winning bid of one auction."""
         if price_bytes < 0:
             raise ValueError(f"price cannot be negative, got {price_bytes}")
-        self._samples.append(PriceSample(time, price_bytes, client_class, request_id))
-
-    @classmethod
-    def merged(cls, books: "List[PriceBook]") -> "PriceBook":
-        """One book holding every sample of ``books``, in time order.
-
-        Used to aggregate a thinner fleet's per-shard books so every query
-        (averages, percentiles, revenue) keeps one implementation.
-        """
-        book = cls()
-        for source in books:
-            book._samples.extend(source._samples)
-        book._samples.sort(key=lambda sample: sample.time)
-        return book
-
-    # -- queries -----------------------------------------------------------------
-
-    @property
-    def samples(self) -> List[PriceSample]:
-        """All recorded winning bids, oldest first (a copy)."""
-        return list(self._samples)
+        self._sums[client_class] = self._sums.get(client_class, 0.0) + price_bytes
+        self._counts[client_class] = self._counts.get(client_class, 0) + 1
+        self._last_price = price_bytes
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return sum(self._counts.values())
 
     def going_rate(self) -> float:
         """"The going rate for access is the winning bid from the most recent
         auction" (§3.3).  Zero before any auction has completed."""
-        if not self._samples:
-            return 0.0
-        return self._samples[-1].price_bytes
+        return self._last_price
 
-    def average(self, client_class: Optional[str] = None, since: float = 0.0) -> float:
-        """Mean winning bid, optionally restricted to one client class / time window."""
-        values = [
-            sample.price_bytes
-            for sample in self._samples
-            if sample.time >= since
-            and (client_class is None or sample.client_class == client_class)
-        ]
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
-
-    def average_by_class(self, since: float = 0.0) -> Dict[str, float]:
+    def average_by_class(self) -> Dict[str, float]:
         """Mean winning bid per client class (the two bars of Figure 5)."""
-        sums: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for sample in self._samples:
-            if sample.time < since:
-                continue
-            sums[sample.client_class] = sums.get(sample.client_class, 0.0) + sample.price_bytes
-            counts[sample.client_class] = counts.get(sample.client_class, 0) + 1
-        return {cls: sums[cls] / counts[cls] for cls in sums}
-
-    def percentile(self, fraction: float, client_class: Optional[str] = None) -> float:
-        """The ``fraction`` quantile of winning bids (nearest-rank)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        values = sorted(
-            sample.price_bytes
-            for sample in self._samples
-            if client_class is None or sample.client_class == client_class
-        )
-        if not values:
-            return 0.0
-        rank = max(0, min(len(values) - 1, math.ceil(fraction * len(values)) - 1))
-        return values[rank]
-
-    def free_admissions(self) -> int:
-        """How many requests were admitted at a price of zero bytes."""
-        return sum(1 for sample in self._samples if sample.price_bytes == 0.0)
-
-    def total_revenue_bytes(self, client_class: Optional[str] = None) -> float:
-        """Sum of all winning bids (the dummy bytes the thinner had to sink)."""
-        return sum(
-            sample.price_bytes
-            for sample in self._samples
-            if client_class is None or sample.client_class == client_class
-        )
-
-    def history(self) -> List[tuple[float, float]]:
-        """(time, price) pairs, ready to plot the price dynamics over a run."""
-        return [(sample.time, sample.price_bytes) for sample in self._samples]
+        return {cls: self._sums[cls] / self._counts[cls] for cls in self._sums}

@@ -112,7 +112,7 @@ class QuantumAuctionThinner(ThinnerBase):
         charge = max(price_bytes, consumed)
         request.price_paid += charge
         self.stats.payment_bytes_sunk += charge
-        self.prices.record(self.engine.now, charge, request.client_class, request.request_id)
+        self.prices.record(charge, request.client_class)
         if charge == 0.0:
             self.stats.free_admissions += 1
 

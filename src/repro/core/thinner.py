@@ -129,6 +129,7 @@ class ThinnerBase:
         encouragement_delay: float = 0.0,
         payment_timeout: float = PAYMENT_CHANNEL_TIMEOUT,
         max_contenders: Optional[int] = None,
+        prices: Optional[PriceBook] = None,
     ) -> None:
         if encouragement_delay < 0:
             raise ThinnerError("encouragement_delay must be non-negative")
@@ -145,10 +146,9 @@ class ThinnerBase:
         self.payment_timeout = payment_timeout
         self.max_contenders = max_contenders
 
-        # The deployment can install a bounded price-book factory on the
-        # network (rollup telemetry); None keeps the exact PriceBook.
-        price_book_factory = getattr(network, "price_book_factory", None)
-        self.prices = PriceBook() if price_book_factory is None else price_book_factory()
+        #: Where this thinner records its winning bids: the deployment's one
+        #: book when a defense builds the thinner, else a book of its own.
+        self.prices = prices if prices is not None else PriceBook()
         self.stats = ThinnerStats()
         #: Shared hot-path instrumentation (same object the bench snapshots).
         self.counters = network.counters
@@ -343,7 +343,7 @@ class ThinnerBase:
         elif contender.channel is not None:
             request.bytes_paid = contender.channel.total_paid()
         request.price_paid = price_bytes
-        self.prices.record(self.engine.now, price_bytes, request.client_class, request.request_id)
+        self.prices.record(price_bytes, request.client_class)
         if price_bytes == 0.0:
             self.stats.free_admissions += 1
         self._remove_contender(request.request_id)

@@ -182,6 +182,8 @@ class AdaptiveThinner:
         }
         self.engaged = False
         self._mux.active = self._mux.views[0]
+        #: Both sides record into the deployment's book.
+        self.prices = deployment.prices
 
         #: (time, engaged) transitions, in order; starts disengaged at t=0.
         self.engagement_log: List[Tuple[float, bool]] = []
@@ -256,13 +258,6 @@ class AdaptiveThinner:
             for key, value in stats.served_by_class.items():
                 merged.served_by_class[key] = merged.served_by_class.get(key, 0) + value
         return merged
-
-    @property
-    def prices(self):
-        # Type-aware merge: both sides carry the same book class (exact
-        # PriceBook, or StreamingPriceBook under rollup telemetry).
-        books = [self._passthrough.prices, self._engaged.prices]
-        return type(books[0]).merged(books)
 
     @property
     def stage_metrics(self):

@@ -108,7 +108,9 @@ class Defense:
         """The constructor kwargs every :class:`ThinnerBase` variant shares.
 
         ``server`` overrides the shard's server (composites such as the
-        adaptive controller interpose a multiplexer view).
+        adaptive controller interpose a multiplexer view).  Every thinner
+        built from these kwargs records into the deployment's one
+        :class:`~repro.core.pricing.PriceBook`.
         """
         return dict(
             engine=deployment.engine,
@@ -118,6 +120,7 @@ class Defense:
             encouragement_delay=deployment.config.encouragement_delay,
             payment_timeout=deployment.config.payment_timeout,
             max_contenders=deployment.config.max_contenders,
+            prices=deployment.prices,
         )
 
     def describe(self) -> str:

@@ -742,16 +742,6 @@ class _MergedServerStats:
         return {cat: count / total for cat, count in self.served_by_category.items()}
 
 
-def _mean_price_by_class(thinners) -> Dict[str, float]:
-    """Mean winning bid per class across every shard's price book."""
-    if len(thinners) == 1:
-        return thinners[0].prices.average_by_class()
-    # Type-aware merge: a rollup deployment's thinners carry
-    # StreamingPriceBook instances, whose merged() sums exactly.
-    books = [t.prices for t in thinners]
-    return type(books[0]).merged(books).average_by_class()
-
-
 def _collect_shards(deployment) -> List[ShardMetrics]:
     """One :class:`ShardMetrics` per thinner front-end."""
     shards: List[ShardMetrics] = []
@@ -864,7 +854,7 @@ def collect(deployment) -> RunResult:
         allocation_by_category=allocation_by_category,
         served_by_category=served_by_category,
         served_fraction_by_category=served_fraction_by_category,
-        mean_price_by_class=_mean_price_by_class(thinners),
+        mean_price_by_class=deployment.thinner.prices.average_by_class(),
         price_upper_bound_bytes=upper_bound,
         auctions_held=sum(thinner.stats.auctions_held for thinner in thinners),
         free_admissions=sum(thinner.stats.free_admissions for thinner in thinners),

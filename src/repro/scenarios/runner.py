@@ -250,19 +250,38 @@ def default_jobs() -> int:
 # ---------------------------------------------------------------------------
 
 
-def results_document(records: Sequence[SweepRecord]) -> Dict[str, Any]:
-    """The JSON document :func:`save_results` writes."""
-    return {
-        "version": RESULTS_VERSION,
-        "records": [record.to_dict() for record in records],
-    }
+def write_results(entries: Iterable[Dict[str, Any]], path: str) -> int:
+    """Stream record dicts to ``path`` as one results document, atomically.
+
+    The bytes are those of ``json.dump({"records": [...], "version": ...},
+    indent=2, sort_keys=True)`` plus a newline, written one record at a
+    time to ``path + ".tmp"``, which replaces ``path`` only once every
+    record is out: a failure mid-write leaves an existing file intact.
+    Returns the number of records written.
+    """
+    tmp = path + ".tmp"
+    written = 0
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            out.write('{\n  "records": [')
+            for entry in entries:
+                text = json.dumps(entry, indent=2, sort_keys=True)
+                indented = "\n".join("    " + line for line in text.splitlines())
+                out.write(("," if written else "") + "\n" + indented)
+                written += 1
+            out.write("\n  ],\n" if written else "],\n")
+            out.write(f'  "version": {RESULTS_VERSION}\n}}\n')
+        os.replace(tmp, path)
+    finally:
+        # Only a failed write leaves the temporary file behind.
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return written
 
 
 def save_results(records: Sequence[SweepRecord], path: str) -> None:
-    """Write sweep records to ``path`` as one JSON document."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results_document(records), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Write sweep records to ``path`` as one JSON document (see :func:`write_results`)."""
+    write_results((record.to_dict() for record in records), path)
 
 
 def validate_record(entry: Any, source: str, position: Optional[int] = None) -> None:

@@ -127,12 +127,6 @@ class FluidNetwork:
         self._active: Dict[Flow, None] = {}
         #: Hot-path instrumentation (see :mod:`repro.perf.counters`).
         self.counters = SimCounters()
-        #: Optional zero-arg factory the thinner layer calls for its price
-        #: book (a plain attribute, no import: simnet must not know about
-        #: the layers above it).  ``None`` keeps the exact
-        #: :class:`~repro.core.pricing.PriceBook`; the deployment sets a
-        #: bounded factory in rollup telemetry mode.
-        self.price_book_factory = None
 
         # Dirty-set state for the deferred, batched rate recomputation.
         # Seeds are keyed by the links' dense store ids.

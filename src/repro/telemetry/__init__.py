@@ -12,7 +12,7 @@ Two collection modes, selected per scenario by a
 
 The collector classes are re-exported lazily (PEP 562): the spec must stay
 importable from the bottom ``core`` layer without dragging in
-:mod:`repro.telemetry.collector` (which itself imports ``core.pricing``).
+:mod:`repro.telemetry.collector` (which itself imports the ``metrics`` layer).
 """
 
 from repro.telemetry.spec import TelemetrySpec
@@ -21,7 +21,6 @@ _COLLECTOR_EXPORTS = (
     "P2Quantile",
     "ReservoirSampler",
     "StreamAccumulator",
-    "StreamingPriceBook",
     "TelemetryCollector",
     "TelemetryMetrics",
     "TimeBuckets",

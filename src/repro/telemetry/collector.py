@@ -14,12 +14,11 @@ matter how many samples flow through it:
 * :class:`TimeBuckets` — per-bucket count/sum/min/max plus P² sketches,
   folding past ``max_buckets`` into the last bucket;
 * :class:`TelemetryCollector` — the per-deployment façade the client layer
-  records into instead of appending to ``ClientStats`` lists;
-* :class:`StreamingPriceBook` — a bounded drop-in for
-  :class:`~repro.core.pricing.PriceBook`: exact per-class sums, counts,
-  revenue, zero-price count and going rate, with a reservoir of
-  :class:`~repro.core.pricing.PriceSample` backing the distributional
-  queries (percentile / history / samples).
+  records into instead of appending to ``ClientStats`` lists.
+
+Winning bids need no streaming counterpart: the deployment's one
+:class:`~repro.core.pricing.PriceBook` already holds only exact per-class
+sums and counts, in either mode.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.pricing import PriceSample
 from repro.metrics.summary import Summary, percentile
 
 CLIENT_CLASSES = ("good", "bad")
@@ -395,140 +393,3 @@ class TelemetryCollector:
             retained=self.footprint_records(),
             buckets=buckets,
         )
-
-
-class StreamingPriceBook:
-    """Bounded drop-in for :class:`~repro.core.pricing.PriceBook`.
-
-    Exact where the evaluation needs exactness (per-class means, revenue,
-    free admissions, going rate — all O(classes) state); reservoir-sampled
-    where it needs a distribution (percentile, history, samples).  ``len``
-    reports recorded bids, matching ``PriceBook``'s "how many auctions"
-    reading; ``retained`` is the bounded slot count.
-    """
-
-    def __init__(self, capacity: int, rng) -> None:
-        self._reservoir = ReservoirSampler(capacity, rng)
-        self._sums: Dict[str, float] = {}
-        self._counts: Dict[str, int] = {}
-        self._zero_count = 0
-        self._last_price = 0.0
-        self._count = 0
-        # Reservoir holds PriceSample objects; ReservoirSampler is type-blind.
-        self._samples_by_slot: List[PriceSample] = []
-
-    def record(self, time: float, price_bytes: float, client_class: str, request_id: int) -> None:
-        if price_bytes < 0:
-            raise ValueError(f"price cannot be negative, got {price_bytes}")
-        sample = PriceSample(time, price_bytes, client_class, request_id)
-        self._count += 1
-        self._last_price = price_bytes
-        self._sums[client_class] = self._sums.get(client_class, 0.0) + price_bytes
-        self._counts[client_class] = self._counts.get(client_class, 0) + 1
-        if price_bytes == 0.0:
-            self._zero_count += 1
-        reservoir = self._reservoir
-        if len(self._samples_by_slot) < reservoir.capacity:
-            self._samples_by_slot.append(sample)
-            reservoir.count += 1
-            return
-        reservoir.count += 1
-        slot = reservoir.rng.randint(0, reservoir.count - 1)
-        if slot < reservoir.capacity:
-            self._samples_by_slot[slot] = sample
-
-    @classmethod
-    def merged(cls, books: "List[StreamingPriceBook]") -> "StreamingPriceBook":
-        """Exact-sum merge of per-shard books (reservoirs concatenated)."""
-        if not books:
-            raise ValueError("merged() needs at least one book")
-        merged = cls(sum(book._reservoir.capacity for book in books), books[0]._reservoir.rng)
-        latest_time = -math.inf
-        for book in books:
-            merged._count += book._count
-            merged._zero_count += book._zero_count
-            for client_class, total in book._sums.items():
-                merged._sums[client_class] = merged._sums.get(client_class, 0.0) + total
-            for client_class, count in book._counts.items():
-                merged._counts[client_class] = merged._counts.get(client_class, 0) + count
-            merged._samples_by_slot.extend(book._samples_by_slot)
-            if book._samples_by_slot:
-                last = max(sample.time for sample in book._samples_by_slot)
-                if last >= latest_time and book._count:
-                    latest_time = last
-                    merged._last_price = book._last_price
-        merged._samples_by_slot.sort(key=lambda sample: sample.time)
-        merged._reservoir.count = merged._count
-        return merged
-
-    # -- PriceBook-compatible queries -------------------------------------------
-
-    @property
-    def samples(self) -> List[PriceSample]:
-        """The retained reservoir sample, oldest first (a copy)."""
-        return sorted(self._samples_by_slot, key=lambda sample: sample.time)
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def retained(self) -> int:
-        return len(self._samples_by_slot)
-
-    def going_rate(self) -> float:
-        return self._last_price if self._count else 0.0
-
-    def average(self, client_class: Optional[str] = None, since: float = 0.0) -> float:
-        if since <= 0.0:
-            if client_class is None:
-                count = sum(self._counts.values())
-                return sum(self._sums.values()) / count if count else 0.0
-            count = self._counts.get(client_class, 0)
-            return self._sums.get(client_class, 0.0) / count if count else 0.0
-        values = [
-            sample.price_bytes
-            for sample in self._samples_by_slot
-            if sample.time >= since
-            and (client_class is None or sample.client_class == client_class)
-        ]
-        return sum(values) / len(values) if values else 0.0
-
-    def average_by_class(self, since: float = 0.0) -> Dict[str, float]:
-        if since <= 0.0:
-            return {
-                client_class: self._sums[client_class] / self._counts[client_class]
-                for client_class in self._sums
-                if self._counts.get(client_class)
-            }
-        sums: Dict[str, float] = {}
-        counts: Dict[str, int] = {}
-        for sample in self._samples_by_slot:
-            if sample.time < since:
-                continue
-            sums[sample.client_class] = sums.get(sample.client_class, 0.0) + sample.price_bytes
-            counts[sample.client_class] = counts.get(sample.client_class, 0) + 1
-        return {cls_name: sums[cls_name] / counts[cls_name] for cls_name in sums}
-
-    def percentile(self, fraction: float, client_class: Optional[str] = None) -> float:
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        values = sorted(
-            sample.price_bytes
-            for sample in self._samples_by_slot
-            if client_class is None or sample.client_class == client_class
-        )
-        if not values:
-            return 0.0
-        rank = max(0, min(len(values) - 1, math.ceil(fraction * len(values)) - 1))
-        return values[rank]
-
-    def free_admissions(self) -> int:
-        return self._zero_count
-
-    def total_revenue_bytes(self, client_class: Optional[str] = None) -> float:
-        if client_class is None:
-            return sum(self._sums.values())
-        return self._sums.get(client_class, 0.0)
-
-    def history(self) -> List[tuple[float, float]]:
-        return [(sample.time, sample.price_bytes) for sample in self.samples]

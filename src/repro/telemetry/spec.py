@@ -68,14 +68,13 @@ class TelemetrySpec:
             return 1
         return min(self.max_buckets, int(math.ceil(duration / self.bucket_s)) + 1)
 
-    def footprint_budget(self, duration: float, shards: int = 1) -> int:
+    def footprint_budget(self, duration: float) -> int:
         """Upper bound on retained measurement slots for one run.
 
         The budget is O(buckets + reservoir) and independent of request
         count: per class (good/bad) the collector keeps three stream
         accumulators (payment, response, price), each a reservoir plus
-        O(1) moments, plus two bucketed series; each thinner shard keeps
-        one streaming price book bounded by a reservoir.  Tests assert
+        O(1) moments, plus two bucketed series.  Tests assert
         ``collector.footprint_records() <= spec.footprint_budget(...)``.
         """
         classes = 2
@@ -83,8 +82,7 @@ class TelemetrySpec:
         accumulator_slots = classes * streams_per_class * (self.reservoir + 8)
         bucket_series = classes * 2
         bucket_slots = bucket_series * self.buckets_for(duration) * BUCKET_SLOTS
-        price_book_slots = max(1, shards) * (self.reservoir + 16)
-        return accumulator_slots + bucket_slots + price_book_slots
+        return accumulator_slots + bucket_slots
 
     def with_mode(self, mode: str) -> "TelemetrySpec":
         return replace(self, mode=mode)

@@ -199,7 +199,7 @@ def test_adaptive_thinner_direct_wiring():
     # The constant attack keeps utilisation pinned: engaged once, still on.
     assert thinner.engaged
     assert thinner.engagement_log and thinner.engagement_log[0][1] is True
-    # The merged stats and prices read coherently through the proxy.
+    # The merged stats and the shared book read coherently through the proxy.
     assert thinner.stats.requests_received > 0
     assert len(thinner.prices) > 0
     assert thinner.contending_count == len(thinner.contenders())

@@ -1,64 +1,56 @@
-"""Tests for the price book."""
+"""Tests for the price book and the deployment's one book."""
 
 import pytest
 
 from repro.core.pricing import PriceBook
+from repro.scenarios import build_scenario
+
+SMALL = dict(good_clients=6, bad_clients=6, capacity_rps=30.0)
 
 
 def test_empty_book_defaults():
     book = PriceBook()
     assert len(book) == 0
     assert book.going_rate() == 0.0
-    assert book.average() == 0.0
     assert book.average_by_class() == {}
-    assert book.percentile(0.9) == 0.0
-    assert book.free_admissions() == 0
-    assert book.total_revenue_bytes() == 0.0
 
 
 def test_record_and_averages_by_class():
     book = PriceBook()
-    book.record(1.0, 100.0, "good", 1)
-    book.record(2.0, 300.0, "good", 2)
-    book.record(3.0, 500.0, "bad", 3)
+    book.record(100.0, "good")
+    book.record(300.0, "good")
+    book.record(500.0, "bad")
+    assert len(book) == 3
     assert book.going_rate() == 500.0
-    assert book.average() == pytest.approx(300.0)
-    assert book.average(client_class="good") == pytest.approx(200.0)
     assert book.average_by_class() == {"good": 200.0, "bad": 500.0}
-    assert book.total_revenue_bytes() == 900.0
-    assert book.total_revenue_bytes("bad") == 500.0
-
-
-def test_average_since_window():
-    book = PriceBook()
-    book.record(1.0, 100.0, "good", 1)
-    book.record(10.0, 300.0, "good", 2)
-    assert book.average(since=5.0) == pytest.approx(300.0)
-
-
-def test_percentile_and_free_admissions():
-    book = PriceBook()
-    for index, price in enumerate([0.0, 10.0, 20.0, 30.0, 40.0]):
-        book.record(float(index), price, "good", index)
-    assert book.percentile(0.5) == 20.0
-    assert book.percentile(1.0) == 40.0
-    assert book.percentile(0.0) == 0.0
-    assert book.free_admissions() == 1
-    with pytest.raises(ValueError):
-        book.percentile(1.5)
 
 
 def test_negative_price_rejected():
     book = PriceBook()
     with pytest.raises(ValueError):
-        book.record(0.0, -1.0, "good", 1)
+        book.record(-1.0, "good")
 
 
-def test_history_and_samples_are_copies():
-    book = PriceBook()
-    book.record(1.0, 5.0, "good", 1)
-    history = book.history()
-    assert history == [(1.0, 5.0)]
-    samples = book.samples
-    samples.clear()
-    assert len(book) == 1
+@pytest.mark.parametrize(
+    "scenario, overrides",
+    [
+        ("fleet-lan", dict(SMALL, thinner_shards=3, duration=6.0)),
+        (
+            "fleet-failover",
+            dict(SMALL, thinner_shards=3, duration=6.0, kill_at_s=2.0, heal_at_s=4.0),
+        ),
+        ("adaptive-pulse", dict(SMALL, duration=12.0)),
+        ("layered-lan", dict(SMALL, duration=6.0)),
+        ("lan-baseline", dict(SMALL, duration=6.0, defense="quantum")),
+    ],
+)
+def test_every_thinner_records_into_the_deployments_one_book(scenario, overrides):
+    """Fleet shards, both adaptive sides and a pipeline's admission stage
+    all hold the deployment's book, and no admission goes unrecorded."""
+    spec = build_scenario(scenario, **overrides)
+    deployment = spec.build()
+    deployment.run(spec.duration)
+    assert all(thinner.prices is deployment.prices for thinner in deployment.thinners)
+    # Every admission (an auction win or a quantum grant) records one bid.
+    admitted = sum(thinner.stats.requests_admitted for thinner in deployment.thinners)
+    assert len(deployment.prices) == admitted > 0

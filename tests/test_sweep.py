@@ -135,6 +135,22 @@ def test_results_store_round_trip(tmp_path):
         assert restored.result.to_dict() == original.result.to_dict()
 
 
+def test_failed_save_leaves_the_previous_results_file_intact(tmp_path):
+    records = SweepRunner().run(Sweep(_base_spec(), axes={"capacity_rps": (5.0, 10.0)}))
+    path = tmp_path / "results.json"
+    save_results(records, str(path))
+    before = path.read_bytes()
+
+    class Unserialisable:
+        def to_dict(self):
+            raise RuntimeError("cannot serialise")
+
+    with pytest.raises(RuntimeError):
+        save_results([records[0], Unserialisable()], str(path))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_results_store_rejects_unknown_versions(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"version": 99, "records": []}')
