@@ -40,9 +40,10 @@ The composable admission-policy layer adds three more:
 The measurement plane adds two gauges (machine-independent, surfaced in
 ``bench --check`` output but not gated):
 
-* ``peak_live_events``  — high-water mark of live (non-cancelled) events
-  in the engine queue, sampled at every rate flush; the simulator's own
-  memory pressure, independent of wall clock;
+* ``peak_live_events``  — high-water mark of live (non-cancelled) events,
+  sampled at every rate flush, with each pending flow completion counted
+  as one event (the network's single completion timer is not counted
+  itself); the simulator's own memory pressure, independent of wall clock;
 * ``records_emitted``   — telemetry samples routed into the rollup
   collector (zero in full mode, where per-request lists are kept
   instead).

@@ -28,13 +28,13 @@ from repro.simnet.link import Link
 #:   from the incremental fill could leave a constraint "almost" binding
 #:   and the loop unable to freeze anyone;
 #: * final rates below ``RATE_EPSILON`` are snapped to exactly zero so a
-#:   completion event is never scheduled astronomically far in the future;
+#:   completion time is never astronomically far in the future;
 #: * in :meth:`FluidNetwork._apply_rates
 #:   <repro.simnet.network.FluidNetwork._apply_rates>`, a rate change
 #:   smaller than ``RATE_EPSILON`` is treated as "unchanged", which keeps a
-#:   recomputation that reproduces the same allocation from cancelling and
-#:   re-scheduling every completion event in the component (the heap churn,
-#:   not the arithmetic, is what would hurt).
+#:   recomputation that reproduces the same allocation from re-deriving
+#:   every completion time in the component (and firing every rate-change
+#:   callback).
 #:
 #: 1e-9 bits/s is roughly one bit per 30 simulated years — far below
 #: anything the model can observe, far above double-precision noise on the

@@ -3,8 +3,12 @@
 The engine maintains a priority queue of events keyed by simulated time and
 a monotonically increasing sequence number (so that events scheduled for the
 same instant fire in scheduling order, which keeps runs deterministic).
-Everything else in the package — flows completing, auctions firing, clients
-issuing requests — is expressed as engine events.
+Everything else in the package — auctions firing, clients issuing requests,
+servers finishing work — is expressed as engine events.  Flow completions
+are the exception: a fluid network re-rates every flow on a shared link
+whenever one of them starts or ends, so it keeps each flow's completion time
+in its struct-of-arrays store and holds one engine event of its own, at the
+earliest of them (see :mod:`repro.simnet.network`).
 
 Two hot-path design points:
 
@@ -16,6 +20,13 @@ Two hot-path design points:
   engine skips flagged entries when they surface.  When cancelled events
   outnumber live ones (heap-compaction), the queue is rebuilt in place —
   see :attr:`Engine.COMPACT_MIN_QUEUE` for the exact policy.
+
+Reserved slots (:meth:`Engine.reserve_seq`, :meth:`Engine.schedule_reserved`)
+let a caller claim a sequence number now and push the event later, or never.
+The network claims one for every completion time it computes — exactly where
+a per-flow event would have taken its seq — and pushes its single timer at
+the earliest claimed ``(time, seq)``.  So completions fire in the order
+per-flow events would have, and every other event keeps its seq.
 
 The engine also hosts the *flush hook* protocol used by the fluid network's
 deferred rate recomputation: components register a callback via
@@ -63,8 +74,7 @@ class Event:
         self.cancelled = True
         engine = self._engine
         if engine is not None:
-            # ``Engine._note_cancelled``, inlined: cancellation sits on the
-            # completion-reschedule hot path.
+            # Compact the heap once it is mostly dead.
             engine._cancelled_in_queue += 1
             if (
                 len(engine._queue) >= engine.COMPACT_MIN_QUEUE
@@ -124,7 +134,10 @@ class Engine:
 
     @property
     def pending_events(self) -> int:
-        """Number of live (not cancelled) events still in the queue."""
+        """Number of live (not cancelled) events still in the queue.
+
+        A fluid network's pending completions count as one event, its timer.
+        """
         return len(self._queue) - self._cancelled_in_queue
 
     # -- deferred-work flushing -------------------------------------------------
@@ -150,15 +163,6 @@ class Engine:
             callback()
 
     # -- cancellation bookkeeping ----------------------------------------------
-
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel`; compacts the heap when it is mostly dead."""
-        self._cancelled_in_queue += 1
-        if (
-            len(self._queue) >= self.COMPACT_MIN_QUEUE
-            and self._cancelled_in_queue * 2 > len(self._queue)
-        ):
-            self._compact()
 
     def _compact(self) -> None:
         """Drop cancelled events and rebuild the heap in place.
@@ -189,8 +193,7 @@ class Engine:
         """Schedule ``callback`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SchedulingError(f"delay must be non-negative, got {delay}")
-        # ``schedule_at(self._now + delay, ...)``, inlined — this is the
-        # hottest scheduling entry point (completion reschedules).
+        # ``schedule_at(self._now + delay, ...)``, inlined.
         time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
@@ -201,6 +204,26 @@ class Engine:
     def call_soon(self, callback: Callable, *args, **kwargs) -> Event:
         """Schedule ``callback`` at the current simulated time."""
         return self.schedule_at(self._now, callback, *args, **kwargs)
+
+    def reserve_seq(self, count: int = 1) -> int:
+        """Claim the next ``count`` sequence numbers; return the first.
+
+        An event later pushed at a claimed seq (:meth:`schedule_reserved`)
+        orders among same-instant events as if it had been scheduled now.
+        """
+        seq = self._seq
+        self._seq = seq + count
+        return seq
+
+    def schedule_reserved(self, time: float, seq: int, callback: Callable, *args) -> Event:
+        """Schedule ``callback(*args)`` at ``time`` under a claimed ``seq``."""
+        if time < self._now:
+            raise SchedulingError(
+                f"cannot schedule event at t={time:.6f}, which is before now={self._now:.6f}"
+            )
+        event = Event(time, seq, callback, args, None, engine=self)
+        heapq.heappush(self._queue, (time, seq, event))
+        return event
 
     # -- execution -------------------------------------------------------------
 

@@ -75,7 +75,6 @@ class Flow:
         "finished_at",
         "on_complete",
         "on_rate_change",
-        "_completion_event",
         "_path_lids",
         "_path_min_cap",
         "owner",
@@ -115,7 +114,6 @@ class Flow:
         self.finished_at: Optional[float] = None
         self.on_complete = on_complete
         self.on_rate_change: Optional[Callable[["Flow"], None]] = None
-        self._completion_event = None
         #: Dense link ids along the path (paired with ``path`` by index);
         #: assigned by the network at attach time, when every path link is
         #: guaranteed to be registered with its store.

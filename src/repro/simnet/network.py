@@ -2,7 +2,7 @@
 
 :class:`FluidNetwork` owns the set of active flows.  Whenever that set (or a
 flow's private rate cap) changes, bandwidth must be re-shared and the
-completion events of the flows whose rates changed must be rescheduled.
+completion times of the flows whose rates changed must be recomputed.
 Delivered bytes are integrated lazily, per flow, under piecewise-constant
 rates (which makes the integration exact).
 
@@ -18,8 +18,21 @@ clock cannot advance past the change instant before the flush runs: the old
 rates remain valid for the zero simulated seconds they are still in effect.
 Batching collapses the common same-instant chains (a flow start immediately
 followed by its slow-start cap, an auction teardown cascade) into a single
-recomputation and — more importantly — a single round of completion-event
-cancel/reschedule heap traffic.
+recomputation and a single round of completion-time updates.
+
+Completion times are store columns, not engine events.  Every payment POST
+crosses the thinner's link, so each POST that starts or ends re-rates all the
+others; one engine event per flow would cost a cancel and a heap push per
+flow per re-rate.  Instead each bounded flow's row holds its absolute
+completion time (``f_due``, ``inf`` when none is pending) and the engine seq
+its event would have taken (``f_seq``, claimed with
+:meth:`~repro.simnet.engine.Engine.reserve_seq` at that same moment), and
+the network keeps a single engine event, the *timer*, at the earliest
+``(due, seq)``.  The flush re-points the timer before the clock can advance,
+so completions fire at the same times and in the same order as per-flow
+events would, and every other event keeps its seq.  Rate-change callbacks
+run inside the flush and must only note the change: scheduling events or
+starting and stopping flows there would break this ordering.
 
 Recomputation is also *component-restricted*: most changes (a payment POST
 finishing on one client's uplink, say) can only affect the rates of flows
@@ -72,7 +85,7 @@ import numpy as np
 from repro.errors import FlowError
 from repro.perf.counters import SimCounters
 from repro.simnet.bandwidth import RATE_EPSILON, waterfill_lists
-from repro.simnet.engine import Engine
+from repro.simnet.engine import Engine, Event
 from repro.simnet.flow import Flow, FlowState
 from repro.simnet.host import Host
 from repro.simnet.link import Link
@@ -92,6 +105,9 @@ BYTES_EPSILON = 1e-6
 _CAPACITY_SLACK = 1e-6
 
 _INF = float("inf")
+
+#: ``FluidNetwork._next`` when no completion time is pending.
+_NO_DUE = (_INF, -1, -1)
 
 
 class FluidNetwork:
@@ -135,6 +151,18 @@ class FluidNetwork:
         self._dirty_pre: Set[int] = set()
         self._dirty_flows: Dict[Flow, None] = {}
         self._rate_cache: "OrderedDict[tuple, object]" = OrderedDict()
+
+        # The one completion timer.  Each bounded flow's completion time and
+        # the engine seq it claimed are store columns (``f_due``/``f_seq``);
+        # ``_next`` is the earliest ``(due, seq, fid)`` (exact unless
+        # ``_next_stale``), ``_timer`` the engine event pushed there, and
+        # ``_timer_dirty`` says the two may differ until the next flush.
+        self._timer: Optional[Event] = None
+        self._next = _NO_DUE
+        self._next_stale = False
+        self._timer_dirty = False
+        #: Flows with a completion time pending.
+        self._due_count = 0
 
         self.total_delivered_bytes = 0.0
         self.completed_flows = 0
@@ -484,10 +512,7 @@ class FluidNetwork:
         flow.state = final_state
         flow.finished_at = self.engine.now
         soa.fm_rate[fid] = 0.0
-        event = flow._completion_event
-        if event is not None:
-            event.cancel()
-            flow._completion_event = None
+        self._clear_due(fid)
         soa.release_flow(flow)
 
     def _integrate(self, flow: Flow) -> None:
@@ -512,17 +537,25 @@ class FluidNetwork:
     # -- deferred rate recomputation ---------------------------------------------------
 
     def _flush_rates(self) -> None:
-        """Recompute rates for everything touched since the last flush.
+        """Recompute rates for everything touched since the last flush, then
+        point the completion timer at the earliest completion time.
 
         Registered as the engine's flush callback; also invoked directly by
         the rate-reading queries.  No-op when nothing is dirty.
         """
-        if not self._dirty:
-            return
+        if self._dirty:
+            self._recompute_rates()
+        if self._timer_dirty:
+            self._arm_timer()
+
+    def _recompute_rates(self) -> None:
         self._dirty = False
         counters = self.counters
         counters.flushes += 1
-        live = self.engine.pending_events
+        # Live events as if each pending completion were its own event.
+        live = self.engine.pending_events + self._due_count
+        if self._timer is not None:
+            live -= 1
         if live > counters.peak_live_events:
             counters.peak_live_events = live
         seeds = self._dirty_seeds
@@ -756,6 +789,7 @@ class FluidNetwork:
         f_rate = soa.fm_rate
         f_last = soa.fm_last
         f_delivered = soa.fm_delivered
+        f_due = soa.fm_due
         now = self.engine.now
         epsilon = RATE_EPSILON
         for i, flow in enumerate(flows):
@@ -783,9 +817,9 @@ class FluidNetwork:
                 callback = flow.on_rate_change
                 if callback is not None:
                     callback(flow)
-            # A flow whose rate did not change keeps its completion event:
+            # A flow whose rate did not change keeps its completion time:
             # with a constant rate the absolute completion time is unchanged.
-            if changed or (flow.size_bytes is not None and flow._completion_event is None):
+            if flow.size_bytes is not None and (changed or f_due[fid] == _INF):
                 self._reschedule_completion(flow)
 
     def _apply_rates_vec(self, flows: List[Flow], fids: np.ndarray, new_rates: np.ndarray) -> None:
@@ -793,9 +827,11 @@ class FluidNetwork:
 
         Integrations land first (in flow order, exactly as the scalar loop
         interleaves them — nothing between two flows' integrations observes
-        intermediate state), then the per-flow callbacks and completion
-        rescheduling run in the same flow order, creating engine events in
-        the same sequence.
+        intermediate state), then the per-flow callbacks in flow order, then
+        every completion time at once, claiming engine seqs in flow order.
+        Rate-change callbacks only note the change (the bid index re-keys
+        later), so they claim no seq and the scalar loop's interleaving
+        yields the same seqs.
         """
         soa = self.soa
         old = soa.f_rate[fids]
@@ -818,53 +854,120 @@ class FluidNetwork:
             self.total_delivered_bytes = total
             soa.f_last[cf] = now
             soa.f_rate[cf] = new_rates[touched]
-        action = changed | ((soa.f_size[fids] != np.inf) & ~soa.f_event[fids])
-        if not action.any():
-            return
-        changed_list = changed.tolist()
-        for i in np.flatnonzero(action).tolist():
+        for i in touched.tolist():
             flow = flows[i]
-            if changed_list[i]:
-                callback = flow.on_rate_change
-                if callback is not None:
-                    callback(flow)
-            self._reschedule_completion(flow)
+            callback = flow.on_rate_change
+            if callback is not None:
+                callback(flow)
+        rearm = (soa.f_size[fids] != np.inf) & (changed | (soa.f_due[fids] == np.inf))
+        if rearm.any():
+            self._reschedule_completions(fids[rearm])
+
+    # -- the completion timer -------------------------------------------------------
 
     def _reschedule_completion(self, flow: Flow) -> None:
-        event = flow._completion_event
-        if event is not None:
-            event.cancel()
-            flow._completion_event = None
-        size = flow.size_bytes
+        """Re-derive a bounded flow's completion time from its bytes left.
+
+        A new time claims a fresh engine seq, just where a per-flow event
+        would have been scheduled; a stalled flow has no completion time.
+        """
         soa = self.soa
         fid = flow._fid
-        if size is None or flow.state != FlowState.ACTIVE:
-            if fid >= 0:
-                soa.fm_event[fid] = False
-            return
-        remaining = size - soa.fm_delivered[fid]
+        remaining = flow.size_bytes - soa.fm_delivered[fid]
         if remaining <= BYTES_EPSILON:
-            # Completed exactly at this instant; finish via an immediate event
-            # so the caller of the triggering operation returns first.
-            flow._completion_event = self.engine.call_soon(self._complete, flow)
-            soa.fm_event[fid] = True
-            return
-        rate = soa.fm_rate[fid]
-        if rate > RATE_EPSILON:
-            eta = remaining * 8.0 / rate
-            flow._completion_event = self.engine.schedule_after(eta, self._complete, flow)
-            soa.fm_event[fid] = True
+            # Completed exactly at this instant; the timer finishes it at
+            # ``now``, after the caller of the triggering operation returns.
+            due = self.engine.now
         else:
-            soa.fm_event[fid] = False
+            rate = soa.fm_rate[fid]
+            if rate <= RATE_EPSILON:
+                self._clear_due(fid)
+                return
+            due = self.engine.now + remaining * 8.0 / rate
+        if soa.fm_due[fid] == _INF:
+            self._due_count += 1
+        soa.fm_due[fid] = due
+        seq = soa.fm_seq[fid] = self.engine.reserve_seq()
+        # A fresh seq is the largest yet: only a strictly earlier time can
+        # overtake the earliest, and if that was this flow it may not stay so.
+        if due < self._next[0]:
+            self._next = (due, seq, fid)
+            self._timer_dirty = True
+        elif fid == self._next[2]:
+            self._next_stale = self._timer_dirty = True
 
-    def _complete(self, flow: Flow) -> None:
-        if flow.state != FlowState.ACTIVE:
-            return
+    def _reschedule_completions(self, fids: np.ndarray) -> None:
+        """Array twin of :meth:`_reschedule_completion` for rows ``fids``, in order."""
+        soa = self.soa
+        now = self.engine.now
+        remaining = soa.f_size[fids] - soa.f_delivered[fids]
+        rate = soa.f_rate[fids]
+        due = np.full(fids.shape[0], np.inf)
+        soon = remaining <= BYTES_EPSILON
+        due[soon] = now
+        moving = ~soon & (rate > RATE_EPSILON)
+        due[moving] = now + remaining[moving] * 8.0 / rate[moving]
+        self._due_count -= int(np.count_nonzero(soa.f_due[fids] != np.inf))
+        soa.f_due[fids] = due
+        timed = fids[soon | moving]
+        count = timed.shape[0]
+        self._due_count += count
+        if count:
+            first = self.engine.reserve_seq(count)
+            soa.f_seq[timed] = np.arange(first, first + count)
+            # First-occurrence argmin: among equal times, the smallest seq.
+            index = int(due.argmin())
+            if due[index] < self._next[0]:
+                fid = int(fids[index])
+                self._next = (soa.fm_due[fid], soa.fm_seq[fid], fid)
+                self._timer_dirty = True
+                return
+        if (fids == self._next[2]).any():
+            self._next_stale = self._timer_dirty = True
+
+    def _clear_due(self, fid: int) -> None:
+        """Drop a flow's pending completion time, if it has one."""
+        soa = self.soa
+        if soa.fm_due[fid] != _INF:
+            soa.fm_due[fid] = _INF
+            self._due_count -= 1
+            if fid == self._next[2]:
+                self._next_stale = self._timer_dirty = True
+
+    def _arm_timer(self) -> None:
+        """Point the timer at the earliest ``(due, seq)``.
+
+        Runs in the flush hook, before the clock can advance, so the timer
+        never fires for a completion time that moved.  Scans the store only
+        when the earliest flow's own time moved later or went away.
+        """
+        self._timer_dirty = False
+        if self._next_stale:
+            self._next_stale = False
+            soa = self.soa
+            fid = soa.earliest_due() if self._due_count else -1
+            self._next = _NO_DUE if fid < 0 else (soa.fm_due[fid], soa.fm_seq[fid], fid)
+        due, seq, fid = self._next
+        timer = self._timer
+        if timer is not None:
+            if timer.seq == seq:
+                return
+            timer.cancel()
+            self._timer = None
+        if fid >= 0:
+            self._timer = self.engine.schedule_reserved(due, seq, self._complete_next)
+
+    def _complete_next(self) -> None:
+        """The timer's callback: finish the flow with the earliest completion time."""
+        self._timer = None
+        fid = self._next[2]
+        flow = self.soa.f_views[fid]
+        self._clear_due(fid)
+        self.engine.request_flush()
         self._integrate(flow)
-        remaining = (flow.size_bytes or 0.0) - flow.delivered_bytes
-        if remaining > BYTES_EPSILON:
-            # Rates changed between scheduling and firing; the reallocation
-            # that changed them already rescheduled us, so just bail out.
+        if flow.size_bytes - flow.delivered_bytes > BYTES_EPSILON:
+            # Float residue left bytes behind: time them at the current rate.
+            self._reschedule_completion(flow)
             return
         flow.delivered_bytes = float(flow.size_bytes)
         self._note_change(flow.path, flow._path_lids)

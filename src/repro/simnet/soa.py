@@ -8,7 +8,9 @@ preallocated, growable numpy arrays indexed by dense integer ids:
 
 * **flows** — rate, delivered bytes, last integration time, static bound,
   rate cap (``inf`` encodes "uncapped"), size (``inf`` encodes unbounded),
-  completion-event flag, and the path as a padded row of link ids;
+  completion time (``inf`` encodes "none pending") with the engine sequence
+  number it holds, the path as a padded row of link ids, and the ``Flow``
+  each row belongs to;
 * **links** — capacity and potential load (entry-group sums stay in a small
   per-link dict keyed by the entry's dense id: they are sparse per
   *(link, entry)* pair and never read by a vectorized pass, only the
@@ -80,9 +82,11 @@ class SoAStore:
         "f_bound",
         "f_cap",
         "f_size",
-        "f_event",
+        "f_due",
+        "f_seq",
         "f_path",
         "f_plen",
+        "f_views",
         "_flow_cap",
         "_flow_top",
         "_flow_free",
@@ -101,7 +105,8 @@ class SoAStore:
         "fm_bound",
         "fm_cap",
         "fm_size",
-        "fm_event",
+        "fm_due",
+        "fm_seq",
         "lm_pot",
         "cm_committed",
         "cm_consumed",
@@ -119,9 +124,11 @@ class SoAStore:
         self.f_bound = np.zeros(_FLOW_SEED)
         self.f_cap = np.zeros(_FLOW_SEED)
         self.f_size = np.zeros(_FLOW_SEED)
-        self.f_event = np.zeros(_FLOW_SEED, dtype=bool)
+        self.f_due = np.full(_FLOW_SEED, _INF)
+        self.f_seq = np.zeros(_FLOW_SEED, dtype=np.int64)
         self.f_path = np.full((_FLOW_SEED, _PATH_SEED), -1, dtype=np.int64)
         self.f_plen = np.zeros(_FLOW_SEED, dtype=np.int64)
+        self.f_views: List[object] = []
 
         self.l_cap = np.zeros(_LINK_SEED)
         self.l_pot = np.zeros(_LINK_SEED)
@@ -150,7 +157,8 @@ class SoAStore:
         self.fm_bound = memoryview(self.f_bound)
         self.fm_cap = memoryview(self.f_cap)
         self.fm_size = memoryview(self.f_size)
-        self.fm_event = memoryview(self.f_event)
+        self.fm_due = memoryview(self.f_due)
+        self.fm_seq = memoryview(self.f_seq)
         self.lm_pot = memoryview(self.l_pot)
         self.cm_committed = memoryview(self.c_committed)
         self.cm_consumed = memoryview(self.c_consumed)
@@ -187,7 +195,8 @@ class SoAStore:
         self.f_bound = np.concatenate([self.f_bound, np.zeros(old)])
         self.f_cap = np.concatenate([self.f_cap, np.zeros(old)])
         self.f_size = np.concatenate([self.f_size, np.zeros(old)])
-        self.f_event = np.concatenate([self.f_event, np.zeros(old, dtype=bool)])
+        self.f_due = np.concatenate([self.f_due, np.full(old, _INF)])
+        self.f_seq = np.concatenate([self.f_seq, np.zeros(old, dtype=np.int64)])
         self.f_path = np.concatenate(
             [self.f_path, np.full((old, self._path_width), -1, dtype=np.int64)]
         )
@@ -223,11 +232,15 @@ class SoAStore:
         self.fm_cap[fid] = _INF if cap is None else cap
         size = flow.size_bytes
         self.fm_size[fid] = _INF if size is None else size
-        self.fm_event[fid] = flow._completion_event is not None
         row = self.f_path[fid]
         row[:n] = lids
         row[n:] = -1
         self.f_plen[fid] = n
+        views = self.f_views
+        if fid < len(views):
+            views[fid] = flow
+        else:
+            views.append(flow)
         flow._fid = fid
         return fid
 
@@ -241,7 +254,26 @@ class SoAStore:
         cap = self.fm_cap[fid]
         flow._scap = None if cap == _INF else cap
         flow._fid = -1
+        self.fm_due[fid] = _INF
+        self.f_views[fid] = None
         self._flow_free.append(fid)
+
+    def earliest_due(self) -> int:
+        """The row with the smallest ``(f_due, f_seq)``, or -1 if none is due.
+
+        Fresh and released rows hold ``inf``, so only live rows can win.
+        """
+        due = self.f_due[: self._flow_top]
+        if not due.size:
+            return -1
+        fid = int(due.argmin())
+        first = due[fid]
+        if first == _INF:
+            return -1
+        ties = np.flatnonzero(due == first)
+        if ties.size > 1:
+            fid = int(ties[self.f_seq[ties].argmin()])
+        return fid
 
     # -- payment channels -------------------------------------------------------
 

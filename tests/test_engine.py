@@ -48,6 +48,32 @@ def test_schedule_in_past_raises():
         engine.schedule_at(0.5, lambda: None)
 
 
+def test_a_reserved_seq_fires_before_a_later_same_instant_event():
+    engine = Engine()
+    fired = []
+    seq = engine.reserve_seq()
+    engine.schedule_at(1.0, fired.append, "scheduled")
+    # Pushed after the other event, but its seq was claimed first.
+    engine.schedule_reserved(1.0, seq, fired.append, "reserved")
+    engine.run()
+    assert fired == ["reserved", "scheduled"]
+
+
+def test_pushing_a_reserved_slot_in_the_past_raises():
+    engine = Engine()
+    engine.run(until=2.0)
+    seq = engine.reserve_seq()
+    with pytest.raises(SchedulingError):
+        engine.schedule_reserved(1.0, seq, lambda: None)
+
+
+def test_reserving_advances_the_next_scheduled_seq():
+    engine = Engine()
+    first = engine.reserve_seq(3)
+    event = engine.schedule_at(1.0, lambda: None)
+    assert event.seq == first + 3
+
+
 def test_negative_delay_raises():
     engine = Engine()
     with pytest.raises(SchedulingError):

@@ -76,6 +76,57 @@ def test_completion_time_adapts_when_competition_leaves():
     assert done == [pytest.approx(5.0)]
 
 
+def test_a_completion_pushed_later_fires_once_at_its_new_time():
+    engine, network, hosts, thinner = make_network()
+    done = []
+    network.send(hosts[0], thinner, size_bytes=1_000_000, on_complete=lambda f: done.append(engine.now))
+    engine.schedule_at(2.0, network.send, hosts[0], thinner)
+    engine.run(until=10)
+    # 0.5 MB left at 2 s, then 1 Mbit/s: the 4.0 s completion moves to 6.0 s.
+    assert done == [6.0]
+    assert engine.events_processed == 2
+
+
+def test_a_completion_left_short_by_float_residue_is_rearmed():
+    engine, network, hosts, thinner = make_network()
+    flow = network.send(hosts[0], thinner, size_bytes=1_000_000)
+    engine.run(until=1)
+    # One byte short at the 4.0 s completion, standing in for float residue.
+    network.soa.fm_delivered[flow._fid] -= 1.0
+    engine.run(until=10)
+    # The last byte takes 8 / 2e6 s more at the same 2 Mbit/s.
+    assert flow.state == FlowState.COMPLETED
+    assert flow.finished_at == 4.0 + 8 / 2e6
+    assert engine.pending_events == 0
+
+
+def test_completions_keep_their_place_among_same_instant_events():
+    engine, network, hosts, thinner = make_network()
+    fired = []
+    # 1 MByte at 2 Mbit/s each, on separate uplinks: both finish at 4.0 s.
+    engine.schedule_at(4.0, fired.append, "X")
+    first = network.send(hosts[0], thinner, size_bytes=1_000_000, on_complete=lambda f: fired.append("A"))
+    second = network.send(hosts[1], thinner, size_bytes=1_000_000, on_complete=lambda f: fired.append("B"))
+    engine.run(until=1)  # the first flush gives both flows their completion times
+    engine.schedule_at(4.0, fired.append, "Y")
+    engine.run(until=10)
+    assert fired == ["X", "A", "B", "Y"]
+    assert first.finished_at == second.finished_at == 4.0
+
+
+def test_pending_completions_are_one_engine_event_but_count_per_flow():
+    engine, network, hosts, thinner = make_network(clients=50)
+    for index, host in enumerate(hosts):
+        network.send(host, thinner, size_bytes=1_000_000 + index)
+    network.sync()
+    assert network.active_flow_count() == 50
+    assert engine.pending_events == 1
+    # The next flush samples the live-event peak as if each flow had its own event.
+    network.send(hosts[0], thinner)
+    network.sync()
+    assert network.counters.peak_live_events == 50
+
+
 def test_rate_cap_is_respected_and_can_be_lifted():
     engine, network, hosts, thinner = make_network()
     flow = network.send(hosts[0], thinner, rate_cap_bps=0.5 * MBIT)
