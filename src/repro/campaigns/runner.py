@@ -430,9 +430,7 @@ class CampaignRunner:
         (see :func:`_worker_main`); the returned status then reports an
         incomplete campaign ready for :meth:`resume`.
         """
-        os.makedirs(directory, exist_ok=True)
-        plan_file = os.path.join(directory, CAMPAIGN_FILENAME)
-        if os.path.exists(plan_file):
+        if os.path.exists(os.path.join(directory, CAMPAIGN_FILENAME)):
             raise ExperimentError(
                 f"{directory!r} already holds a campaign; use resume"
             )
@@ -441,7 +439,9 @@ class CampaignRunner:
             workers=workers if workers is not None else self.jobs,
             checkpoint_every=checkpoint_every,
         )
+        # A bad plan fails here, before the directory or any worker exists.
         plan.validate()
+        os.makedirs(directory, exist_ok=True)
         plan.save(directory)
         return self._execute(plan, directory, fail_after, fail_worker)
 

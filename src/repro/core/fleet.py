@@ -15,9 +15,10 @@ what must cover ``G + B``.  This module supplies the pieces a
   strategy registry in :mod:`repro.core.routing` supplies the legacy
   hash/least-loaded/random policies plus power-of-two-choices,
   weighted-by-measured-sink-rate, and sticky-with-spill;
-* :class:`PooledAdmission` / :class:`PooledServerView` — the shared-server
+* :class:`ServerMux` / :class:`ServerView` — the shared-server
   coordination used by the ``"pooled"`` admission mode, where every shard
-  can claim any freed server slot;
+  can claim any freed server slot (the adaptive controller shares one
+  shard's server between its two sides with the same pair);
 * ``"partitioned"`` admission needs no coordinator: the deployment gives
   each shard its own :class:`~repro.httpd.server.EmulatedServer` running at
   ``c / shards``, so a shard's auctions only ever fill its own slots.
@@ -55,22 +56,23 @@ ADMISSION_MODES = ("partitioned", "pooled")
 EJECT_REASON = "health-ejected"
 
 
-class PooledServerView:
-    """One shard's view of the shared server in ``pooled`` admission mode.
+class ServerView:
+    """One thinner's view of a server shared through a :class:`ServerMux`.
 
     Thinners drive their server through a narrow surface — ``busy``,
-    ``submit``, ``capacity_rps``/``mean_service_time``, and the
-    ``on_request_done``/``on_ready`` callbacks.  The view forwards the
-    queries to the real :class:`~repro.httpd.server.EmulatedServer` and
-    routes the callbacks through the :class:`PooledAdmission` coordinator,
-    so each shard believes it owns a (frequently busy) server of the full
+    ``submit``/``resume``/``suspend``/``abort``,
+    ``capacity_rps``/``mean_service_time``/``stats``, and the
+    ``on_request_done``/``on_ready`` callbacks.  The view forwards all of
+    it to the shared server, records itself as the owner of every request
+    it submits or resumes, and receives the callbacks through the mux, so
+    each thinner believes it owns a (frequently busy) server of the full
     capacity ``c``.
     """
 
-    def __init__(self, pool: "PooledAdmission", shard_index: int) -> None:
-        self._pool = pool
-        self._server = pool.server
-        self.shard_index = shard_index
+    def __init__(self, mux: "ServerMux", index: int) -> None:
+        self._mux = mux
+        self._server = mux.server
+        self.index = index
         #: Set by :class:`~repro.core.thinner.ThinnerBase` at construction.
         self.on_request_done: Optional[Callable[[Request], None]] = None
         self.on_ready: Optional[Callable[[], None]] = None
@@ -93,75 +95,87 @@ class PooledServerView:
     def stats(self):
         return self._server.stats
 
-    # -- the one mutation a pooled shard may perform ----------------------------
+    # -- mutations forwarded with ownership bookkeeping -------------------------
 
     def submit(self, request: Request) -> None:
-        """Claim the shared slot for one of this shard's requests."""
-        self._pool.note_submit(request, self.shard_index)
+        """Claim the shared slot for one of this view's requests."""
+        self._mux.note_owner(request, self.index)
         self._server.submit(request)
 
+    def resume(self, request: Request) -> None:
+        # The quantum thinner resumes the requests it suspended.
+        self._mux.note_owner(request, self.index)
+        self._server.resume(request)
 
-class PooledAdmission:
-    """Round-robin slot grants over one shared server (``pooled`` mode).
+    def suspend(self) -> Request:
+        return self._server.suspend()
 
-    The coordinator owns the real server's callbacks.  When a request
-    finishes, its response is routed back to the shard that submitted it;
-    when the slot frees up, the shards are *offered* it in round-robin
-    order starting after the last shard that admitted, and the first shard
-    whose winner-selection submits a request keeps it.  A shard with no
-    contenders declines the offer by marking itself idle (its
-    ``_server_ready`` hook returns without submitting), exactly as a
-    single thinner does when its contender set is empty.
+    def abort(self, request: Request) -> None:
+        self._server.abort(request)
+
+
+class ServerMux:
+    """Shares one server's slot among the thinners behind its server views.
+
+    The mux owns the real server's callbacks.  A finished request's
+    response is routed back to the view that submitted it.  A freed slot is
+    *offered* to the live views in turn, starting at ``next_offer``, and the
+    first view whose thinner submits a request keeps it; a thinner with no
+    contenders declines by marking itself idle, exactly as a lone thinner
+    does.  The caller picks the offer order:
+
+    * ``rotate=True`` (the pooled fleet, §4.3): after a shard takes the
+      slot, the next offer starts at its successor — round-robin fairness
+      across shards;
+    * ``rotate=False`` (the adaptive controller): every offer starts at
+      ``next_offer``, which the controller points at its active side.
     """
 
-    def __init__(self, server: EmulatedServer) -> None:
+    def __init__(self, server: EmulatedServer, rotate: bool) -> None:
         self.server = server
-        self.views: List[PooledServerView] = []
-        self._owner_by_request: dict[int, int] = {}
-        self._next_offer = 0
+        self.rotate = rotate
+        self.views: List[ServerView] = []
+        #: Which view (by index) submitted each in-slot request.
+        self._owner_by_request: Dict[int, int] = {}
+        #: The view offered a freed slot first.
+        self.next_offer = 0
         #: Liveness mask maintained by the fault injector: dead shards are
-        #: skipped by the round-robin offer loop until healed.
+        #: skipped by the offer loop until healed.
         self.alive: List[bool] = []
         server.on_request_done = self._request_done
         server.on_ready = self._slot_freed
 
-    def view(self) -> PooledServerView:
-        """Create the server view for the next shard."""
-        view = PooledServerView(self, len(self.views))
+    def view(self) -> ServerView:
+        """Create the server view for the next thinner."""
+        view = ServerView(self, len(self.views))
         self.views.append(view)
         self.alive.append(True)
         return view
 
+    def note_owner(self, request: Request, index: int) -> None:
+        self._owner_by_request[request.request_id] = index
+
     # -- failover hooks (driven by the fault injector) ---------------------------
 
-    def set_alive(self, shard_index: int, alive: bool) -> None:
+    def set_alive(self, index: int, alive: bool) -> None:
         """Mark a shard dead (skipped by slot offers) or alive again."""
-        self.alive[shard_index] = alive
+        self.alive[index] = alive
 
-    def reclaim(self, shard_index: int) -> Optional[Request]:
-        """Take back the shared slot if ``shard_index`` currently holds it.
+    def reclaim(self, index: int) -> Optional[Request]:
+        """Take back the shared slot if view ``index`` currently holds it.
 
         Returns the in-flight request (for the caller to abort and account)
-        or ``None`` when the slot is free or another shard's.  The owner
+        or ``None`` when the slot is free or another view's.  The owner
         entry is dropped so a later completion can never route to the dead
         shard's view.
         """
         current = self.server.current
         if current is None:
             return None
-        if self._owner_by_request.get(current.request_id) != shard_index:
+        if self._owner_by_request.get(current.request_id) != index:
             return None
         del self._owner_by_request[current.request_id]
         return current
-
-    # -- bookkeeping ------------------------------------------------------------
-
-    def note_submit(self, request: Request, shard_index: int) -> None:
-        if self.server.busy:  # pragma: no cover - EmulatedServer raises too
-            raise ThinnerError(
-                f"shard {shard_index} submitted while the shared server is busy"
-            )
-        self._owner_by_request[request.request_id] = shard_index
 
     # -- callback routing -------------------------------------------------------
 
@@ -176,19 +190,18 @@ class PooledAdmission:
     def _slot_freed(self) -> None:
         count = len(self.views)
         for step in range(count):
-            index = (self._next_offer + step) % count
+            index = (self.next_offer + step) % count
             if not self.alive[index]:
                 continue  # dead shards sit out the rotation until healed
             view = self.views[index]
             if view.on_ready is not None:
                 view.on_ready()
             if self.server.busy:
-                # This shard took the slot; the next free slot is offered to
-                # its successor first (round-robin fairness across shards).
-                self._next_offer = (index + 1) % count
+                if self.rotate:
+                    self.next_offer = (index + 1) % count
                 return
-        # No shard had a contender: every shard has marked itself idle and
-        # the next arrival anywhere in the fleet is admitted for free.
+        # Nobody had a contender: every thinner has marked itself idle and
+        # the next arrival anywhere is admitted for free.
 
 
 @dataclass(frozen=True)

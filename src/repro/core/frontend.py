@@ -39,7 +39,7 @@ from repro.constants import (
     SUSPEND_ABORT_TIMEOUT,
 )
 from repro.errors import DefenseError, ExperimentError, FaultError, ThinnerError
-from repro.core.fleet import ADMISSION_MODES, HealthProbeSpec, HealthProber, PooledAdmission
+from repro.core.fleet import ADMISSION_MODES, HealthProbeSpec, HealthProber, ServerMux
 from repro.core.routing import (
     SHARD_POLICIES,
     RouterSpec,
@@ -217,19 +217,20 @@ class DeploymentConfig:
                 "(pooled mode cannot suspend/resume a shared slot another "
                 f"shard may hold); offending defense spec: {spec.to_dict()}"
             )
-        if self.fault_plan is not None and self.fault_plan.events:
-            if self.thinner_shards < 2:
-                raise ExperimentError(
-                    "a fault_plan with events needs thinner_shards > 1 "
-                    "(a single-thinner deployment has nothing to fail over to)"
-                )
-            if not defense.supports_fault_injection():
-                raise ExperimentError(
-                    "this defense does not support fault injection (the "
-                    "quantum thinner's suspended request slices cannot "
-                    "survive a shard kill); drop the fault_plan or pick "
-                    f"another defense; offending defense spec: {spec.to_dict()}"
-                )
+        if self.fault_plan is not None:
+            if self.fault_plan.events:
+                if self.thinner_shards < 2:
+                    raise ExperimentError(
+                        "a fault_plan with events needs thinner_shards > 1 "
+                        "(a single-thinner deployment has nothing to fail over to)"
+                    )
+                if not defense.supports_fault_injection():
+                    raise ExperimentError(
+                        "this defense does not support fault injection (the "
+                        "quantum thinner's suspended request slices cannot "
+                        "survive a shard kill); drop the fault_plan or pick "
+                        f"another defense; offending defense spec: {spec.to_dict()}"
+                    )
             try:
                 self.fault_plan.validate(self.thinner_shards)
             except FaultError as error:
@@ -311,12 +312,12 @@ class Deployment:
         #: ``c / shards`` server per shard.  ``server`` stays the shard-0 /
         #: shared instance for existing callers.
         self.servers: List[EmulatedServer] = []
-        self._pool: Optional[PooledAdmission] = None
+        self._pool: Optional[ServerMux] = None
         pooled = shards > 1 and self.config.admission_mode == "pooled"
         if shards == 1 or pooled:
             self.servers.append(self._build_server(0, self.config.server_capacity_rps))
             if pooled:
-                self._pool = PooledAdmission(self.servers[0])
+                self._pool = ServerMux(self.servers[0], rotate=True)
         else:
             per_shard_capacity = self.config.server_capacity_rps / shards
             for shard in range(shards):

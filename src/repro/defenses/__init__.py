@@ -21,6 +21,11 @@ bigger policies out of smaller ones —
   engages an inner defense only while a load watcher sees the server under
   attack — the paper's "the thinner does nothing in peacetime" design point.
 
+Each screening defense is written once, as a
+:class:`~repro.defenses.base.FilterStage`: a pipeline runs it as a front
+stage, and standalone it runs in the generic
+:class:`~repro.defenses.base.ScreeningThinner` (FIFO admission).
+
 Attach a defense to a deployment declaratively::
 
     DeploymentConfig(defense=DefenseSpec.make("ratelimit", allowed_rps=4.0))
@@ -32,14 +37,20 @@ hand-built setups — via the factory hook::
                thinner_factory=RateLimitDefense(allowed_rps=4.0).build_thinner)
 """
 
-from repro.defenses.base import Defense, DefenseRegistry, FilterStage, registry
+from repro.defenses.base import (
+    Defense,
+    DefenseRegistry,
+    FilterStage,
+    ScreeningThinner,
+    registry,
+)
 from repro.defenses.spec import DefenseSpec, normalise_defense
 from repro.defenses.none import NoDefense
 from repro.defenses.speakup import SpeakUpDefense
-from repro.defenses.ratelimit import RateLimitDefense, RateLimitFilter, RateLimitThinner
-from repro.defenses.profiling import ProfilingDefense, ProfilingFilter, ProfilingThinner
+from repro.defenses.ratelimit import RateLimitDefense, RateLimitFilter
+from repro.defenses.profiling import ProfilingDefense, ProfilingFilter
 from repro.defenses.pow import ProofOfWorkDefense, ProofOfWorkThinner
-from repro.defenses.captcha import CaptchaDefense, CaptchaFilter, CaptchaThinner
+from repro.defenses.captcha import CaptchaDefense, CaptchaFilter
 from repro.defenses.pipeline import PipelineDefense, PipelineThinner
 from repro.defenses.adaptive import AdaptiveDefense, AdaptiveThinner
 
@@ -48,21 +59,19 @@ __all__ = [
     "DefenseRegistry",
     "DefenseSpec",
     "FilterStage",
+    "ScreeningThinner",
     "normalise_defense",
     "registry",
     "NoDefense",
     "SpeakUpDefense",
     "RateLimitDefense",
     "RateLimitFilter",
-    "RateLimitThinner",
     "ProfilingDefense",
     "ProfilingFilter",
-    "ProfilingThinner",
     "ProofOfWorkDefense",
     "ProofOfWorkThinner",
     "CaptchaDefense",
     "CaptchaFilter",
-    "CaptchaThinner",
     "PipelineDefense",
     "PipelineThinner",
     "AdaptiveDefense",

@@ -12,14 +12,16 @@ default), migrating the waiting contenders into it.  When utilisation falls
 back below the bottom of the band the inner defense **disengages** and the
 deployment returns to passthrough.
 
-Structure (mirroring :class:`~repro.core.fleet.PooledAdmission`): both the
-passthrough thinner and the engaged thinner are real, fully-wired thinners,
-each driving its own :class:`_EngagementServerView` of the shard's server;
-an :class:`_EngagementMux` owns the real server callbacks and routes
-``on_request_done`` to whichever thinner submitted the request and
-``on_ready`` to the currently-active thinner.  Switching migrates the
-inactive side's contenders (closing any open payment channels on
-disengage — the clients stop paying, exactly as the paper promises for
+Structure: both the passthrough thinner and the engaged thinner are real,
+fully-wired thinners, each driving its own
+:class:`~repro.core.fleet.ServerView` of the shard's server — the same
+view/mux pair the pooled fleet shares its server with.  The
+:class:`~repro.core.fleet.ServerMux` owns the real server callbacks, routes
+``on_request_done`` to whichever thinner submitted the request, and offers
+a freed slot to the currently-active thinner first (the controller points
+the mux's ``next_offer`` at it; the mux does not rotate).  Switching
+migrates the inactive side's contenders (closing any open payment channels
+on disengage — the clients stop paying, exactly as the paper promises for
 peacetime) and appends a transition to the engagement log, which the
 metrics collector surfaces as
 :class:`~repro.metrics.collector.EngagementMetrics`.
@@ -27,10 +29,11 @@ metrics collector surfaces as
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from repro.errors import DefenseError
 from repro.core.admission import NoDefenseThinner
+from repro.core.fleet import ServerMux
 from repro.core.thinner import ClientProtocol, ThinnerBase, ThinnerStats
 from repro.defenses.base import Defense, registry
 from repro.defenses.spec import DefenseSpec, normalise_defense
@@ -40,98 +43,6 @@ from repro.httpd.messages import Request
 DEFAULT_ENGAGE_THRESHOLD = 0.9
 DEFAULT_DISENGAGE_THRESHOLD = 0.6
 DEFAULT_CHECK_INTERVAL = 1.0
-
-
-class _EngagementServerView:
-    """One inner thinner's view of the shard's server (cf. PooledServerView)."""
-
-    def __init__(self, mux: "_EngagementMux") -> None:
-        self._mux = mux
-        self._server = mux.server
-        #: Set by :class:`~repro.core.thinner.ThinnerBase` at construction.
-        self.on_request_done: Optional[Callable[[Request], None]] = None
-        self.on_ready: Optional[Callable[[], None]] = None
-
-    # -- queries forwarded to the real server -----------------------------------
-
-    @property
-    def busy(self) -> bool:
-        return self._server.busy
-
-    @property
-    def capacity_rps(self) -> float:
-        return self._server.capacity_rps
-
-    @property
-    def mean_service_time(self) -> float:
-        return self._server.mean_service_time
-
-    @property
-    def stats(self):
-        return self._server.stats
-
-    # -- mutations forwarded with ownership bookkeeping ---------------------------
-
-    def submit(self, request: Request) -> None:
-        self._mux.note_owner(request, self)
-        self._server.submit(request)
-
-    def resume(self, request: Request) -> None:
-        # The quantum thinner resumes suspended requests; ownership is
-        # already recorded from the original submit.
-        self._mux.note_owner(request, self)
-        self._server.resume(request)
-
-    def suspend(self) -> Request:
-        return self._server.suspend()
-
-    def abort(self, request: Request) -> None:
-        self._server.abort(request)
-
-
-class _EngagementMux:
-    """Routes the one real server's callbacks between two inner thinners."""
-
-    def __init__(self, server) -> None:
-        self.server = server
-        self.views: List[_EngagementServerView] = []
-        self.active: Optional[_EngagementServerView] = None
-        self._owner_by_request: dict[int, _EngagementServerView] = {}
-        server.on_request_done = self._request_done
-        server.on_ready = self._slot_freed
-
-    def view(self) -> _EngagementServerView:
-        view = _EngagementServerView(self)
-        self.views.append(view)
-        return view
-
-    def note_owner(self, request: Request, view: _EngagementServerView) -> None:
-        self._owner_by_request[request.request_id] = view
-
-    # -- callback routing ---------------------------------------------------------
-
-    def _request_done(self, request: Request) -> None:
-        owner = self._owner_by_request.pop(request.request_id, None)
-        if owner is None:  # pragma: no cover - defensive
-            return
-        if owner.on_request_done is not None:
-            owner.on_request_done(request)
-
-    def _slot_freed(self) -> None:
-        # The active side gets first claim; if it has nothing waiting (it
-        # marks itself idle), offer the slot to the other side, which may
-        # still hold contenders admitted-in-flight around a switch.
-        for view in self._ordered_views():
-            if view.on_ready is not None:
-                view.on_ready()
-            if self.server.busy:
-                return
-
-    def _ordered_views(self) -> List[_EngagementServerView]:
-        if self.active is None:
-            return list(self.views)
-        others = [view for view in self.views if view is not self.active]
-        return [self.active] + others
 
 
 class AdaptiveThinner:
@@ -167,7 +78,11 @@ class AdaptiveThinner:
         self.check_interval = check_interval
 
         real_server = server if server is not None else deployment.shard_server(shard)
-        self._mux = _EngagementMux(real_server)
+        # View 0 is the passthrough side, view 1 the engaged side.  A freed
+        # slot goes to the active side first (``next_offer``); if it has
+        # nothing waiting, the other side, which may still hold contenders
+        # admitted-in-flight around a switch, gets the offer.
+        self._mux = ServerMux(real_server, rotate=False)
         self._passthrough: ThinnerBase = NoDefenseThinner(
             rng=deployment.shard_stream("adaptive-admission", shard),
             policy=deployment.config.admission_policy,
@@ -176,12 +91,7 @@ class AdaptiveThinner:
         self._engaged: ThinnerBase = inner_defense.build_thinner(
             deployment, shard, server=self._mux.view()
         )
-        self._thinner_by_view = {
-            self._mux.views[0]: self._passthrough,
-            self._mux.views[1]: self._engaged,
-        }
         self.engaged = False
-        self._mux.active = self._mux.views[0]
         #: Both sides record into the deployment's book.
         self.prices = deployment.prices
 
@@ -299,9 +209,7 @@ class AdaptiveThinner:
         source = self.active
         self.engaged = engage
         target = self.active
-        self._mux.active = next(
-            view for view, thinner in self._thinner_by_view.items() if thinner is target
-        )
+        self._mux.next_offer = 1 if engage else 0
         self.engagement_log.append((self.engine.now, engage))
         self.counters.engagement_switches += 1
         self._migrate(source, target)

@@ -12,9 +12,10 @@ token buckets, own engagement controller, own bid index), with the shard's
 host, server, and stream-name suffix looked up through the deployment's
 ``shard_*`` helpers.  Defenses that can also run as a screening stage in
 front of another admission policy (rate limiting, profiling, CAPTCHAs — the
-paper's "other defenses" speak-up is compatible with) implement
-:meth:`Defense.build_filter`, which the ``pipeline`` composite uses for its
-front stages.
+paper's "other defenses" speak-up is compatible with) implement only
+:meth:`Defense.build_filter`: the ``pipeline`` composite uses that stage
+for its front stages, and standalone the same stage runs inside a
+:class:`ScreeningThinner`, so each screening policy is written once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import inspect
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import DefenseError
-from repro.core.thinner import ClientProtocol, ThinnerBase
+from repro.core.thinner import ClientProtocol, Contender, ThinnerBase
 from repro.httpd.messages import Request
 
 
@@ -57,6 +58,42 @@ class FilterStage:
         )
 
 
+class ScreeningThinner(ThinnerBase):
+    """A screening defense run standalone: its filter stage, then FIFO.
+
+    Every arrival goes through the defense's own :class:`FilterStage`.  A
+    rejected request is dropped with the stage's bare reason
+    (``"rate-limited"``); a passed one is admitted free while the server is
+    idle and otherwise waits, oldest first, for the next free slot.  The
+    stage keeps its screened/rejected counts, but unlike a pipeline front
+    stage it reports no ``stage_metrics`` and no ``filter_*`` counters.
+    """
+
+    def __init__(self, *args, stage: FilterStage, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.stage = stage
+
+    def _handle_arrival(self, request: Request, client: ClientProtocol) -> None:
+        stage = self.stage
+        stage.screened += 1
+        reason = stage.screen(request, client, self.engine.now)
+        if reason is not None:
+            stage.rejected += 1
+            self._drop(request, reason)
+            return
+        if self._server_idle and not self.server.busy:
+            contender = Contender(request=request, client=client, arrived_at=self.engine.now)
+            self._admit(contender, price_bytes=0.0)
+            return
+        self._add_contender(request, client)
+
+    def _server_ready(self) -> None:
+        if not self._contenders:
+            self._server_idle = True
+            return
+        self._admit(self._oldest_contender(), price_bytes=0.0)
+
+
 class Defense:
     """A named strategy for protecting the server."""
 
@@ -69,16 +106,23 @@ class Defense:
         ``shard`` is 0 for the (overwhelmingly common) single-thinner
         deployments; fleets call this once per shard and every call must
         return an independent thinner.  ``server`` overrides the shard's
-        server (composite defenses interpose multiplexer views).
+        server (composite defenses interpose multiplexer views).  A
+        screening defense runs its :meth:`build_filter` stage in a
+        :class:`ScreeningThinner`; every other defense overrides this.
         """
-        raise NotImplementedError
+        return ScreeningThinner(
+            stage=self.build_filter(deployment, shard),
+            **self.thinner_kwargs(deployment, shard, server=server),
+        )
 
     def build_filter(self, deployment, shard: int = 0) -> FilterStage:
-        """Construct this defense as a pipeline screening stage.
+        """Construct this defense as a screening stage.
 
-        Only detect-and-block defenses that can decide drop-or-pass at
-        arrival time (rate limiting, profiling, CAPTCHAs) support this;
-        everything else refuses with a one-line error.
+        The stage fronts a pipeline, or runs standalone in a
+        :class:`ScreeningThinner`.  Only detect-and-block defenses that can
+        decide drop-or-pass at arrival time (rate limiting, profiling,
+        CAPTCHAs) support this; everything else refuses with a one-line
+        error.
         """
         raise DefenseError(
             f"defense {self.name!r} cannot run as a pipeline filter stage; "

@@ -8,10 +8,12 @@ Setting a non-trivial solve probability for bad clients models hired
 CAPTCHA farms; setting a sub-1.0 probability for good clients models
 legitimate automated clientele (condition C4) that simply cannot answer.
 
-As with the other detect-and-block defenses, the challenge can also screen
-contenders ahead of another admission policy (:class:`CaptchaFilter`), e.g.
-``"captcha>speakup"``: humans-only first, bandwidth-proportional pricing for
-whoever passes.
+As with the other detect-and-block defenses, the policy is one screening
+stage, :class:`CaptchaFilter`.  Standalone it runs in a
+:class:`~repro.defenses.base.ScreeningThinner` (FIFO admission for whoever
+answers); in a pipeline it screens contenders ahead of another admission
+policy, e.g. ``"captcha>speakup"``: humans-only first,
+bandwidth-proportional pricing for whoever passes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.errors import DefenseError
-from repro.core.thinner import ClientProtocol, Contender, ThinnerBase
+from repro.core.thinner import ClientProtocol
 from repro.defenses.base import Defense, FilterStage, registry
 from repro.httpd.messages import Request
 from repro.rng import RandomStream
@@ -61,54 +63,13 @@ class CaptchaFilter(FilterStage):
         return "captcha-failed"
 
 
-class CaptchaThinner(ThinnerBase):
-    """Admit (FIFO) only requests whose CAPTCHA was answered."""
-
-    def __init__(
-        self,
-        *args,
-        rng: RandomStream,
-        solve_probabilities: Optional[Dict[str, float]] = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.rng = rng
-        self.solve_probabilities = _merged_probabilities(solve_probabilities)
-        self.challenges_failed = 0
-
-    def _handle_arrival(self, request: Request, client: ClientProtocol) -> None:
-        probability = self.solve_probabilities.get(request.client_class, 1.0)
-        if not self.rng.bernoulli(probability):
-            self.challenges_failed += 1
-            self._drop(request, "captcha-failed")
-            return
-        if self._server_idle and not self.server.busy:
-            contender = Contender(request=request, client=client, arrived_at=self.engine.now)
-            self._admit(contender, price_bytes=0.0)
-            return
-        self._add_contender(request, client)
-
-    def _server_ready(self) -> None:
-        if not self._contenders:
-            self._server_idle = True
-            return
-        self._admit(self._oldest_contender(), price_bytes=0.0)
-
-
 class CaptchaDefense(Defense):
-    """Factory for :class:`CaptchaThinner` / :class:`CaptchaFilter`."""
+    """Factory for :class:`CaptchaFilter` (standalone or pipeline stage)."""
 
     name = "captcha"
 
     def __init__(self, solve_probabilities: Optional[Dict[str, float]] = None) -> None:
         self.solve_probabilities = solve_probabilities
-
-    def build_thinner(self, deployment, shard: int = 0, server=None) -> CaptchaThinner:
-        return CaptchaThinner(
-            rng=deployment.shard_stream("captcha", shard),
-            solve_probabilities=self.solve_probabilities,
-            **self.thinner_kwargs(deployment, shard, server=server),
-        )
 
     def build_filter(self, deployment, shard: int = 0) -> CaptchaFilter:
         return CaptchaFilter(

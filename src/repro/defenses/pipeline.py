@@ -63,7 +63,7 @@ class PipelineThinner:
                 counters.filter_rejected += 1
                 # Mirror ThinnerBase.receive_request's bookkeeping so the
                 # rejection counts as received-then-dropped, like the
-                # standalone screening thinners do.  An adaptive admission
+                # standalone ScreeningThinner does.  An adaptive admission
                 # stage is a proxy; its currently-active side owns the
                 # bookkeeping.
                 sink = getattr(inner, "active", inner)

@@ -64,7 +64,9 @@ class ProofOfWorkThinner(ThinnerBase):
         if not self._contenders:
             self._server_idle = True
             return
-        self.stats.auctions_held += 1
+        self._count_auction()
+        # The puzzle auction is a linear scan over every contender.
+        self.counters.contenders_scanned += len(self._contenders)
         winner = max(
             self._contenders.values(),
             key=lambda contender: (

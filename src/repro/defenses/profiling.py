@@ -11,9 +11,10 @@ clients whose request rate stays at or below the learned baseline.
 
 Profiling is exactly the front-filter the paper imagines layering *ahead* of
 speak-up ("a profiling defense might run in front of the thinner, blocking
-clients that violate the profile while the auction prices the rest"):
-:class:`ProfilingFilter` packages the same profile enforcement as a pipeline
-screening stage.
+clients that violate the profile while the auction prices the rest").  The
+policy is one screening stage, :class:`ProfilingFilter`: the ``pipeline``
+composite puts it in front of another admission policy, and standalone it
+runs in a :class:`~repro.defenses.base.ScreeningThinner` (FIFO admission).
 """
 
 from __future__ import annotations
@@ -21,22 +22,25 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.errors import DefenseError
-from repro.core.thinner import ClientProtocol, Contender, ThinnerBase
+from repro.core.thinner import ClientProtocol
 from repro.defenses.base import Defense, FilterStage, registry
 from repro.defenses.ratelimit import TokenBucket, observed_identity
 from repro.httpd.messages import Request
 
 
-class _ProfileTable:
-    """Per-identity demand profile shared by the thinner and the filter."""
+class ProfilingFilter(FilterStage):
+    """Enforce a learned (or given) per-identity demand profile."""
+
+    name = "profiling"
 
     def __init__(
         self,
-        baseline_profile: Optional[Dict[str, float]],
-        default_allowed_rps: float,
-        learning_period: float,
-        slack_factor: float,
+        baseline_profile: Optional[Dict[str, float]] = None,
+        default_allowed_rps: float = 4.0,
+        learning_period: float = 0.0,
+        slack_factor: float = 1.5,
     ) -> None:
+        super().__init__()
         if default_allowed_rps <= 0:
             raise DefenseError("default_allowed_rps must be positive")
         if slack_factor < 1.0:
@@ -57,110 +61,27 @@ class _ProfileTable:
             return max(learned, 0.1) * self.slack_factor
         return self.default_allowed_rps
 
-    def enforcing(self, now: float) -> bool:
-        return now >= self.learning_period
-
-    def observe(self, identity: str) -> None:
-        self._observed[identity] = self._observed.get(identity, 0) + 1
-
-    def admit(self, identity: str, now: float) -> bool:
+    def screen(
+        self, request: Request, client: ClientProtocol, now: float
+    ) -> Optional[str]:
+        identity = observed_identity(request)
+        if now < self.learning_period:
+            # Still learning: count the identity's demand and pass it.
+            self._observed[identity] = self._observed.get(identity, 0) + 1
+            return None
         bucket = self._buckets.get(identity)
         if bucket is None:
             rate = self.allowed_rate(identity)
             bucket = TokenBucket(rate=rate, burst=max(1.0, rate), tokens=max(1.0, rate),
                                  last_refill=now)
             self._buckets[identity] = bucket
-        return bucket.try_consume(now)
-
-
-class ProfilingFilter(FilterStage):
-    """Enforce a demand profile as a pipeline screening stage."""
-
-    name = "profiling"
-
-    def __init__(
-        self,
-        baseline_profile: Optional[Dict[str, float]] = None,
-        default_allowed_rps: float = 4.0,
-        learning_period: float = 0.0,
-        slack_factor: float = 1.5,
-    ) -> None:
-        super().__init__()
-        self._profile = _ProfileTable(
-            baseline_profile, default_allowed_rps, learning_period, slack_factor
-        )
-
-    def allowed_rate(self, identity: str) -> float:
-        return self._profile.allowed_rate(identity)
-
-    def screen(
-        self, request: Request, client: ClientProtocol, now: float
-    ) -> Optional[str]:
-        identity = observed_identity(request)
-        if not self._profile.enforcing(now):
-            self._profile.observe(identity)
-            return None
-        if self._profile.admit(identity, now):
+        if bucket.try_consume(now):
             return None
         return "profile-violation"
 
 
-class ProfilingThinner(ThinnerBase):
-    """Enforce a learned (or given) per-identity demand profile."""
-
-    def __init__(
-        self,
-        *args,
-        baseline_profile: Optional[Dict[str, float]] = None,
-        default_allowed_rps: float = 4.0,
-        learning_period: float = 0.0,
-        slack_factor: float = 1.5,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self._profile = _ProfileTable(
-            baseline_profile, default_allowed_rps, learning_period, slack_factor
-        )
-        self.baseline_profile = self._profile.baseline_profile
-        self.default_allowed_rps = default_allowed_rps
-        self.learning_period = learning_period
-        self.slack_factor = slack_factor
-        self.rejected = 0
-
-    # -- profile handling ------------------------------------------------------------
-
-    def allowed_rate(self, identity: str) -> float:
-        """The request rate the profile permits for ``identity``."""
-        return self._profile.allowed_rate(identity)
-
-    def _enforcing(self) -> bool:
-        return self._profile.enforcing(self.engine.now)
-
-    # -- thinner behaviour --------------------------------------------------------------
-
-    def _handle_arrival(self, request: Request, client: ClientProtocol) -> None:
-        identity = observed_identity(request)
-        if not self._enforcing():
-            self._profile.observe(identity)
-        elif not self._profile.admit(identity, self.engine.now):
-            self.rejected += 1
-            self._drop(request, "profile-violation")
-            return
-        if self._server_idle and not self.server.busy:
-            contender = Contender(request=request, client=client, arrived_at=self.engine.now)
-            self._admit(contender, price_bytes=0.0)
-            return
-        self._add_contender(request, client)
-
-    def _server_ready(self) -> None:
-        if not self._contenders:
-            self._server_idle = True
-            return
-        self._admit(self._oldest_contender(), price_bytes=0.0)
-
-
 class ProfilingDefense(Defense):
-    """Factory for :class:`ProfilingThinner` / :class:`ProfilingFilter`."""
+    """Factory for :class:`ProfilingFilter` (standalone or pipeline stage)."""
 
     name = "profiling"
 
@@ -176,22 +97,13 @@ class ProfilingDefense(Defense):
         self.learning_period = learning_period
         self.slack_factor = slack_factor
 
-    def _profile_kwargs(self) -> dict:
-        return dict(
+    def build_filter(self, deployment, shard: int = 0) -> ProfilingFilter:
+        return ProfilingFilter(
             baseline_profile=self.baseline_profile,
             default_allowed_rps=self.default_allowed_rps,
             learning_period=self.learning_period,
             slack_factor=self.slack_factor,
         )
-
-    def build_thinner(self, deployment, shard: int = 0, server=None) -> ProfilingThinner:
-        return ProfilingThinner(
-            **self._profile_kwargs(),
-            **self.thinner_kwargs(deployment, shard, server=server),
-        )
-
-    def build_filter(self, deployment, shard: int = 0) -> ProfilingFilter:
-        return ProfilingFilter(**self._profile_kwargs())
 
     def describe(self) -> str:
         return f"profiling (default {self.default_allowed_rps:g} req/s, slack {self.slack_factor:g}x)"

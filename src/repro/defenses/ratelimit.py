@@ -1,18 +1,19 @@
 """Per-address rate limiting (a detect-and-block baseline).
 
 §1 calls rate limiting "a special case of profiling in which the acceptable
-request rate is the same for all clients".  The thinner keeps a token bucket
+request rate is the same for all clients".  The defense keeps a token bucket
 per observed client identity and drops requests that exceed it.  Its known
 failure modes (per §8.1) are NAT — many legitimate clients behind one
 address share one bucket — and spoofing — one attacker presenting many
 identities gets many buckets.  The ablation benchmark exercises the latter
 with a spoofing bad client.
 
-Rate limiting can also run as a *screening stage* in front of another
-admission policy (:class:`RateLimitFilter`): the ``pipeline`` composite uses
-it to model the paper's point that speak-up composes with detect-and-block
-front-filters — the bucket check screens contenders before they ever enter
-the auction.
+The policy is one screening stage, :class:`RateLimitFilter`.  Standalone it
+runs in a :class:`~repro.defenses.base.ScreeningThinner` (FIFO admission
+for whatever passes); the ``pipeline`` composite puts the same stage in
+front of another admission policy to model the paper's point that speak-up
+composes with detect-and-block front-filters — the bucket check screens
+contenders before they ever enter the auction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import DefenseError
-from repro.core.thinner import ClientProtocol, Contender, ThinnerBase
+from repro.core.thinner import ClientProtocol
 from repro.defenses.base import Defense, FilterStage, registry
 from repro.httpd.messages import Request
 
@@ -58,17 +59,23 @@ class TokenBucket:
         return False
 
 
-class _BucketTable:
-    """Per-identity token buckets shared by the thinner and the filter."""
+class RateLimitFilter(FilterStage):
+    """Screen requests against per-identity token buckets."""
 
-    def __init__(self, allowed_rps: float, burst: Optional[float]) -> None:
+    name = "ratelimit"
+
+    def __init__(self, allowed_rps: float = 4.0, burst: Optional[float] = None) -> None:
+        super().__init__()
         if allowed_rps <= 0:
             raise DefenseError("allowed_rps must be positive")
         self.allowed_rps = allowed_rps
         self.burst = burst if burst is not None else max(1.0, allowed_rps)
         self._buckets: Dict[str, TokenBucket] = {}
 
-    def admit(self, identity: str, now: float) -> bool:
+    def screen(
+        self, request: Request, client: ClientProtocol, now: float
+    ) -> Optional[str]:
+        identity = observed_identity(request)
         bucket = self._buckets.get(identity)
         if bucket is None:
             bucket = TokenBucket(
@@ -78,69 +85,19 @@ class _BucketTable:
                 last_refill=now,
             )
             self._buckets[identity] = bucket
-        return bucket.try_consume(now)
-
-
-class RateLimitFilter(FilterStage):
-    """Screen requests against per-identity token buckets (pipeline stage)."""
-
-    name = "ratelimit"
-
-    def __init__(self, allowed_rps: float = 4.0, burst: Optional[float] = None) -> None:
-        super().__init__()
-        self._table = _BucketTable(allowed_rps, burst)
-
-    def screen(
-        self, request: Request, client: ClientProtocol, now: float
-    ) -> Optional[str]:
-        if self._table.admit(observed_identity(request), now):
+        if bucket.try_consume(now):
             return None
         return "rate-limited"
 
 
-class RateLimitThinner(ThinnerBase):
-    """Admit each identity at no more than ``allowed_rps`` requests/s."""
-
-    def __init__(self, *args, allowed_rps: float, burst: Optional[float] = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._table = _BucketTable(allowed_rps, burst)
-        self.allowed_rps = self._table.allowed_rps
-        self.burst = self._table.burst
-        self.rejected = 0
-
-    def _handle_arrival(self, request: Request, client: ClientProtocol) -> None:
-        if not self._table.admit(observed_identity(request), self.engine.now):
-            self.rejected += 1
-            self._drop(request, "rate-limited")
-            return
-        if self._server_idle and not self.server.busy:
-            contender = Contender(request=request, client=client, arrived_at=self.engine.now)
-            self._admit(contender, price_bytes=0.0)
-            return
-        self._add_contender(request, client)
-
-    def _server_ready(self) -> None:
-        if not self._contenders:
-            self._server_idle = True
-            return
-        self._admit(self._oldest_contender(), price_bytes=0.0)
-
-
 class RateLimitDefense(Defense):
-    """Factory for :class:`RateLimitThinner` / :class:`RateLimitFilter`."""
+    """Factory for :class:`RateLimitFilter` (standalone or pipeline stage)."""
 
     name = "ratelimit"
 
     def __init__(self, allowed_rps: float = 4.0, burst: Optional[float] = None) -> None:
         self.allowed_rps = allowed_rps
         self.burst = burst
-
-    def build_thinner(self, deployment, shard: int = 0, server=None) -> RateLimitThinner:
-        return RateLimitThinner(
-            allowed_rps=self.allowed_rps,
-            burst=self.burst,
-            **self.thinner_kwargs(deployment, shard, server=server),
-        )
 
     def build_filter(self, deployment, shard: int = 0) -> RateLimitFilter:
         return RateLimitFilter(allowed_rps=self.allowed_rps, burst=self.burst)

@@ -9,7 +9,7 @@ What a **kill** does, in order (all within one engine event):
 
 1. the shard leaves every dispatch candidate set — the
    :class:`~repro.core.routing.ShardRouter` liveness mask and, in pooled
-   admission, the :class:`~repro.core.fleet.PooledAdmission` offer rotation;
+   admission, the :class:`~repro.core.fleet.ServerMux` offer rotation;
 2. the shard's thinner evicts its contenders: payment channels close (their
    POST flows stop), owners are dropped with reason ``"shard-killed"``, and
    the clients hear about it after one propagation delay — exactly the

@@ -20,13 +20,13 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import DEFAULT_CLIENT_BANDWIDTH
-from repro.errors import ClientError, DefenseError, ExperimentError, FaultError, ThinnerError
+from repro.errors import ClientError, ExperimentError
 from repro.clients.base import RetryPolicy
 from repro.clients.population import PopulationSpec, build_population
-from repro.core.fleet import ADMISSION_MODES, HealthProbeSpec
+from repro.core.fleet import HealthProbeSpec
 from repro.core.frontend import CrossTrafficDriver, Deployment, DeploymentConfig
-from repro.core.routing import SHARD_POLICIES, RouterSpec
-from repro.defenses.spec import DefenseSpec, normalise_defense
+from repro.core.routing import RouterSpec
+from repro.defenses.spec import DefenseSpec
 from repro.faults.spec import FaultPlan
 from repro.metrics.collector import RunResult
 from repro.telemetry.spec import TelemetrySpec
@@ -391,70 +391,31 @@ class ScenarioSpec:
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> None:
+        """Raise :class:`~repro.errors.ExperimentError` if the spec cannot build.
+
+        The scenario checks what only it owns — topology, groups, duration,
+        retry policy and ``config_overrides`` keys — and hands every
+        deployment setting to :meth:`DeploymentConfig.validate`, the same
+        check :class:`~repro.core.frontend.Deployment` runs.
+        """
+        self._validate_scenario()
+        self.deployment_config().validate()
+
+    def _validate_scenario(self) -> None:
         self.topology.validate()
         for group in self.groups:
             group.validate()
-        if self.capacity_rps <= 0:
-            raise ExperimentError("capacity_rps must be positive")
         if self.duration <= 0:
             raise ExperimentError("duration must be positive")
-        try:
-            if self.defense_spec is not None:
-                normalise_defense(self.defense_spec).validate()
-            else:
-                normalise_defense(self.defense)
-        except DefenseError as error:
-            raise ExperimentError(str(error)) from None
-        if self.encouragement_delay < 0:
-            raise ExperimentError("encouragement_delay must be non-negative")
-        if self.thinner_shards < 1:
-            raise ExperimentError("thinner_shards must be at least 1")
-        if self.shard_policy not in SHARD_POLICIES:
-            raise ExperimentError(
-                f"unknown shard_policy {self.shard_policy!r}; "
-                f"expected one of {SHARD_POLICIES}"
-            )
-        if self.admission_mode not in ADMISSION_MODES:
-            raise ExperimentError(
-                f"unknown admission_mode {self.admission_mode!r}; "
-                f"expected one of {ADMISSION_MODES}"
-            )
-        if self.router_spec is not None:
-            try:
-                self.router_spec.validate()
-            except ThinnerError as error:
-                raise ExperimentError(str(error)) from None
         if self.thinner_shards > 1 and self.topology.kind not in ("lan",) + FABRIC_KINDS:
             raise ExperimentError(
                 "thinner fleets (thinner_shards > 1) need a 'lan' or fabric topology"
             )
-        if self.fault_plan is not None:
-            try:
-                self.fault_plan.validate(self.thinner_shards)
-            except FaultError as error:
-                raise ExperimentError(str(error)) from None
-            if self.fault_plan.events and self.thinner_shards < 2:
-                raise ExperimentError(
-                    "a fault_plan with events needs thinner_shards > 1 "
-                    "(a single-thinner deployment has nothing to fail over to)"
-                )
         if self.retry_policy is not None:
             try:
                 self.retry_policy.validate()
             except ClientError as error:
                 raise ExperimentError(str(error)) from None
-        if self.health_probe is not None:
-            try:
-                self.health_probe.validate()
-            except ThinnerError as error:
-                raise ExperimentError(str(error)) from None
-            if self.thinner_shards < 2:
-                raise ExperimentError(
-                    "health_probe needs thinner_shards > 1 (ejection compares "
-                    "each shard against the fleet median)"
-                )
-        if self.telemetry is not None:
-            self.telemetry.validate()
         config_fields = {item.name for item in fields(DeploymentConfig)}
         spec_owned = self._spec_config()
         for key, _value in self.config_overrides:
@@ -537,8 +498,12 @@ class ScenarioSpec:
         return DeploymentConfig(**self._spec_config(), **dict(self.config_overrides))
 
     def build(self) -> Deployment:
-        """Materialise the scenario: topology, deployment, and population."""
-        self.validate()
+        """Materialise the scenario: topology, deployment, and population.
+
+        The deployment settings are checked once, by the
+        :class:`~repro.core.frontend.Deployment` this builds.
+        """
+        self._validate_scenario()
         config = self.deployment_config()
 
         if self.topology.kind == "lan":

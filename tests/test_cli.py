@@ -214,6 +214,24 @@ def test_campaign_resume_rejects_bad_config_overrides(tmp_path, capsys, jobs, ov
     assert not list(directory.glob("spool-*")), "a worker ran before validation"
 
 
+def test_campaign_run_rejects_a_bad_plan_before_creating_anything(tmp_path, capsys):
+    """A point that cannot build (the quantum thinner under the fault plan
+    and pooled admission of fleet-failover) fails in one line before the
+    campaign directory, its plan or any worker exists."""
+    directory = tmp_path / "campaign"
+    assert main([
+        "campaign", "run", "--scenario", "fleet-failover",
+        "--set", "good_clients=4", "--set", "bad_clients=4",
+        "--set", "duration=2", "--set", "defense=quantum",
+        "--dir", str(directory), "--jobs", "2", "--workers", "2",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("speakup-repro: error: ")
+    assert "Traceback" not in err
+    assert not (directory / "campaign.json").exists()
+
+
 def test_campaign_cli_rejects_bad_directories(tmp_path, capsys):
     assert main(["campaign", "status", "--dir", str(tmp_path / "nope")]) == 2
     assert "not a campaign directory" in capsys.readouterr().err

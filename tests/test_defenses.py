@@ -1,4 +1,15 @@
-"""Tests for the baseline defenses and the defense registry."""
+"""Tests for the baseline defenses and the defense registry.
+
+``tests/data/defense_pins.json`` holds sha256 fingerprints (plus event
+counts and requests served) of standalone screening-defense, proof-of-work
+and adaptive-controller runs, on one LAN and on a pooled fleet, captured
+before those defenses shared one screening thinner and one server
+multiplexer.  The replay test must reproduce them bit for bit.
+"""
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +25,20 @@ from repro.defenses.profiling import ProfilingDefense
 from repro.defenses.ratelimit import RateLimitDefense, TokenBucket
 from repro.defenses.speakup import SpeakUpDefense
 from repro.errors import DefenseError
+from repro.scenarios.registry import build_scenario
 from repro.simnet.topology import build_lan, uniform_bandwidths
+
+DEFENSE_PINS = json.loads(
+    (Path(__file__).parent / "data" / "defense_pins.json").read_text()
+)
+
+
+def run_pinned(scenario, defense):
+    """Run one pinned configuration; returns (deployment, result)."""
+    spec = build_scenario(scenario, defense=defense, **DEFENSE_PINS["configs"][scenario])
+    deployment = spec.build()
+    deployment.run(spec.duration)
+    return deployment, deployment.results()
 
 
 def run_with_defense(defense, good=2, bad=2, capacity=8.0, duration=10.0, seed=0,
@@ -67,7 +91,7 @@ def test_token_bucket_refills_and_limits():
 
 def test_rate_limit_blocks_aggressive_senders():
     deployment, result = run_with_defense(RateLimitDefense(allowed_rps=4.0), duration=12.0)
-    assert deployment.thinner.rejected > 0
+    assert deployment.thinner.stage.rejected > 0
     # Good clients (2 req/s) stay under the limit while each bad client is
     # capped at 4 req/s.  The bad clients still hold many more requests in
     # the pending queue (their window is 20 vs 1), so the improvement over
@@ -88,7 +112,7 @@ def test_rate_limit_defeated_by_smart_bots_speakup_is_not():
 def test_profiling_enforces_learned_baseline():
     defense = ProfilingDefense(default_allowed_rps=4.0, slack_factor=1.0)
     deployment, result = run_with_defense(defense, duration=12.0)
-    assert deployment.thinner.rejected > 0
+    assert deployment.thinner.stage.rejected > 0
     assert result.good_allocation > 0.08
 
 
@@ -98,8 +122,8 @@ def test_profiling_with_explicit_profile_and_learning_period():
     )
     deployment, _result = run_with_defense(defense, duration=10.0)
     thinner = deployment.thinner
-    assert thinner.allowed_rate("client-000") == pytest.approx(2.0 * defense.slack_factor)
-    assert thinner.allowed_rate("never-seen") == pytest.approx(3.0)
+    assert thinner.stage.allowed_rate("client-000") == pytest.approx(2.0 * defense.slack_factor)
+    assert thinner.stage.allowed_rate("never-seen") == pytest.approx(3.0)
 
 
 def test_pow_allocates_by_cpu_power():
@@ -123,7 +147,7 @@ def test_pow_allocates_by_cpu_power():
 def test_captcha_blocks_most_bots_but_also_good_bots():
     defense = CaptchaDefense(solve_probabilities={"good": 0.8, "bad": 0.05})
     deployment, result = run_with_defense(defense, duration=12.0)
-    assert deployment.thinner.challenges_failed > 0
+    assert deployment.thinner.stage.rejected > 0
     # Most bot requests never reach the server; most good requests do.
     assert result.bad.served_fraction < 0.2
     assert result.good.served_fraction > 0.6
@@ -134,3 +158,24 @@ def test_captcha_blocks_most_bots_but_also_good_bots():
 def test_captcha_probability_validation():
     with pytest.raises(DefenseError):
         run_with_defense(CaptchaDefense(solve_probabilities={"good": 1.5}), duration=1.0)
+
+
+@pytest.mark.parametrize("key", sorted(DEFENSE_PINS["pins"]))
+def test_defense_runs_match_their_pins(key):
+    scenario, defense = key.split("/", 1)
+    deployment, result = run_pinned(scenario, defense)
+    digest = hashlib.sha256(
+        json.dumps(result.to_dict(), sort_keys=True).encode()
+    ).hexdigest()
+    pin = DEFENSE_PINS["pins"][key]
+    assert digest == pin["sha256"], f"{key} diverged from its pinned run"
+    assert deployment.engine.events_processed == pin["events_processed"]
+    assert result.total_served == pin["total_served"]
+
+
+def test_pow_auctions_reach_the_admission_work_counters():
+    deployment, result = run_pinned("lan-baseline", "pow")
+    counters = deployment.network.counters
+    assert counters.auctions_held == result.auctions_held > 0
+    # Each puzzle auction scans every contender.
+    assert counters.contenders_scanned >= counters.auctions_held

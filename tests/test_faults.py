@@ -32,7 +32,7 @@ from repro.clients.population import (
     build_population,
 )
 from repro.constants import MBIT
-from repro.core.fleet import PooledAdmission
+from repro.core.fleet import ServerMux
 from repro.core.frontend import Deployment, DeploymentConfig
 from repro.errors import ExperimentError, FaultError
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
@@ -322,7 +322,7 @@ def test_pooled_slot_offers_skip_dead_shards():
         on_request_done = None
         on_ready = None
 
-    pool = PooledAdmission(_Server())
+    pool = ServerMux(_Server(), rotate=True)
     offered = []
     for index in range(3):
         view = pool.view()
@@ -348,7 +348,7 @@ def test_pooled_reclaim_only_returns_the_owners_slot():
         on_ready = None
 
     server = _Server()
-    pool = PooledAdmission(server)
+    pool = ServerMux(server, rotate=True)
     pool.view(), pool.view()
     pool._owner_by_request[7] = 0
     assert pool.reclaim(1) is None  # someone else's slot

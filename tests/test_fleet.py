@@ -11,7 +11,7 @@ import pytest
 from repro.analysis.provisioning import payment_traffic_estimate
 from repro.clients.population import build_mixed_population
 from repro.constants import MBIT
-from repro.core.fleet import HealthProbeSpec, PooledAdmission
+from repro.core.fleet import HealthProbeSpec, ServerMux
 from repro.core.frontend import Deployment, DeploymentConfig
 from repro.core.routing import ShardRouter
 from repro.errors import ExperimentError, ThinnerError, TopologyError
@@ -259,11 +259,71 @@ def test_pooled_admission_rejects_double_submit():
 
     engine = Engine()
     server = EmulatedServer(engine, 10.0, rng=StreamFactory(0).stream("server"))
-    pool = PooledAdmission(server)
+    pool = ServerMux(server, rotate=True)
     view_a, view_b = pool.view(), pool.view()
     view_a.submit(new_request(client_id="a", issued_at=0.0))
     with pytest.raises(Exception):
         view_b.submit(new_request(client_id="b", issued_at=0.0))
+
+
+class _SlotServer:
+    """A stand-in server: a view takes the slot by setting ``busy``."""
+
+    busy = False
+    current = None
+    on_request_done = None
+    on_ready = None
+
+
+def _offer_log(mux, count, takers):
+    """Add ``count`` views; each logs its offers and takes the slot when its
+    index is in ``takers`` (a set the caller may change between offers)."""
+    offered = []
+    for index in range(count):
+
+        def on_ready(index=index):
+            offered.append(index)
+            if index in takers:
+                mux.server.busy = True
+
+        mux.view().on_ready = on_ready
+    return offered
+
+
+def _free_slot(mux, offered):
+    offered.clear()
+    mux.server.busy = False
+    mux._slot_freed()
+    return list(offered)
+
+
+def test_pooled_offers_rotate_past_the_shard_that_took_the_slot():
+    mux = ServerMux(_SlotServer(), rotate=True)
+    takers = {1}
+    offered = _offer_log(mux, 3, takers)
+    assert _free_slot(mux, offered) == [0, 1]
+    # View 1 took the slot, so the next offer starts at view 2.
+    assert _free_slot(mux, offered) == [2, 0, 1]
+    takers.clear()
+    takers.add(2)
+    assert _free_slot(mux, offered) == [2]
+    assert _free_slot(mux, offered) == [0, 1, 2]
+
+
+def test_adaptive_offers_always_start_at_the_active_side():
+    mux = ServerMux(_SlotServer(), rotate=False)
+    takers = {1}
+    offered = _offer_log(mux, 2, takers)
+    mux.next_offer = 1  # the controller engaged side 1
+    assert _free_slot(mux, offered) == [1]
+    # Side 1 just took the slot, and the next offer still starts there.
+    assert _free_slot(mux, offered) == [1]
+    takers.clear()
+    takers.add(0)
+    assert _free_slot(mux, offered) == [1, 0]
+    assert _free_slot(mux, offered) == [1, 0]
+    mux.next_offer = 0  # disengaged
+    assert _free_slot(mux, offered) == [0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """The declarative scenario subsystem: specs, registry, and arrival shapes."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.base import LanScenario, run_lan_scenario
+from repro.faults.spec import kill_heal_pulse
 from repro.scenarios import (
     ArrivalSpec,
     GroupSpec,
     ScenarioSpec,
     TopologySpec,
     build_scenario,
+    freeze_overrides,
     scenario_description,
     scenario_names,
 )
@@ -207,6 +211,32 @@ def test_spec_validation_rejects_nonsense():
         ArrivalSpec(kind="bursty").validate()
     with pytest.raises(ExperimentError):
         ArrivalSpec(kind="onoff", period_s=0.0, on_s=1.0).validate()
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(defense="quantum", admission_mode="pooled"), "partitioned"),
+        (
+            dict(
+                defense="quantum",
+                fault_plan=kill_heal_pulse(1, kill_at_s=1.0, heal_at_s=2.0),
+            ),
+            "fault injection",
+        ),
+        (dict(config_overrides=freeze_overrides({"post_bytes": 0.0})), "post_bytes"),
+        (dict(config_overrides=freeze_overrides({"request_bytes": -1.0})), "request_bytes"),
+    ],
+    ids=["quantum-pooled", "quantum-faults", "post-bytes", "request-bytes"],
+)
+def test_validate_rejects_every_deployment_setting_build_rejects(changes, message):
+    """validate() runs the deployment's own checks, so a spec that passes it
+    cannot fail in build() on a deployment setting."""
+    spec = replace(build_scenario("fleet-lan", thinner_shards=2, duration=2.0), **changes)
+    with pytest.raises(ExperimentError, match=message):
+        spec.validate()
+    with pytest.raises(ExperimentError, match=message):
+        spec.build()
 
 
 def test_with_value_replaces_nested_fields():
