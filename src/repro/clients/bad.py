@@ -22,6 +22,8 @@ from repro.simnet.host import Host
 class BadClient(BaseClient):
     """An attacker-controlled client (defaults: ``lambda = 40`` req/s, window 20)."""
 
+    __slots__ = ()
+
     def __init__(
         self,
         deployment: Deployment,

@@ -24,6 +24,11 @@ the same float expression (``t_next = t_prev + gap``), so runs are
 bit-identical under a fixed seed.  The one exception is a *callable*
 ``difficulty`` spec: its draws must interleave with the arrival draws at
 arrival time, so those clients keep the legacy per-event path.
+
+Footprint: clients and their stats use ``__slots__``, ``backlog`` is a shared
+empty tuple until the first request backlogs, and the retry dicts exist only
+under a :class:`RetryPolicy`.  Most of what a client still costs is its own
+Mersenne Twister (about 3 KB), which every pinned output depends on.
 """
 
 from __future__ import annotations
@@ -176,7 +181,7 @@ class RetryPolicy:
         return cls.from_dict(json.loads(payload))
 
 
-@dataclass
+@dataclass(slots=True)
 class ClientStats:
     """Counters and per-served-request samples for one client."""
 
@@ -206,8 +211,22 @@ class ClientStats:
         return self.served / self.finished
 
 
+#: The backlog of every client that has never backlogged a request.
+_NO_BACKLOG: tuple = ()
+
+
 class BaseClient:
     """One workload client attached to a :class:`~repro.core.frontend.Deployment`."""
+
+    __slots__ = (
+        "deployment", "engine", "network", "shard", "thinner", "thinner_host",
+        "host", "rate_rps", "window", "client_class", "category", "request_bytes",
+        "backlog_timeout", "difficulty", "rate_modulator", "cpu_power", "rng",
+        "stats", "outstanding", "backlog", "channels", "_started", "_sweep_event",
+        "_inflight", "_shard_down", "retry_policy", "_retry_state",
+        "_retry_pending", "_retry_rng", "_retry_tokens", "_retry_refill_time",
+        "arrival_batch", "_pending_arrivals", "_gen_time", "_batched_arrivals",
+    )
 
     def __init__(
         self,
@@ -253,11 +272,14 @@ class BaseClient:
         self.backlog_timeout = backlog_timeout
         self.difficulty = difficulty
         self.rate_modulator = rate_modulator
+        #: Puzzle units solved per second under proof-of-work
+        #: (:mod:`repro.defenses.pow`); no other defense reads it.
+        self.cpu_power = 1.0
         self.rng = deployment.client_stream(host.name)
         self.stats = ClientStats()
 
         self.outstanding = 0
-        self.backlog: Deque[Request] = deque()
+        self.backlog: Union[tuple, Deque[Request]] = _NO_BACKLOG
         self.channels: Dict[int, PaymentChannel] = {}
         self._started = False
         self._sweep_event = None
@@ -273,29 +295,28 @@ class BaseClient:
         #: default) preserves the pre-retry behaviour bit for bit: no extra
         #: random stream is created, no state is kept, drops finalise
         #: immediately.
-        if retry_policy is not None:
-            retry_policy.validate()
         self.retry_policy = retry_policy
         #: request_id -> (attempts so far, previous backoff) while a request
         #: is being retried; request_id -> (request, timer event) while one
-        #: is waiting out a backoff (still counted ``outstanding``).
-        self._retry_state: Dict[int, tuple] = {}
-        self._retry_pending: Dict[int, tuple] = {}
-        self._retry_rng = (
-            deployment.streams.stream(f"retry:{host.name}")
-            if retry_policy is not None
-            else None
-        )
-        self._retry_tokens = (
-            retry_policy.budget
-            if retry_policy is not None and retry_policy.budget is not None
-            else 0.0
-        )
+        #: is waiting out a backoff (still counted ``outstanding``).  Both
+        #: stay None without a policy.
+        self._retry_state: Optional[Dict[int, tuple]] = None
+        self._retry_pending: Optional[Dict[int, tuple]] = None
+        self._retry_rng = None
+        self._retry_tokens = 0.0
         self._retry_refill_time = 0.0
+        if retry_policy is not None:
+            retry_policy.validate()
+            self._retry_state = {}
+            self._retry_pending = {}
+            self._retry_rng = deployment.streams.stream(f"retry:{host.name}")
+            if retry_policy.budget is not None:
+                self._retry_tokens = retry_policy.budget
 
-        #: Pregenerated accepted arrival times, oldest first.
+        #: Pregenerated accepted arrival times, newest first; ``pop()``
+        #: takes the oldest.
         self.arrival_batch = int(arrival_batch)
-        self._pending_arrivals: Deque[float] = deque()
+        self._pending_arrivals: List[float] = []
         #: Simulated time of the last *candidate* drawn (accepted or thinned);
         #: the next refill chains its first gap from here.
         self._gen_time = 0.0
@@ -343,7 +364,8 @@ class BaseClient:
         ``run()`` are deferred to a later refill, so a short run never pays
         for (or buffers) a long batch of post-horizon arrivals.  Stopping
         early at *any* prefix is exact: the stream is consumed in the same
-        order either way.
+        order either way.  The queue is empty on entry; it is filled oldest
+        first and then reversed, so each arrival pops off its end.
         """
         rng = self.rng
         rate = self.rate_rps
@@ -380,6 +402,7 @@ class BaseClient:
                         break
                 if horizon is not None and t > horizon:
                     break
+        pending.reverse()
         self._gen_time = t
 
     def _schedule_next_arrival(self) -> None:
@@ -391,7 +414,7 @@ class BaseClient:
         if not pending:
             self._refill_arrivals()
         if pending:
-            self.engine.schedule_at(pending.popleft(), self._arrival)
+            self.engine.schedule_at(pending.pop(), self._arrival)
         else:
             # Every candidate in the refill was thinned away (deep idle):
             # resume generation when the clock reaches the last candidate,
@@ -412,6 +435,8 @@ class BaseClient:
             self._issue(request)
         else:
             request.state = RequestState.BACKLOGGED
+            if self.backlog is _NO_BACKLOG:
+                self.backlog = deque()
             self.backlog.append(request)
             self.stats.backlogged += 1
             self._ensure_sweep()

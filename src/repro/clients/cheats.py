@@ -29,6 +29,8 @@ from repro.simnet.host import Host
 class FocusedCheater(BaseClient):
     """Pays for one request at a time with its full uplink."""
 
+    __slots__ = ("_pending_encouragements", "_focused")
+
     def __init__(
         self,
         deployment: Deployment,
@@ -78,6 +80,8 @@ class FocusedCheater(BaseClient):
 
 class LurkingCheater(BaseClient):
     """Waits ``lurk_delay`` seconds after each encouragement before paying."""
+
+    __slots__ = ("lurk_delay",)
 
     def __init__(
         self,

@@ -19,6 +19,8 @@ from repro.simnet.host import Host
 class GoodClient(BaseClient):
     """A legitimate client (defaults: ``lambda = 2`` req/s, window 1)."""
 
+    __slots__ = ()
+
     def __init__(
         self,
         deployment: Deployment,

@@ -478,23 +478,23 @@ class Deployment:
         # Publish the horizon before starting clients so their initial
         # arrival pregeneration does not draw a whole batch past run end.
         self.engine.run_horizon = until
-        for auxiliary in self.auxiliaries:
-            start = getattr(auxiliary, "start", None)
-            if callable(start):
-                start()
-        for client in self.clients:
-            start = getattr(client, "start", None)
-            if callable(start):
-                start()
-        # The loop allocates almost entirely acyclically (reference counting
-        # frees it; the few true cycles are broken on completion), so the
-        # cyclic collector's full-heap scans are pure overhead — ~40% of
-        # wall-clock at the 50k-client bench scale.  Pause it for the loop;
+        # Client start-up and the loop allocate heavily but almost entirely
+        # acyclically (reference counting frees it; the few true cycles are
+        # broken on completion), so the cyclic collector's passes over the
+        # freshly built population are pure overhead.  Pause it for both;
         # re-enable (never force-collect) on the way out.
         pause_gc = gc.isenabled()
         if pause_gc:
             gc.disable()
         try:
+            for auxiliary in self.auxiliaries:
+                start = getattr(auxiliary, "start", None)
+                if callable(start):
+                    start()
+            for client in self.clients:
+                start = getattr(client, "start", None)
+                if callable(start):
+                    start()
             self.engine.run(until=until)
         finally:
             if pause_gc:

@@ -2,14 +2,16 @@
 
 Computational puzzles (Dwork-Naor and the client-puzzle literature the paper
 cites) charge CPU cycles instead of bandwidth.  We model each client as
-owning ``cpu_power`` puzzle-units per second (``getattr(client,
-'cpu_power', 1.0)``); once asked to pay, a contending request accrues
-solved puzzles at that rate, and the thinner admits the contender with the
-most solved puzzles — the same virtual-auction structure as speak-up, but
-with CPU as the currency.  The comparison bench shows both schemes allocate
-proportionally to the respective currency; which one favours the good
-clients depends entirely on how that currency is distributed (§8.1's
-point that "the good clients must have enough currency").
+owning ``cpu_power`` puzzle-units per second
+(:attr:`repro.clients.base.BaseClient.cpu_power`, default 1.0; a duck-typed
+client without the attribute counts as 1.0); once asked to pay, a
+contending request accrues solved puzzles at that rate, and the thinner
+admits the contender with the most solved puzzles — the same
+virtual-auction structure as speak-up, but with CPU as the currency.  The
+comparison bench shows both schemes allocate proportionally to the
+respective currency; which one favours the good clients depends entirely
+on how that currency is distributed (§8.1's point that "the good clients
+must have enough currency").
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ multiplier shapes the group's non-homogeneous Poisson arrival process.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -599,10 +600,17 @@ class ScenarioSpec:
         return deployment
 
     def run(self) -> RunResult:
-        """Build the scenario, run it for ``duration`` seconds, collect metrics."""
-        deployment = self.build()
-        deployment.run(self.duration)
-        return deployment.results()
+        """Build the scenario, run it for ``duration`` seconds, collect metrics.
+
+        Sweeps (serial and pooled), campaign workers and the CLI all run
+        their points here.  A finished deployment is one large reference
+        cycle, and :meth:`Deployment.run` pauses the cyclic collector, so
+        this method keeps no reference to its deployment and collects once
+        before returning: a sweep holds one deployment at a time.
+        """
+        result = self.build().run(self.duration).results()
+        gc.collect()
+        return result
 
     # -- serialisation ---------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Tests for the workload clients (arrivals, windowing, backlog, stats)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.clients.bad import BadClient
@@ -9,6 +11,7 @@ from repro.clients.population import PopulationSpec, build_mixed_population, bui
 from repro.constants import MBIT
 from repro.core.frontend import Deployment, DeploymentConfig
 from repro.errors import ClientError
+from repro.scenarios.registry import build_scenario
 from repro.simnet.topology import build_lan, uniform_bandwidths
 from tests.conftest import make_deployment
 
@@ -250,3 +253,44 @@ def test_population_spec_threads_arrival_batch():
         [PopulationSpec(count=2, client_class="good", arrival_batch=7)],
     )
     assert all(client.arrival_batch == 7 for client in clients)
+
+
+# ---------------------------------------------------------------------------
+# Footprint
+# ---------------------------------------------------------------------------
+
+
+def test_clients_have_no_instance_dict():
+    deployment, hosts = build_empty_deployment(clients=4)
+    clients = [
+        GoodClient(deployment, hosts[0]),
+        BadClient(deployment, hosts[1]),
+        FocusedCheater(deployment, hosts[2]),
+        LurkingCheater(deployment, hosts[3]),
+    ]
+    for client in clients:
+        assert not hasattr(client, "__dict__"), type(client).__name__
+        assert not hasattr(client.stats, "__dict__")
+
+
+def test_a_built_client_costs_at_most_6500_bytes():
+    """Bytes ``build()`` allocates per client at 2,000 clients.
+
+    A slotted client reads about 5.2 KB on CPython 3.11, mostly its own
+    Mersenne Twister (about 3 KB) and its host and access links (about
+    1.2 KB).  An instance dict and two eagerly made deques per client would
+    push it to about 8.2 KB, past the bound.
+    """
+    spec = build_scenario(
+        "rollup-mega", good_clients=1950, bad_clients=50,
+        thinner_bandwidth_bps=400 * MBIT, seed=0,
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        deployment = spec.build()
+        allocated = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(deployment.clients) == 2000
+    assert allocated / 2000 <= 6500

@@ -118,6 +118,36 @@ def test_gc_reenabled_even_when_run_raises():
     assert gc.isenabled(), "a failing run must not leave the GC disabled"
 
 
+def test_start_up_shares_the_loops_gc_pause():
+    """Auxiliaries and clients start with the GC paused, and a failing
+    ``start()`` still re-enables it."""
+    import gc
+
+    class Recorder:
+        def __init__(self):
+            self.enabled = []
+
+        def start(self):
+            self.enabled.append(gc.isenabled())
+
+    class Exploding:
+        def start(self):
+            raise RuntimeError("start failed")
+
+    deployment, _hosts = build()
+    recorder = Recorder()
+    deployment.register_auxiliary(recorder)
+    deployment.run(0.5)
+    assert recorder.enabled == [False]
+    assert gc.isenabled()
+
+    deployment, _hosts = build()
+    deployment.register_auxiliary(Exploding())
+    with pytest.raises(RuntimeError, match="start failed"):
+        deployment.run(0.5)
+    assert gc.isenabled(), "a failing start() must not leave the GC disabled"
+
+
 def test_gc_left_alone_when_already_disabled():
     """``run`` only re-enables GC it disabled itself."""
     import gc

@@ -1,5 +1,7 @@
 """The sweep runner: grid expansion, determinism, and the results store."""
 
+import weakref
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -114,6 +116,27 @@ def test_run_specs_preserves_order():
     results = SweepRunner(jobs=2).run_specs(specs)
     singles = [spec.run() for spec in specs]
     assert [r.to_dict() for r in results] == [r.to_dict() for r in singles]
+
+
+def test_a_finished_run_frees_its_deployment(monkeypatch):
+    """``ScenarioSpec.run`` collects its deployment before it returns, so a
+    sweep holds one deployment at a time, not every dead one since the
+    collector last ran."""
+    built = []
+    build = ScenarioSpec.build
+
+    def build_and_watch(spec):
+        deployment = build(spec)
+        built.append(weakref.ref(deployment))
+        return deployment
+
+    monkeypatch.setattr(ScenarioSpec, "build", build_and_watch)
+    spec = build_scenario("lan-baseline", good_clients=3, bad_clients=3, duration=3.0)
+    spec.run()
+    assert len(built) == 1 and built[0]() is None
+    SweepRunner(jobs=1).run(Sweep(spec, axes={"defense": ("speakup", "none")}))
+    assert len(built) == 3
+    assert all(ref() is None for ref in built)
 
 
 # ---------------------------------------------------------------------------
