@@ -8,9 +8,9 @@ defense.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments.base import LanScenario, run_lan_scenario
 from repro.experiments.allocation import PAPER_CLIENT_COUNT
 from repro.metrics.tables import format_table
+from repro.scenarios.registry import build_scenario
 
 
 def _compare(scale):
@@ -20,11 +20,11 @@ def _compare(scale):
     capacity = scale.capacity(100.0, PAPER_CLIENT_COUNT, total)
     results = {}
     for defense in ("none", "retry", "speakup"):
-        scenario = LanScenario(
-            good_clients=good, bad_clients=bad, capacity_rps=capacity,
+        spec = build_scenario(
+            "lan-baseline", good_clients=good, bad_clients=bad, capacity_rps=capacity,
             defense=defense, duration=scale.duration, seed=scale.seed,
         )
-        results[defense] = run_lan_scenario(scenario)
+        results[defense] = spec.run()
     return results
 
 

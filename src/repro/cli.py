@@ -35,6 +35,7 @@ import sys
 from typing import Any, Optional, Sequence
 
 from repro import quick_demo
+from repro.core.routing import ROUTER_STRATEGY_NAMES
 from repro.errors import ReproError
 from repro.scenarios.registry import build_scenario, scenario_description, scenario_names
 from repro.scenarios.runner import Sweep, SweepRunner, save_results
@@ -56,6 +57,11 @@ from repro.experiments.heterogeneous import (
     format_categories,
 )
 from repro.metrics.tables import format_table
+
+#: The ``--policy`` help of the fleet subcommands.
+POLICY_HELP = (
+    f"shard dispatch strategy: any registered one ({', '.join(ROUTER_STRATEGY_NAMES)})"
+)
 
 
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
@@ -119,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--shards", default="1,2,4,8", metavar="N1,N2,...",
                        help="comma-separated fleet sizes to sweep")
     fleet.add_argument("--policy", default="least-loaded",
-                       help="shard dispatch policy (hash, least-loaded, random)")
+                       help=POLICY_HELP)
     fleet.add_argument("--admission", default="partitioned",
                        help="admission mode (partitioned, pooled)")
 
@@ -137,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     failover.add_argument("--shards", type=int, default=4,
                           help="fleet size (must be > 1)")
     failover.add_argument("--policy", default="hash",
-                          help="shard dispatch policy (hash, least-loaded, random)")
+                          help=POLICY_HELP)
     failover.add_argument("--admission", default="pooled",
                           help="admission mode (pooled, partitioned); pooled keeps "
                                "full capacity reachable after the kill")
@@ -170,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     brownout.add_argument("--shards", type=int, default=4,
                           help="fleet size (must be > 1)")
     brownout.add_argument("--policy", default="hash",
-                          help="shard dispatch policy (hash, least-loaded, random)")
+                          help=POLICY_HELP)
     brownout.add_argument("--admission", default="pooled",
                           help="admission mode (pooled, partitioned)")
     brownout.add_argument("--loss-p", type=float, default=0.6, metavar="P",
@@ -764,7 +770,6 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "fabric":
-        from repro.core.routing import ROUTER_STRATEGY_NAMES
         from repro.experiments.fabric import fabric_strategy_comparison, format_fabric
 
         fabrics = tuple(name.strip() for name in args.fabrics.split(",") if name.strip())

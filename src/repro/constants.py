@@ -98,10 +98,6 @@ BAD_CLIENT_WINDOW = 20
 #: many seconds (section 7.1).
 REQUEST_TIMEOUT = 10.0
 
-#: The thinner times out a payment channel whose request never arrives after
-#: this many seconds (section 7.3).
-PAYMENT_CHANNEL_TIMEOUT = 10.0
-
 #: Server-side service time jitter: uniform in [(1 - delta)/c, (1 + delta)/c]
 #: (section 6 uses delta = 0.1).
 SERVICE_TIME_JITTER = 0.1

@@ -13,7 +13,7 @@
 """
 
 from repro.core.fleet import ADMISSION_MODES
-from repro.core.routing import SHARD_POLICIES, ShardRouter
+from repro.core.routing import ShardRouter
 from repro.core.payment import PaymentChannel, PaymentChannelState
 from repro.core.pricing import PriceBook
 from repro.core.thinner import Contender, ThinnerBase, ThinnerStats
@@ -25,7 +25,6 @@ from repro.core.frontend import Deployment, DeploymentConfig
 
 __all__ = [
     "ADMISSION_MODES",
-    "SHARD_POLICIES",
     "ShardRouter",
     "PaymentChannel",
     "PaymentChannelState",

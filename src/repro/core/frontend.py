@@ -32,18 +32,13 @@ import gc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
-from repro.constants import (
-    DEFAULT_POST_BYTES,
-    PAYMENT_CHANNEL_TIMEOUT,
-    SERVICE_TIME_JITTER,
-    SUSPEND_ABORT_TIMEOUT,
-)
+from repro.constants import DEFAULT_POST_BYTES, SERVICE_TIME_JITTER
 from repro.errors import DefenseError, ExperimentError, FaultError, ThinnerError
 from repro.core.fleet import ADMISSION_MODES, HealthProbeSpec, HealthProber, ServerMux
 from repro.core.routing import (
-    SHARD_POLICIES,
     RouterSpec,
     ShardRouter,
+    as_router_spec,
     build_probe,
     strategy_needs_rng,
 )
@@ -67,10 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.faults.injector import FaultInjector
     from repro.faults.spec import FaultPlan
 
-#: Names of the built-in core thinner variants (the historical string
-#: vocabulary; any registered defense name is accepted too).
-DEFENSES = ("speakup", "retry", "quantum", "none")
-
 
 def _normalise(defense) -> "DefenseSpec":
     """String/spec → :class:`DefenseSpec`, re-raised as a config error."""
@@ -92,24 +83,18 @@ class DeploymentConfig:
     #: Server capacity ``c`` in requests per second.
     server_capacity_rps: float = 100.0
     #: Which admission policy to deploy: a
-    #: :class:`~repro.defenses.spec.DefenseSpec`, or a string — one of the
-    #: historical :data:`DEFENSES`, any registered defense name, or the
-    #: ``"filter>admission"`` pipeline shorthand.
+    #: :class:`~repro.defenses.spec.DefenseSpec`, or a string — ``"speakup"``,
+    #: ``"retry"``, ``"quantum"``, ``"none"``, any registered defense name, or
+    #: the ``"filter>admission"`` pipeline shorthand.  A defense's own
+    #: settings (the undefended baseline's drop policy, the quantum length)
+    #: are kwargs of its spec.
     defense: Union[str, "DefenseSpec"] = "speakup"
-    #: Admission policy of the undefended baseline ("random" or "fifo").
-    admission_policy: str = "random"
     #: Size of one payment POST (the prototype uses 1 MByte, §6).
     post_bytes: float = DEFAULT_POST_BYTES
     #: Size of a request message on the wire.
     request_bytes: float = 1500.0
     #: Thinner-side processing/backlog delay added to each encouragement.
     encouragement_delay: float = 0.0
-    #: How long the thinner keeps an idle payment channel before evicting it.
-    payment_timeout: float = PAYMENT_CHANNEL_TIMEOUT
-    #: Quantum length for the heterogeneous-request thinner (None = 1/c).
-    quantum_seconds: Optional[float] = None
-    #: Abort a suspended request after this long (§5).
-    suspend_abort_timeout: float = SUSPEND_ABORT_TIMEOUT
     #: Service time jitter delta (service times are uniform in [(1±delta)/c]).
     service_jitter: float = SERVICE_TIME_JITTER
     #: Root seed for every random stream in the deployment.
@@ -125,18 +110,14 @@ class DeploymentConfig:
     #: :class:`~repro.core.bidindex.KineticBidIndex`, own payment channels —
     #: in front of the shared server per shard.
     thinner_shards: int = 1
-    #: How clients are pinned to shards when ``thinner_shards > 1``:
-    #: ``"hash"`` (stable CRC32 of the client name — consistent hashing),
-    #: ``"least-loaded"`` (fewest assigned clients), or ``"random"`` (a
-    #: seeded uniform draw per client).  See :class:`repro.core.routing.ShardRouter`.
-    shard_policy: str = "hash"
-    #: Full dispatch-strategy configuration (see
-    #: :class:`repro.core.routing.RouterSpec`).  ``None`` (the default) uses
-    #: the legacy ``shard_policy`` string path, byte-identical to the
-    #: historical wiring; a spec unlocks the registry's load-aware
-    #: strategies (``power-of-two``, ``weighted-sink``, ``sticky-spill``)
-    #: and their probe signals, and takes precedence over ``shard_policy``.
-    router_spec: Optional[RouterSpec] = None
+    #: How clients are pinned to shards when ``thinner_shards > 1``: a
+    #: :class:`repro.core.routing.RouterSpec` (any registered strategy and
+    #: its probe signal), or a strategy name, which stands for that
+    #: strategy's default spec — ``"hash"`` (stable CRC32 of the client
+    #: name — consistent hashing), ``"least-loaded"``, ``"random"``,
+    #: ``"power-of-two"``, ``"weighted-sink"`` or ``"sticky-spill"``.  See
+    #: :class:`repro.core.routing.ShardRouter`.
+    shard_policy: Union[str, RouterSpec] = "hash"
     #: How the fleet shares the server's admission slots:
     #: ``"partitioned"`` gives each shard a dedicated ``c / shards`` slice
     #: (fully independent shards; every defense works), ``"pooled"`` lets
@@ -192,16 +173,10 @@ class DeploymentConfig:
             raise ExperimentError("encouragement_delay must be non-negative")
         if self.thinner_shards < 1:
             raise ExperimentError("thinner_shards must be at least 1")
-        if self.shard_policy not in SHARD_POLICIES:
-            raise ExperimentError(
-                f"unknown shard_policy {self.shard_policy!r}; "
-                f"expected one of {SHARD_POLICIES}"
-            )
-        if self.router_spec is not None:
-            try:
-                self.router_spec.validate()
-            except ThinnerError as error:
-                raise ExperimentError(str(error)) from None
+        try:
+            as_router_spec(self.shard_policy)
+        except ThinnerError as error:
+            raise ExperimentError(f"shard_policy: {error}") from None
         if self.admission_mode not in ADMISSION_MODES:
             raise ExperimentError(
                 f"unknown admission_mode {self.admission_mode!r}; "
@@ -350,24 +325,14 @@ class Deployment:
                 self.thinners.append(self.defense.build_thinner(self, shard))
         self.thinner = self.thinners[0]
 
-        router_spec = self.config.router_spec
-        if router_spec is not None:
-            dispatch_rng = (
-                self.streams.stream("shard-dispatch")
-                if shards > 1 and strategy_needs_rng(router_spec.name)
-                else None
-            )
-            probe = build_probe(self, router_spec) if shards > 1 else None
-            self._router = ShardRouter(
-                shards, router_spec, rng=dispatch_rng, probe=probe
-            )
-        else:
-            dispatch_rng = (
-                self.streams.stream("shard-dispatch")
-                if shards > 1 and self.config.shard_policy == "random"
-                else None
-            )
-            self._router = ShardRouter(shards, self.config.shard_policy, rng=dispatch_rng)
+        router_spec = as_router_spec(self.config.shard_policy)
+        dispatch_rng = (
+            self.streams.stream("shard-dispatch")
+            if shards > 1 and strategy_needs_rng(router_spec.name)
+            else None
+        )
+        probe = build_probe(self, router_spec) if shards > 1 else None
+        self._router = ShardRouter(shards, router_spec, rng=dispatch_rng, probe=probe)
 
         self.clients: List = []
         #: Non-client traffic drivers (cross-traffic generators and the

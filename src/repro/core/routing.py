@@ -1,12 +1,10 @@
 """Pluggable client→shard dispatch strategies for the thinner fleet (§4.3).
 
-The original fleet shipped three hardcoded ``ShardRouter`` policies (hash /
-least-loaded / random).  This module generalises them into a **strategy
-registry**: each strategy is a small stateless object that picks a shard for
-a client, reading whatever router state (pin counts) or live measurements
-(probe signals) it needs.  The original three are registered unchanged and
-remain byte-identical on the legacy code path; three load-aware strategies
-join them:
+Dispatch is a **strategy registry**: each strategy is a small stateless
+object that picks a shard for a client, reading whatever router state (pin
+counts) or live measurements (probe signals) it needs.  The three original
+policies (``hash`` / ``least-loaded`` / ``random``) come first, and three
+load-aware strategies join them:
 
 * ``power-of-two``  — two uniform draws, keep the better-probing one.  The
   classic result: almost all the balance of least-loaded at a fraction of
@@ -20,12 +18,14 @@ join them:
   spill to the least-loaded shard.  Sticky in the common case, bounded skew
   in the worst case.
 
-Strategy configuration travels as a frozen, JSON-round-trippable
-:class:`RouterSpec` threaded through ``DeploymentConfig`` and
-``ScenarioSpec`` — so strategies are sweepable (``router_spec.probe_window_s``)
-and compose with the fault-injection and health-probing layers, which only
-ever talk to the router through ``set_alive`` / ``set_ejected`` /
-``reassign``.
+Strategy configuration is a frozen, JSON-round-trippable :class:`RouterSpec`,
+carried by the one ``shard_policy`` field of ``DeploymentConfig`` and
+``ScenarioSpec``.  A plain strategy name there stands for that strategy's
+default spec (:func:`as_router_spec`), so ``"hash"`` and
+``RouterSpec(name="hash")`` are the same setting.  Spec fields are sweepable
+(``shard_policy.probe_window_s``), and strategies compose with the
+fault-injection and health-probing layers, which only ever talk to the
+router through ``set_alive`` / ``set_ejected`` / ``reassign``.
 
 Probe signals (how a load-aware strategy observes a shard):
 
@@ -45,14 +45,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ThinnerError
 from repro.rng import RandomStream
-
-#: The legacy dispatch policies (accepted as plain strings for backward
-#: compatibility; also the first three registered strategies).
-SHARD_POLICIES = ("hash", "least-loaded", "random")
 
 #: Probe signals a load-aware strategy may consume.
 PROBE_SIGNALS = ("pins", "contenders", "sink-rate", "none")
@@ -344,8 +340,25 @@ for _strategy in (
 ):
     register_strategy(_strategy)
 
-#: Every registered strategy name, legacy policies first.
+#: Every registered strategy name, the original three policies first.
 ROUTER_STRATEGY_NAMES: Tuple[str, ...] = tuple(ROUTER_STRATEGIES)
+
+
+def as_router_spec(policy: Union[str, RouterSpec]) -> RouterSpec:
+    """A ``shard_policy`` value as a validated :class:`RouterSpec`.
+
+    A spec is returned as is; a registered strategy's name stands for that
+    strategy's default spec.  Raises a one-line :class:`ThinnerError` for
+    anything else.
+    """
+    if isinstance(policy, str):
+        policy = RouterSpec(name=policy)
+    elif not isinstance(policy, RouterSpec):
+        raise ThinnerError(
+            f"a shard policy is a strategy name or a RouterSpec, got {policy!r}"
+        )
+    policy.validate()
+    return policy
 
 
 def strategy_needs_rng(name: str) -> bool:
@@ -360,9 +373,8 @@ def strategy_needs_rng(name: str) -> bool:
 class ShardRouter:
     """Assigns each client to one thinner shard, deterministically.
 
-    ``policy`` is either a legacy policy string (restricted to
-    ``SHARD_POLICIES`` for backward compatibility) or a :class:`RouterSpec`
-    naming any registered strategy:
+    ``policy`` is a :class:`RouterSpec` or the name of any registered
+    strategy (see :func:`as_router_spec`):
 
     * ``hash``          — stable hash of the client's host name (CRC32), the
       consistent-hashing analogue: the same client lands on the same shard
@@ -388,21 +400,13 @@ class ShardRouter:
     def __init__(
         self,
         shards: int,
-        policy="hash",
+        policy: Union[str, RouterSpec] = "hash",
         rng: Optional[RandomStream] = None,
         probe: Optional[Probe] = None,
     ) -> None:
         if shards < 1:
             raise ThinnerError(f"shards must be at least 1, got {shards}")
-        if isinstance(policy, RouterSpec):
-            spec = policy
-            spec.validate()
-        else:
-            if policy not in SHARD_POLICIES:
-                raise ThinnerError(
-                    f"unknown shard policy {policy!r}; expected one of {SHARD_POLICIES}"
-                )
-            spec = RouterSpec(name=policy)
+        spec = as_router_spec(policy)
         strategy = ROUTER_STRATEGIES[spec.name]
         if strategy.needs_rng and shards > 1 and rng is None:
             raise ThinnerError(f"the {spec.name!r} shard policy needs a seeded stream")

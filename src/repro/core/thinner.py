@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Protocol
 
-from repro.constants import PAYMENT_CHANNEL_TIMEOUT
 from repro.errors import ThinnerError
 from repro.core.bidindex import KineticBidIndex
 from repro.core.payment import PaymentChannel
@@ -127,7 +126,6 @@ class ThinnerBase:
         server: EmulatedServer,
         host: Host,
         encouragement_delay: float = 0.0,
-        payment_timeout: float = PAYMENT_CHANNEL_TIMEOUT,
         max_contenders: Optional[int] = None,
         prices: Optional[PriceBook] = None,
     ) -> None:
@@ -143,7 +141,6 @@ class ThinnerBase:
         #: client, on top of propagation (the paper measured ~0.35 s of this
         #: under heavy load, §7.3).
         self.encouragement_delay = encouragement_delay
-        self.payment_timeout = payment_timeout
         self.max_contenders = max_contenders
 
         #: Where this thinner records its winning bids: the deployment's one

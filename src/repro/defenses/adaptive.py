@@ -85,7 +85,6 @@ class AdaptiveThinner:
         self._mux = ServerMux(real_server, rotate=False)
         self._passthrough: ThinnerBase = NoDefenseThinner(
             rng=deployment.shard_stream("adaptive-admission", shard),
-            policy=deployment.config.admission_policy,
             **inner_defense.thinner_kwargs(deployment, shard, server=self._mux.view()),
         )
         self._engaged: ThinnerBase = inner_defense.build_thinner(

@@ -162,7 +162,6 @@ class Defense:
             server=server if server is not None else deployment.shard_server(shard),
             host=deployment.thinner_hosts[shard],
             encouragement_delay=deployment.config.encouragement_delay,
-            payment_timeout=deployment.config.payment_timeout,
             max_contenders=deployment.config.max_contenders,
             prices=deployment.prices,
         )

@@ -1,8 +1,11 @@
-"""No defense: the overloaded server randomly drops excess requests."""
+"""No defense: the overloaded server drops excess requests.
+
+:class:`NoDefense` is the one home of the undefended baseline's drop policy:
+``DefenseSpec.make("none", policy="fifo")`` selects FIFO admission, and the
+plain ``"none"`` string means the default random drop.
+"""
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.core.admission import NoDefenseThinner
 from repro.core.thinner import ThinnerBase
@@ -12,27 +15,24 @@ from repro.defenses.base import Defense, registry
 class NoDefense(Defense):
     """The undefended baseline (the paper's "without speak-up" runs).
 
-    ``policy`` ("random" or "fifo") defaults to the deployment's
-    ``admission_policy`` knob, which is what the historical
-    ``defense="none"`` string path always used.
+    ``policy`` picks which waiting request a freed server slot goes to:
+    ``"random"`` (the paper's random drop) or ``"fifo"`` (the oldest).
     """
 
     name = "none"
 
-    def __init__(self, policy: Optional[str] = None) -> None:
+    def __init__(self, policy: str = "random") -> None:
         self.policy = policy
 
     def build_thinner(self, deployment, shard: int = 0, server=None) -> ThinnerBase:
-        policy = self.policy if self.policy is not None else deployment.config.admission_policy
         return NoDefenseThinner(
             rng=deployment.shard_stream("admission", shard),
-            policy=policy,
+            policy=self.policy,
             **self.thinner_kwargs(deployment, shard, server=server),
         )
 
     def describe(self) -> str:
-        policy = self.policy if self.policy is not None else "admission_policy"
-        return f"no defense ({policy} drop on overload)"
+        return f"no defense ({self.policy} drop on overload)"
 
 
 registry.register(NoDefense.name, NoDefense)

@@ -1,4 +1,10 @@
-"""Speak-up packaged as a Defense (the paper's contribution)."""
+"""Speak-up packaged as a Defense (the paper's contribution).
+
+:class:`SpeakUpDefense` is the one home of its variant's settings: the
+quantum variant's quantum length is ``DefenseSpec.make("speakup",
+variant="quantum", quantum_seconds=...)``; its suspended-request abort
+timeout is :class:`~repro.core.quantum.QuantumAuctionThinner`'s own default.
+"""
 
 from __future__ import annotations
 
@@ -18,10 +24,8 @@ VARIANTS = ("auction", "retry", "quantum")
 class SpeakUpDefense(Defense):
     """Bandwidth-as-currency defense; variant selects the mechanism.
 
-    ``quantum_seconds`` applies to the ``"quantum"`` variant only and falls
-    back to ``DeploymentConfig.quantum_seconds`` (and from there to the
-    server's mean service time) when left unset, so the historical
-    ``defense="quantum"`` string path is unchanged.
+    ``quantum_seconds`` applies to the ``"quantum"`` variant only; left
+    unset, a quantum is the server's mean service time.
     """
 
     name = "speakup"
@@ -40,16 +44,7 @@ class SpeakUpDefense(Defense):
             return RandomDropThinner(
                 rng=deployment.shard_stream("retry-lottery", shard), **common
             )
-        quantum_seconds = (
-            self.quantum_seconds
-            if self.quantum_seconds is not None
-            else deployment.config.quantum_seconds
-        )
-        return QuantumAuctionThinner(
-            quantum_seconds=quantum_seconds,
-            suspend_abort_timeout=deployment.config.suspend_abort_timeout,
-            **common,
-        )
+        return QuantumAuctionThinner(quantum_seconds=self.quantum_seconds, **common)
 
     def supports_pooled_admission(self) -> bool:
         # The quantum variant suspends/resumes the active request, which is

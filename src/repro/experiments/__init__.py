@@ -12,7 +12,7 @@ grid executed by a :class:`~repro.scenarios.runner.SweepRunner`; pass
 across cores.
 """
 
-from repro.experiments.base import ExperimentScale, LanScenario, run_lan_scenario
+from repro.experiments.base import ExperimentScale
 from repro.experiments.allocation import (
     Figure2Row,
     Figure3Row,
@@ -52,8 +52,6 @@ __all__ = [
     "fleet_provisioning_curve",
     "format_fleet",
     "ExperimentScale",
-    "LanScenario",
-    "run_lan_scenario",
     "Figure2Row",
     "Figure3Row",
     "figure2_allocation",

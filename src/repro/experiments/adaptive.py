@@ -98,8 +98,8 @@ def adaptive_engagement(
     ]
     # The static baselines run the same pulse population with the composed
     # defense swapped out for a plain policy.
-    specs.append(specs[0].with_values({"defense_spec.name": "speakup", "name": "always-on"}))
-    specs.append(specs[0].with_values({"defense_spec.name": "none", "name": "off"}))
+    specs.append(specs[0].with_values({"defense": "speakup", "name": "always-on"}))
+    specs.append(specs[0].with_values({"defense": "none", "name": "off"}))
 
     results = runner.run_specs(specs)
 

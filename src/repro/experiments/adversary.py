@@ -18,8 +18,9 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.theory import ideal_capacity
 from repro.experiments.allocation import PAPER_CLIENT_COUNT
-from repro.experiments.base import ExperimentScale, LanScenario
+from repro.experiments.base import ExperimentScale
 from repro.metrics.tables import format_table
+from repro.scenarios.registry import build_scenario
 from repro.scenarios.runner import Sweep, SweepRunner
 
 
@@ -46,14 +47,15 @@ class WindowSweepRow:
 def _served_fraction_at(
     capacity: float, good: int, bad: int, scale: ExperimentScale, runner: SweepRunner
 ) -> float:
-    spec = LanScenario(
+    spec = build_scenario(
+        "lan-baseline",
         good_clients=good,
         bad_clients=bad,
         capacity_rps=capacity,
         defense="speakup",
         duration=scale.duration,
         seed=scale.seed,
-    ).to_spec()
+    )
     return runner.run_specs([spec])[0].good_fraction_served
 
 
@@ -117,15 +119,16 @@ def window_sweep(
     good = total_clients // 2
     bad = total_clients - good
     capacity = scale.capacity(paper_capacity, PAPER_CLIENT_COUNT, total_clients)
-    base = LanScenario(
+    base = build_scenario(
+        "lan-baseline",
         good_clients=good,
         bad_clients=bad,
         capacity_rps=capacity,
         defense="speakup",
         duration=scale.duration,
         seed=scale.seed,
-    ).to_spec()
-    # Locate the bad group: to_spec() omits zero-count groups, so at tiny
+    )
+    # Locate the bad group: lan-baseline omits zero-count groups, so at tiny
     # scales (no good clients) it may be index 0 rather than 1.
     bad_index = next(
         index for index, group in enumerate(base.groups) if group.client_class == "bad"

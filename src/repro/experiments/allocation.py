@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.experiments.base import ExperimentScale, LanScenario
+from repro.experiments.base import ExperimentScale
 from repro.metrics.tables import format_table
+from repro.scenarios.registry import build_scenario
 from repro.scenarios.runner import Sweep, SweepRunner
 
 #: The good-client fractions Figure 2 sweeps.
@@ -71,13 +72,14 @@ def figure2_allocation(
         good = min(good, total_clients - 1) if fraction < 1.0 else total_clients
         splits.append((good, total_clients - good))
 
-    base = LanScenario(
+    base = build_scenario(
+        "lan-baseline",
         good_clients=max(1, splits[0][0]),
         bad_clients=max(1, splits[0][1]),
         capacity_rps=capacity,
         duration=scale.duration,
         seed=scale.seed,
-    ).to_spec()
+    )
     sweep = Sweep(
         base,
         axes={
@@ -122,13 +124,14 @@ def figure3_provisioning(
         scale.capacity(paper_capacity, PAPER_CLIENT_COUNT, total_clients): paper_capacity
         for paper_capacity in paper_capacities
     }
-    base = LanScenario(
+    base = build_scenario(
+        "lan-baseline",
         good_clients=good,
         bad_clients=bad,
         capacity_rps=next(iter(capacities)),
         duration=scale.duration,
         seed=scale.seed,
-    ).to_spec()
+    )
     sweep = Sweep(
         base,
         axes={

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.experiments.allocation import FIGURE3_CAPACITIES, PAPER_CLIENT_COUNT
-from repro.experiments.base import ExperimentScale, LanScenario
+from repro.experiments.base import ExperimentScale
 from repro.metrics.tables import format_table
+from repro.scenarios.registry import build_scenario
 from repro.scenarios.runner import Sweep, SweepRunner
 
 
@@ -49,14 +50,15 @@ def figure4_5_costs(
         scale.capacity(paper_capacity, PAPER_CLIENT_COUNT, total_clients): paper_capacity
         for paper_capacity in paper_capacities
     }
-    base = LanScenario(
+    base = build_scenario(
+        "lan-baseline",
         good_clients=good,
         bad_clients=bad,
         capacity_rps=next(iter(capacities)),
         defense="speakup",
         duration=scale.duration,
         seed=scale.seed,
-    ).to_spec()
+    )
     records = runner.run(Sweep(base, axes={"capacity_rps": tuple(capacities)}))
     rows: List[CostRow] = []
     for record in records:

@@ -77,7 +77,7 @@ def fabric_strategy_comparison(
     All cells share one population, capacity, and seed (from ``scale``), so
     differences are attributable to the fabric shape and the dispatch
     strategy alone.  Within a fabric the strategies run as one sweep over
-    ``router_spec.name``.  Passing ``kill_shard`` composes a
+    ``shard_policy.name``.  Passing ``kill_shard`` composes a
     :func:`~repro.faults.spec.kill_heal_pulse` onto every cell (defaults:
     kill at 25% of the run, heal at 60%).
     """
@@ -111,13 +111,13 @@ def fabric_strategy_comparison(
         )
         if fault_plan is not None:
             base = replace(base, fault_plan=fault_plan)
-        sweep = Sweep(base, axes={"router_spec.name": tuple(strategies)})
+        sweep = Sweep(base, axes={"shard_policy.name": tuple(strategies)})
         for record in runner.run(sweep):
             result = record.result
             rows.append(
                 FabricComparisonRow(
                     fabric=fabric,
-                    strategy=record.overrides["router_spec.name"],
+                    strategy=record.overrides["shard_policy.name"],
                     good_allocation=result.good_allocation,
                     good_fraction_served=result.good_fraction_served,
                     total_served=result.total_served,

@@ -36,7 +36,7 @@ from repro.constants import (
     MBIT,
     milliseconds,
 )
-from repro.core.routing import RouterSpec
+from repro.core.routing import RouterSpec, as_router_spec
 from repro.defenses.spec import DefenseSpec, normalise_defense
 from repro.errors import ExperimentError
 from repro.simnet.topology import DEFAULT_THINNER_BANDWIDTH
@@ -165,20 +165,18 @@ def scenario_markdown() -> str:
         if topology.cross_traffic_pairs:
             topo_bits.append(f"{topology.cross_traffic_pairs} cross-traffic pair(s)")
         if spec.thinner_shards > 1:
-            dispatch = (
-                spec.router_spec.name if spec.router_spec is not None else spec.shard_policy
-            )
             topo_bits.append(
                 f"thinner fleet of {spec.thinner_shards} shards "
-                f"(`{dispatch}` dispatch, `{spec.admission_mode}` admission)"
+                f"(`{as_router_spec(spec.shard_policy).name}` dispatch, "
+                f"`{spec.admission_mode}` admission)"
             )
         lines.append(f"**Topology:** {', '.join(topo_bits)}.")
         lines.append("")
 
-        if spec.defense_spec is not None:
-            lines.append(f"**Defense:** `{spec.defense_spec.label()}` (a composed")
+        if isinstance(spec.defense, DefenseSpec):
+            lines.append(f"**Defense:** `{spec.defense.label()}` (a composed")
             lines.append("`DefenseSpec`; its kwargs are sweepable via")
-            lines.append("`--grid defense_spec.KWARG=...`).")
+            lines.append("`--grid defense.KWARG=...`).")
             lines.append("")
 
         lines.append("**Client mix (at defaults):**")
@@ -654,7 +652,7 @@ def adaptive_pulse(
         topology=TopologySpec(kind="lan"),
         groups=groups,
         capacity_rps=capacity_rps,
-        defense_spec=DefenseSpec.make(
+        defense=DefenseSpec.make(
             "adaptive",
             inner=normalise_defense(inner_defense),
             engage_threshold=engage_threshold,
@@ -695,7 +693,7 @@ def layered_lan(
         topology=TopologySpec(kind="lan"),
         groups=groups,
         capacity_rps=capacity_rps,
-        defense_spec=DefenseSpec.make(
+        defense=DefenseSpec.make(
             "pipeline",
             stages=(
                 DefenseSpec.make("ratelimit", allowed_rps=allowed_rps),
@@ -1130,7 +1128,7 @@ def fabric_mega(
         duration=duration,
         seed=seed,
         thinner_shards=thinner_shards,
-        router_spec=RouterSpec(
+        shard_policy=RouterSpec(
             name=router,
             probe=probe,
             probe_window_s=probe_window_s,

@@ -17,8 +17,8 @@ from __future__ import annotations
 import gc
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.constants import DEFAULT_CLIENT_BANDWIDTH
 from repro.errors import ClientError, ExperimentError
@@ -341,14 +341,13 @@ class ScenarioSpec:
     topology: TopologySpec = field(default_factory=TopologySpec)
     groups: Tuple[GroupSpec, ...] = ()
     capacity_rps: float = 100.0
-    #: Admission policy as a string (legacy names, any registered defense,
-    #: or the ``"filter>admission"`` pipeline shorthand).  Ignored when
-    #: :attr:`defense_spec` is set.
-    defense: str = "speakup"
-    #: Parameterised admission policy; overrides :attr:`defense` when set.
-    #: Sweepable down to individual factory kwargs — a grid path like
-    #: ``"defense_spec.check_interval"`` replaces one kwarg of the spec.
-    defense_spec: Optional[DefenseSpec] = None
+    #: Admission policy: a :class:`~repro.defenses.spec.DefenseSpec`, or a
+    #: string (``"speakup"``, ``"retry"``, ``"quantum"``, ``"none"``, any
+    #: registered defense, or the ``"filter>admission"`` pipeline
+    #: shorthand).  A spec is sweepable down to individual factory kwargs —
+    #: ``"defense.check_interval"`` replaces one kwarg, ``"defense.name"``
+    #: swaps the defense.
+    defense: Union[str, DefenseSpec] = "speakup"
     duration: float = 60.0
     seed: int = 0
     encouragement_delay: float = 0.0
@@ -356,15 +355,11 @@ class ScenarioSpec:
     #: becomes a :func:`~repro.simnet.topology.build_fleet` star-of-stars
     #: with ``topology.thinner_bandwidth_bps`` split evenly across shards.
     thinner_shards: int = 1
-    #: Client→shard dispatch: "hash", "least-loaded", or "random".
-    shard_policy: str = "hash"
-    #: Full dispatch-strategy configuration (see
-    #: :class:`~repro.core.routing.RouterSpec`): any registered strategy —
-    #: the legacy three plus ``power-of-two``, ``weighted-sink``, and
-    #: ``sticky-spill`` — with its probe signal.  Overrides
-    #: :attr:`shard_policy` when set; ``None`` keeps the legacy string path
-    #: byte-identical.  Sweepable (``"router_spec.probe_window_s"``).
-    router_spec: Optional[RouterSpec] = None
+    #: Client→shard dispatch: a :class:`~repro.core.routing.RouterSpec`
+    #: (any registered strategy with its probe signal), or a strategy name
+    #: standing for that strategy's default spec.  A spec is sweepable
+    #: (``"shard_policy.name"``, ``"shard_policy.probe_window_s"``).
+    shard_policy: Union[str, RouterSpec] = "hash"
     #: Server-slot sharing across shards: "partitioned" or "pooled".
     admission_mode: str = "partitioned"
     #: Scheduled shard kill/heal events (§4.3 failover); ``None`` — or an
@@ -483,12 +478,11 @@ class ScenarioSpec:
         """The :class:`DeploymentConfig` fields the scenario sets itself."""
         return dict(
             server_capacity_rps=self.capacity_rps,
-            defense=self.defense_spec if self.defense_spec is not None else self.defense,
+            defense=self.defense,
             seed=self.seed,
             encouragement_delay=self.encouragement_delay,
             thinner_shards=self.thinner_shards,
             shard_policy=self.shard_policy,
-            router_spec=self.router_spec,
             admission_mode=self.admission_mode,
             fault_plan=self.fault_plan,
             health_probe=self.health_probe,
@@ -617,34 +611,29 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready dictionary that :meth:`from_dict` rebuilds exactly.
 
-        The ``defense_spec`` key is emitted only when set, which keeps the
-        serialised schema (and every stored sweep JSON) byte-identical to
-        earlier releases for string-defense scenarios.
+        A string ``defense`` or ``shard_policy`` is written as the string; a
+        spec is written under the same key as its dictionary.
         """
         payload = {
             "name": self.name,
             "topology": _topology_dict(self.topology),
             "groups": [_group_dict(group) for group in self.groups],
             "capacity_rps": self.capacity_rps,
-            "defense": self.defense,
+            "defense": _value_dict(self.defense),
             "duration": self.duration,
             "seed": self.seed,
             "encouragement_delay": self.encouragement_delay,
             "thinner_shards": self.thinner_shards,
-            "shard_policy": self.shard_policy,
+            "shard_policy": _value_dict(self.shard_policy),
             "admission_mode": self.admission_mode,
             "config_overrides": {key: value for key, value in self.config_overrides},
         }
-        if self.defense_spec is not None:
-            payload["defense_spec"] = self.defense_spec.to_dict()
         if self.fault_plan is not None:
             payload["fault_plan"] = self.fault_plan.to_dict()
         if self.retry_policy is not None:
             payload["retry_policy"] = self.retry_policy.to_dict()
         if self.health_probe is not None:
             payload["health_probe"] = self.health_probe.to_dict()
-        if self.router_spec is not None:
-            payload["router_spec"] = self.router_spec.to_dict()
         if self.telemetry is not None:
             payload["telemetry"] = self.telemetry.to_dict()
         return payload
@@ -654,6 +643,14 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
+        if not isinstance(data, dict):
+            raise ExperimentError(f"scenario spec must be an object, got {type(data).__name__}")
+        known = [item.name for item in fields(cls)]
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ExperimentError(
+                f"unknown scenario spec keys: {unknown} (known fields: {', '.join(known)})"
+            )
         payload = dict(data)
         topology = payload.pop("topology", None)
         if isinstance(topology, dict):
@@ -665,9 +662,12 @@ class ScenarioSpec:
             group if isinstance(group, GroupSpec) else GroupSpec.from_dict(group)
             for group in groups
         )
-        defense_spec = payload.get("defense_spec")
-        if isinstance(defense_spec, dict):
-            payload["defense_spec"] = DefenseSpec.from_dict(defense_spec)
+        defense = payload.get("defense")
+        if isinstance(defense, dict):
+            payload["defense"] = DefenseSpec.from_dict(defense)
+        shard_policy = payload.get("shard_policy")
+        if isinstance(shard_policy, dict):
+            payload["shard_policy"] = RouterSpec.from_dict(shard_policy)
         fault_plan = payload.get("fault_plan")
         if isinstance(fault_plan, dict):
             payload["fault_plan"] = FaultPlan.from_dict(fault_plan)
@@ -677,9 +677,6 @@ class ScenarioSpec:
         health_probe = payload.get("health_probe")
         if isinstance(health_probe, dict):
             payload["health_probe"] = HealthProbeSpec.from_dict(health_probe)
-        router_spec = payload.get("router_spec")
-        if isinstance(router_spec, dict):
-            payload["router_spec"] = RouterSpec.from_dict(router_spec)
         telemetry = payload.get("telemetry")
         if isinstance(telemetry, dict):
             payload["telemetry"] = TelemetrySpec.from_dict(telemetry)
@@ -691,6 +688,11 @@ class ScenarioSpec:
     @classmethod
     def from_json(cls, document: str) -> "ScenarioSpec":
         return cls.from_dict(json.loads(document))
+
+
+def _value_dict(value: Union[str, DefenseSpec, RouterSpec]) -> Any:
+    """A name-or-spec field as JSON: a name as is, a spec as its dictionary."""
+    return value if isinstance(value, str) else value.to_dict()
 
 
 def _group_dict(group: GroupSpec) -> Dict[str, Any]:
@@ -742,10 +744,10 @@ def freeze_overrides(overrides: Any) -> Tuple[Tuple[str, Any], ...]:
 def _replace_path(obj: Any, parts: Sequence[str], value: Any, full_path: str) -> Any:
     head, rest = parts[0], parts[1:]
     if isinstance(obj, DefenseSpec):
-        # Path components below ``defense_spec`` address the defense's
-        # factory kwargs (``defense_spec.check_interval``), so sweeps can
-        # grid over defense parameters; ``defense_spec.name`` swaps the
-        # defense itself (clearing the kwargs, which belong to the old one).
+        # Path components below a spec-valued ``defense`` address the
+        # defense's factory kwargs (``defense.check_interval``), so sweeps can
+        # grid over defense parameters; ``defense.name`` swaps the defense
+        # itself (clearing the kwargs, which belong to the old one).
         if rest:
             raise ExperimentError(
                 f"defense spec paths go at most one level deep in {full_path!r}"
@@ -773,7 +775,12 @@ def _replace_path(obj: Any, parts: Sequence[str], value: Any, full_path: str) ->
     if obj is None:
         raise ExperimentError(
             f"cannot descend into unset field at {head!r} in path {full_path!r} "
-            f"(set the parent field first, e.g. a defense_spec)"
+            f"(set the parent field first, e.g. a fault_plan)"
+        )
+    if not is_dataclass(obj):
+        raise ExperimentError(
+            f"cannot descend into the plain value {obj!r} at {head!r} in path "
+            f"{full_path!r} (only a spec has fields; set the parent field to one first)"
         )
     known = {f.name for f in fields(obj)}
     if head not in known:

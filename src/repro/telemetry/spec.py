@@ -2,7 +2,7 @@
 
 :class:`TelemetrySpec` rides on :class:`~repro.scenarios.spec.ScenarioSpec`
 exactly like the other optional sub-specs (``fault_plan``, ``retry_policy``,
-``router_spec``): frozen, JSON round-trippable, sweepable through
+``health_probe``): frozen, JSON round-trippable, sweepable through
 ``with_value`` paths such as ``telemetry.reservoir``, and omitted from
 serialised specs when unset so every stored results file from earlier PRs
 stays byte-compatible.

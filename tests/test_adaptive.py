@@ -69,8 +69,8 @@ def test_adaptive_never_engages_without_an_attack():
 
 def test_adaptive_tracks_always_on_service_and_beats_undefended():
     adaptive = pulse_spec().run()
-    always_on = pulse_spec().with_value("defense_spec.name", "speakup").run()
-    off = pulse_spec().with_value("defense_spec.name", "none").run()
+    always_on = pulse_spec().with_value("defense.name", "speakup").run()
+    off = pulse_spec().with_value("defense.name", "none").run()
     # Engagement restores (most of) the good clients' allocation during the
     # pulse; the undefended baseline gives the pulse to the attackers.
     assert adaptive.good_allocation >= off.good_allocation

@@ -228,18 +228,18 @@ def test_pooled_quantum_conflicts_name_the_offending_spec(defense):
 
 
 # ---------------------------------------------------------------------------
-# ScenarioSpec integration: defense_spec field and sweepable kwargs
+# ScenarioSpec integration: a spec-valued defense and sweepable kwargs
 # ---------------------------------------------------------------------------
 
 
-def _spec_with_defense(defense_spec=None, **overrides):
+def _spec_with_defense(defense="speakup", **overrides):
     defaults = dict(
         name="defense-spec-test",
         topology=TopologySpec(kind="lan"),
         groups=(GroupSpec(count=2), GroupSpec(count=2, client_class="bad")),
         capacity_rps=10.0,
         duration=4.0,
-        defense_spec=defense_spec,
+        defense=defense,
     )
     defaults.update(overrides)
     return ScenarioSpec(**defaults)
@@ -250,8 +250,8 @@ def test_scenario_defense_spec_round_trips_through_json():
         DefenseSpec.make("adaptive", inner=DefenseSpec("speakup"), check_interval=0.5)
     )
     assert ScenarioSpec.from_json(spec.to_json()) == spec
-    # String-defense scenarios keep the historical schema (no defense_spec key).
-    assert "defense_spec" not in _spec_with_defense(None).to_dict()
+    # String-defense scenarios keep the historical schema (the plain string).
+    assert _spec_with_defense("speakup").to_dict()["defense"] == "speakup"
 
 
 def test_scenario_defense_spec_validation():
@@ -264,20 +264,11 @@ def test_scenario_defense_spec_validation():
 
 def test_scenario_sweeps_defense_spec_kwargs():
     base = _spec_with_defense(DefenseSpec.make("adaptive", check_interval=1.0))
-    updated = base.with_value("defense_spec.check_interval", 0.25)
-    assert updated.defense_spec.kwargs_dict()["check_interval"] == 0.25
-    swapped = base.with_value("defense_spec.name", "speakup")
-    assert swapped.defense_spec == DefenseSpec("speakup")
+    updated = base.with_value("defense.check_interval", 0.25)
+    assert updated.defense.kwargs_dict()["check_interval"] == 0.25
+    swapped = base.with_value("defense.name", "speakup")
+    assert swapped.defense == DefenseSpec("speakup")
     with pytest.raises(ExperimentError, match="one level"):
-        base.with_value("defense_spec.inner.variant", "retry")
-    with pytest.raises(ExperimentError, match="unset field"):
-        _spec_with_defense(None).with_value("defense_spec.check_interval", 1.0)
-
-
-def test_scenario_defense_spec_wins_over_string():
-    spec = _spec_with_defense(DefenseSpec("none"), defense="speakup")
-    config = spec.deployment_config()
-    assert config.defense == DefenseSpec("none")
-    result = spec.run()
-    assert result.defense == "none"
-    assert result.payment_bytes_sunk == 0.0
+        base.with_value("defense.inner.variant", "retry")
+    with pytest.raises(ExperimentError, match="cannot descend into the plain value"):
+        _spec_with_defense("speakup").with_value("defense.check_interval", 1.0)

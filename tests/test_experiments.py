@@ -10,7 +10,7 @@ from repro.experiments.allocation import (
     format_figure2,
     format_figure3,
 )
-from repro.experiments.base import ExperimentScale, LanScenario, run_lan_scenario
+from repro.experiments.base import ExperimentScale
 from repro.experiments.bottleneck import figure8_shared_bottleneck, format_bottleneck
 from repro.experiments.capacity import measure_sink_rate, thinner_sink_capacity
 from repro.experiments.cost import figure4_5_costs, format_costs
@@ -21,6 +21,7 @@ from repro.experiments.heterogeneous import (
     format_categories,
 )
 from repro.errors import ExperimentError
+from repro.scenarios.registry import build_scenario
 
 SCALE = ExperimentScale.test()
 
@@ -36,10 +37,10 @@ def test_scale_helpers():
 
 def test_lan_scenario_validation():
     with pytest.raises(ExperimentError):
-        run_lan_scenario(LanScenario(good_clients=0, bad_clients=0, capacity_rps=10.0))
+        build_scenario("lan-baseline", good_clients=0, bad_clients=0, capacity_rps=10.0).run()
     with pytest.raises(ExperimentError):
-        run_lan_scenario(LanScenario(good_clients=1, bad_clients=1, capacity_rps=10.0,
-                                     duration=0.0))
+        build_scenario("lan-baseline", good_clients=1, bad_clients=1, capacity_rps=10.0,
+                       duration=0.0).run()
 
 
 def test_figure2_speakup_beats_no_defense_and_tracks_ideal():

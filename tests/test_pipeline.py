@@ -12,6 +12,7 @@ from repro.defenses.pipeline import PipelineThinner as _PipelineThinner
 from repro.errors import DefenseError
 from repro.metrics.collector import RunResult
 from repro.scenarios.registry import build_scenario
+from repro.scenarios.runner import Sweep, SweepRunner
 from repro.simnet.topology import build_lan, uniform_bandwidths
 
 
@@ -103,10 +104,21 @@ def test_layered_lan_scenario_beats_undefended_baseline():
         allowed_rps=4.0, duration=10.0,
     )
     layered = layered_spec.run()
-    undefended = layered_spec.with_value("defense_spec", DefenseSpec("none")).run()
+    undefended = layered_spec.with_value("defense", DefenseSpec("none")).run()
     assert layered.stages[0].rejected > 0
     assert layered.good_allocation >= undefended.good_allocation
     assert undefended.stages == []
+
+
+def test_sweeping_defense_on_layered_lan_runs_each_swept_defense():
+    """A grid over ``defense`` replaces the scenario's composed defense: each
+    point runs the defense it names, not the factory's pipeline."""
+    base = build_scenario(
+        "layered-lan", good_clients=3, bad_clients=3, capacity_rps=12.0, duration=3.0,
+    )
+    records = SweepRunner().run(Sweep(base, axes={"defense": ("speakup", "none")}))
+    assert [record.result.defense for record in records] == ["speakup", "none"]
+    assert records[1].result.payment_bytes_sunk == 0.0
 
 
 def test_pipeline_payment_flows_through_register_payment():

@@ -32,6 +32,7 @@ from repro.core.routing import (
     Probe,
     RouterSpec,
     ShardRouter,
+    as_router_spec,
     strategy_needs_rng,
 )
 from repro.errors import ExperimentError, ThinnerError
@@ -108,11 +109,11 @@ def test_scenario_spec_threads_router_spec_through_json():
         spill_factor=1.5,
         duration=1.0,
     )
-    assert spec.router_spec == RouterSpec(
+    assert spec.shard_policy == RouterSpec(
         name="sticky-spill", probe="contenders", spill_factor=1.5
     )
     rebuilt = ScenarioSpec.from_dict(json.loads(spec.to_json()))
-    assert rebuilt.router_spec == spec.router_spec
+    assert rebuilt.shard_policy == spec.shard_policy
     assert rebuilt.to_dict() == spec.to_dict()
 
 
@@ -121,6 +122,7 @@ def test_legacy_scenario_json_has_no_router_spec_key():
     spec = build_scenario("fleet-lan", good_clients=4, bad_clients=4, duration=1.0)
     payload = spec.to_dict()
     assert "router_spec" not in payload
+    assert payload["shard_policy"] == "hash"
     assert "fabric_k" not in payload["topology"]
 
 
@@ -150,12 +152,15 @@ def test_spec_router_matches_legacy_string_router(policy):
     assert legacy.counts == speced.counts
 
 
-def test_string_policies_stay_restricted_to_legacy_set():
-    """New strategies are opt-in via RouterSpec; strings keep the old gate."""
-    with pytest.raises(ThinnerError, match="unknown shard policy"):
-        ShardRouter(2, "power-of-two")
-    router = ShardRouter(2, RouterSpec(name="power-of-two"), rng=_dispatch_stream())
+def test_a_strategy_name_is_its_default_spec():
+    """Any registered strategy's name stands for its default RouterSpec."""
+    for name in ROUTER_STRATEGY_NAMES:
+        assert as_router_spec(name) == RouterSpec(name=name)
+    with pytest.raises(ThinnerError, match="unknown router strategy"):
+        ShardRouter(2, "round-robin")
+    router = ShardRouter(2, "power-of-two", rng=_dispatch_stream())
     assert router.policy == "power-of-two"
+    assert router.spec == RouterSpec(name="power-of-two")
     with pytest.raises(ThinnerError, match="needs a seeded stream"):
         ShardRouter(2, RouterSpec(name="weighted-sink"))
     # Probe-free strategies never need a stream.
@@ -256,8 +261,8 @@ def test_router_spec_runs_are_byte_identical_to_legacy_pins(scenario, policy, mo
 
     The pins in ``failover_pins.json`` were captured on main before this
     module existed; a star-of-stars fleet run dispatched through the
-    registry (``router_spec`` set, ``shard_policy`` ignored) must
-    reproduce them byte for byte.
+    registry (``shard_policy`` set to a ``RouterSpec``) must reproduce them
+    byte for byte.
     """
     config = FAILOVER_PINS["configs"][scenario]
     spec = build_scenario(
@@ -269,7 +274,7 @@ def test_router_spec_runs_are_byte_identical_to_legacy_pins(scenario, policy, mo
         duration=config["duration"],
         admission_mode=mode,
     )
-    spec = dataclasses.replace(spec, router_spec=RouterSpec(name=policy))
+    spec = dataclasses.replace(spec, shard_policy=RouterSpec(name=policy))
     digest, events = _digest(spec)
     pin = FAILOVER_PINS["pins"][f"{scenario}/{policy}/{mode}"]
     assert digest == pin["sha256"], "registry dispatch diverged from legacy main"
@@ -368,16 +373,16 @@ def test_router_spec_fields_are_sweepable():
     sweep = Sweep(
         base,
         axes={
-            "router_spec.name": ("random", "power-of-two"),
-            "router_spec.probe_window_s": (0.25, 1.0),
+            "shard_policy.name": ("random", "power-of-two"),
+            "shard_policy.probe_window_s": (0.25, 1.0),
         },
     )
     records = list(SweepRunner().run(sweep))
     assert len(records) == 4
     seen = {
         (
-            record.overrides["router_spec.name"],
-            record.overrides["router_spec.probe_window_s"],
+            record.overrides["shard_policy.name"],
+            record.overrides["shard_policy.probe_window_s"],
         )
         for record in records
     }
@@ -393,6 +398,17 @@ def test_router_spec_fields_are_sweepable():
 
 def test_sweeping_router_spec_on_a_legacy_spec_is_a_clear_error():
     spec = build_scenario("fleet-lan", good_clients=4, bad_clients=4, duration=1.0)
-    sweep = Sweep(spec, axes={"router_spec.name": ("hash", "random")})
-    with pytest.raises(ExperimentError, match="cannot descend into unset field"):
+    sweep = Sweep(spec, axes={"shard_policy.name": ("hash", "random")})
+    with pytest.raises(ExperimentError, match="cannot descend into the plain value"):
         list(SweepRunner().run(sweep))
+
+
+def test_sweeping_shard_policy_on_fabric_mega_dispatches_with_each_point():
+    """A grid over ``shard_policy`` replaces the factory's RouterSpec: each
+    point builds a router running the strategy it names."""
+    base = build_scenario(
+        "fabric-mega", good_clients=8, bad_clients=4, thinner_shards=4, duration=1.0
+    )
+    sweep = Sweep(base, axes={"shard_policy": ("hash", "least-loaded")})
+    policies = [point.spec.build()._router.policy for point in sweep.points()]
+    assert policies == ["hash", "least-loaded"]

@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.base import LanScenario, run_lan_scenario
 from repro.faults.spec import kill_heal_pulse
 from repro.scenarios import (
     ArrivalSpec,
@@ -168,6 +167,22 @@ def test_spec_from_dict_accepts_mapping_overrides():
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [("bogus", 1), ("defense_spec", {"name": "none", "kwargs": {}})],
+    ids=["bogus", "defense_spec"],
+)
+def test_spec_from_dict_rejects_unknown_keys_with_one_line(key, value):
+    """An unknown key is a config error naming it and the known fields, not a
+    TypeError; the retired ``defense_spec`` key is not read as a second way
+    to set the defense."""
+    with pytest.raises(ExperimentError, match=f"'{key}'") as excinfo:
+        ScenarioSpec.from_dict({"groups": [{"count": 1}], key: value})
+    message = str(excinfo.value)
+    assert "\n" not in message
+    assert "known fields" in message and "shard_policy" in message
+
+
+@pytest.mark.parametrize(
     "overrides, message",
     [
         ({"vectorized": False}, "unknown config_overrides key 'vectorized'"),
@@ -252,14 +267,6 @@ def test_with_value_replaces_nested_fields():
         spec.with_value("groups.x.window", 1)
     with pytest.raises(ExperimentError):
         spec.with_value("no_such_field", 1)
-
-
-def test_spec_run_matches_lan_scenario_facade():
-    lan = LanScenario(good_clients=2, bad_clients=2, capacity_rps=10.0,
-                      duration=6.0, seed=5)
-    via_facade = run_lan_scenario(lan)
-    via_spec = lan.to_spec().run()
-    assert via_facade.to_dict() == via_spec.to_dict()
 
 
 def test_build_produces_expected_population():

@@ -1,5 +1,6 @@
 """The sweep runner: grid expansion, determinism, and the results store."""
 
+import json
 import weakref
 
 import pytest
@@ -172,6 +173,20 @@ def test_failed_save_leaves_the_previous_results_file_intact(tmp_path):
         save_results([records[0], Unserialisable()], str(path))
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_results_file_with_a_retired_spec_key_fails_with_one_line(tmp_path):
+    """A stored spec carrying ``router_spec`` (the retired second dispatch
+    field) is rejected with one line naming the key, not silently re-read."""
+    records = SweepRunner().run(Sweep(_base_spec()))
+    path = tmp_path / "results.json"
+    save_results(records, str(path))
+    document = json.loads(path.read_text())
+    document["records"][0]["spec"]["router_spec"] = {"name": "random", "probe": "pins"}
+    path.write_text(json.dumps(document))
+    with pytest.raises(ExperimentError, match="router_spec") as excinfo:
+        load_results(str(path))
+    assert "\n" not in str(excinfo.value)
 
 
 def test_results_store_rejects_unknown_versions(tmp_path):

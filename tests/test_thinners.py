@@ -9,6 +9,7 @@ favours the aggressive clients, and the price tracking works.
 import pytest
 
 from repro.constants import MBIT
+from repro.defenses.spec import DefenseSpec
 from tests.conftest import make_deployment
 
 
@@ -53,9 +54,9 @@ def test_retry_variant_also_restores_good_share():
 
 def test_no_defense_random_vs_fifo_policies_both_run():
     _d1, random_policy = make_deployment(good=2, bad=2, capacity=8.0, duration=10.0,
-                                         defense="none", admission_policy="random")
+                                         defense=DefenseSpec.make("none", policy="random"))
     _d2, fifo_policy = make_deployment(good=2, bad=2, capacity=8.0, duration=10.0,
-                                       defense="none", admission_policy="fifo")
+                                       defense=DefenseSpec.make("none", policy="fifo"))
     for result in (random_policy, fifo_policy):
         assert result.bad_allocation > result.good_allocation
 
