@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import ExperimentError
-from repro.scenarios.runner import AxisKey, Sweep, validate_record
+from repro.scenarios.runner import AxisKey, Sweep, SweepRecord, validate_record
 from repro.scenarios.spec import ScenarioSpec
 
 #: Campaign plan schema version.
@@ -280,15 +280,7 @@ def _worker_main(
         for index in todo:
             point = points[index]
             result = point.spec.run()
-            record = {
-                "index": point.index,
-                "scenario": point.spec.name,
-                "replicate": point.replicate,
-                "seed": point.spec.seed,
-                "overrides": {path_: value for path_, value in point.overrides},
-                "spec": point.spec.to_dict(),
-                "result": result.to_dict(),
-            }
+            record = SweepRecord.for_point(point, result).to_dict()
             if fail_after is not None and written == fail_after:
                 # Simulate a crash mid-write: half a line, no newline, die.
                 handle.write(_dump_line(record)[: 20])

@@ -36,7 +36,7 @@ from typing import Any, Optional, Sequence
 
 from repro import quick_demo
 from repro.core.routing import ROUTER_STRATEGY_NAMES
-from repro.errors import ReproError
+from repro.errors import ExperimentError, ReproError
 from repro.scenarios.registry import build_scenario, scenario_description, scenario_names
 from repro.scenarios.runner import Sweep, SweepRunner, save_results
 from repro.experiments.adversary import empirical_adversarial_advantage, format_window_sweep, window_sweep
@@ -406,7 +406,7 @@ def _load_fault_plan(path: str):
         raise ReproError(f"--fault-plan: {path!r} is not valid JSON: {error}")
     try:
         return FaultPlan.from_dict(data)
-    except (AttributeError, KeyError, TypeError, ValueError) as error:
+    except ExperimentError as error:
         raise ReproError(f"--fault-plan: malformed plan in {path!r}: {error}")
 
 

@@ -33,11 +33,11 @@ Mersenne Twister (about 3 KB), which every pinned output depends on.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Union
+from typing import Callable, Deque, Dict, List, Optional, Union
 
+from repro import codec
 from repro.constants import REQUEST_TIMEOUT
 from repro.errors import ClientError
 from repro.core.frontend import Deployment
@@ -151,34 +151,10 @@ class RetryPolicy:
             refill_per_s=refill_per_s,
         )
 
-    # -- serialisation ---------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "base_backoff_s": self.base_backoff_s,
-            "max_backoff_s": self.max_backoff_s,
-            "max_attempts": self.max_attempts,
-            "budget": self.budget,
-            "refill_per_s": self.refill_per_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RetryPolicy":
-        budget = data.get("budget")
-        return cls(
-            base_backoff_s=float(data.get("base_backoff_s", 0.05)),
-            max_backoff_s=float(data.get("max_backoff_s", 2.0)),
-            max_attempts=int(data.get("max_attempts", 4)),
-            budget=None if budget is None else float(budget),
-            refill_per_s=float(data.get("refill_per_s", 0.0)),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "RetryPolicy":
-        return cls.from_dict(json.loads(payload))
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
+    to_json = codec.to_json
+    from_json = classmethod(codec.from_json)
 
 
 @dataclass(slots=True)

@@ -40,10 +40,11 @@ The two admission modes bracket how a real fleet shares the back-end:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from statistics import median
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import codec
 from repro.core.routing import ShardRouter
 from repro.errors import ThinnerError
 from repro.httpd.messages import Request
@@ -245,18 +246,8 @@ class HealthProbeSpec:
         if self.min_samples < 1:
             raise ThinnerError(f"probe min_samples must be at least 1, got {self.min_samples}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "HealthProbeSpec":
-        return cls(
-            interval_s=float(data.get("interval_s", 0.5)),
-            alpha=float(data.get("alpha", 0.3)),
-            eject_fraction=float(data.get("eject_fraction", 0.3)),
-            holddown_s=float(data.get("holddown_s", 3.0)),
-            min_samples=int(data.get("min_samples", 3)),
-        )
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
 
 
 class HealthProber:

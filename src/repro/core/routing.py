@@ -44,9 +44,10 @@ run's event sequence.
 from __future__ import annotations
 
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro import codec
 from repro.errors import ThinnerError
 from repro.rng import RandomStream
 
@@ -89,17 +90,8 @@ class RouterSpec:
                 f"router spill_factor must be at least 1.0, got {self.spill_factor}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RouterSpec":
-        return cls(
-            name=str(data.get("name", "hash")),
-            probe=str(data.get("probe", "pins")),
-            probe_window_s=float(data.get("probe_window_s", 0.5)),
-            spill_factor=float(data.get("spill_factor", 1.25)),
-        )
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
 
 
 class Probe:

@@ -65,13 +65,6 @@ class AdaptiveThinner:
         check_interval: float = DEFAULT_CHECK_INTERVAL,
         server=None,
     ) -> None:
-        if not 0.0 < disengage_threshold < engage_threshold <= 1.0:
-            raise DefenseError(
-                "adaptive engagement needs 0 < disengage_threshold < "
-                f"engage_threshold <= 1, got ({disengage_threshold}, {engage_threshold})"
-            )
-        if check_interval <= 0:
-            raise DefenseError("check_interval must be positive")
         self.engine = deployment.engine
         self.engage_threshold = engage_threshold
         self.disengage_threshold = disengage_threshold
@@ -105,10 +98,6 @@ class AdaptiveThinner:
     @property
     def active(self) -> ThinnerBase:
         return self._engaged if self.engaged else self._passthrough
-
-    @property
-    def idle_side(self) -> ThinnerBase:
-        return self._passthrough if self.engaged else self._engaged
 
     # -- client-facing surface (what BaseClient and the collector touch) -------------
 

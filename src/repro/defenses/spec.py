@@ -29,10 +29,10 @@ plain JSON objects.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple, Union
 
+from repro import codec
 from repro.defenses.base import Defense, _close_matches_note, registry
 from repro.errors import DefenseError
 
@@ -230,9 +230,6 @@ class DefenseSpec:
             },
         }
 
-    def to_json(self, **dumps_kwargs) -> str:
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "DefenseSpec":
         """Rebuild a spec serialised by :meth:`to_dict` (nested specs too)."""
@@ -257,9 +254,8 @@ class DefenseSpec:
         parsed = {key: _parse_value(value) for key, value in kwargs.items()}
         return cls(name=name, kwargs=freeze_kwargs(parsed))
 
-    @classmethod
-    def from_json(cls, document: str) -> "DefenseSpec":
-        return cls.from_dict(json.loads(document))
+    to_json = codec.to_json
+    from_json = classmethod(codec.from_json)
 
 
 def normalise_defense(defense: Union[str, DefenseSpec, Dict[str, Any]]) -> DefenseSpec:

@@ -31,10 +31,6 @@ class PaymentError(ThinnerError):
     """A payment channel was opened, credited, or closed in an invalid state."""
 
 
-class AuctionError(ThinnerError):
-    """The virtual auction was asked to run with inconsistent state."""
-
-
 class ServerError(ReproError):
     """The emulated server was driven through an invalid state transition."""
 

@@ -297,13 +297,6 @@ class FaultInjector:
 
     # -- service sampling ------------------------------------------------------
 
-    def _good_served(self) -> int:
-        return sum(
-            client.stats.served
-            for client in self.deployment.clients
-            if client.client_class == "good"
-        )
-
     def _sample(self) -> None:
         served = sent = retried = suppressed = 0
         for client in self.deployment.clients:

@@ -25,10 +25,10 @@ byte-identical to a deployment with no fault plan at all.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
+from repro import codec
 from repro.errors import FaultError
 
 #: Everything that can happen to a shard mid-run: the fail-stop pair plus
@@ -77,8 +77,8 @@ class FaultEvent:
     at_s: float
     action: str
     shard: int
-    factor: Optional[float] = None
-    loss_p: Optional[float] = None
+    factor: Optional[float] = field(default=None, metadata=codec.OMIT_DEFAULT)
+    loss_p: Optional[float] = field(default=None, metadata=codec.OMIT_DEFAULT)
 
     def validate(self, shards: Optional[int] = None) -> None:
         if self.at_s < 0:
@@ -109,29 +109,8 @@ class FaultEvent:
         elif self.loss_p is not None:
             raise FaultError(f"{self.action!r} events take no drop probability")
 
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "at_s": self.at_s,
-            "action": self.action,
-            "shard": self.shard,
-        }
-        if self.factor is not None:
-            payload["factor"] = self.factor
-        if self.loss_p is not None:
-            payload["loss_p"] = self.loss_p
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultEvent":
-        factor = data.get("factor")
-        loss_p = data.get("loss_p")
-        return cls(
-            at_s=float(data["at_s"]),
-            action=str(data["action"]),
-            shard=int(data["shard"]),
-            factor=None if factor is None else float(factor),
-            loss_p=None if loss_p is None else float(loss_p),
-        )
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
 
     def describe(self) -> str:
         """A compact one-line rendering for validation error messages."""
@@ -226,31 +205,10 @@ class FaultPlan:
         """Events in execution order: by time, declaration order on ties."""
         return tuple(sorted(self.events, key=lambda event: event.at_s))
 
-    # -- serialisation ---------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "events": [event.to_dict() for event in self.events],
-            "repin_ttl_s": self.repin_ttl_s,
-            "sample_interval_s": self.sample_interval_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
-        return cls(
-            events=tuple(FaultEvent.from_dict(entry) for entry in data.get("events", [])),
-            repin_ttl_s=float(data.get("repin_ttl_s", DEFAULT_REPIN_TTL)),
-            sample_interval_s=float(
-                data.get("sample_interval_s", DEFAULT_SAMPLE_INTERVAL)
-            ),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(payload))
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
+    to_json = codec.to_json
+    from_json = classmethod(codec.from_json)
 
 
 def kill_heal_pulse(

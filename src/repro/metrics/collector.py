@@ -13,10 +13,10 @@ The quantities mirror what the paper's figures report:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro import codec
 from repro.metrics.summary import Summary, mean, ratio, summarise
 from repro.telemetry.collector import TelemetryMetrics
 
@@ -38,16 +38,8 @@ class StageMetrics:
     def passed(self) -> int:
         return self.screened - self.rejected
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "screened": self.screened, "rejected": self.rejected}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StageMetrics":
-        return cls(
-            name=data["name"],
-            screened=int(data.get("screened", 0)),
-            rejected=int(data.get("rejected", 0)),
-        )
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
 
 
 @dataclass
@@ -118,21 +110,8 @@ class EngagementMetrics:
             engaged = switch_engaged
         return engaged
 
-    def to_dict(self) -> dict:
-        return {
-            "duration": self.duration,
-            "transitions": [list(entry) for entry in self.transitions],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EngagementMetrics":
-        return cls(
-            duration=float(data.get("duration", 0.0)),
-            transitions=[
-                [float(time), bool(engaged)]
-                for time, engaged in data.get("transitions", [])
-            ],
-        )
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
 
 
 @dataclass
@@ -155,8 +134,9 @@ class FailoverMetrics:
     series retry-amplification numbers are differenced from.
 
     Every post-fail-stop field (gray-failure transition counters, prober
-    counters, retry totals and samples) serialises only when non-zero, so a
-    kill/heal-only run's dictionary is byte-identical to earlier releases.
+    counters, retry totals and samples) is ``OMIT_DEFAULT``: it is written
+    only when non-zero or non-empty, so a kill/heal-only run's dictionary
+    is byte-identical to earlier releases.
     """
 
     kills: int = 0
@@ -165,21 +145,21 @@ class FailoverMetrics:
     orphaned_requests: int = 0
     #: Gray-failure transitions that took effect (degrade/stall starts) and
     #: uploads the lossy fault swallowed.
-    degrades: int = 0
-    stalls: int = 0
-    lossy_uploads: int = 0
+    degrades: int = field(default=0, metadata=codec.OMIT_DEFAULT)
+    stalls: int = field(default=0, metadata=codec.OMIT_DEFAULT)
+    lossy_uploads: int = field(default=0, metadata=codec.OMIT_DEFAULT)
     #: Health-prober outcome: ejections, probation readmits, clients moved
     #: off ejected shards, and individual per-shard probe observations.
-    ejections: int = 0
-    readmits: int = 0
-    ejected_repins: int = 0
-    probe_samples: int = 0
+    ejections: int = field(default=0, metadata=codec.OMIT_DEFAULT)
+    readmits: int = field(default=0, metadata=codec.OMIT_DEFAULT)
+    ejected_repins: int = field(default=0, metadata=codec.OMIT_DEFAULT)
+    probe_samples: int = field(default=0, metadata=codec.OMIT_DEFAULT)
     #: Client retry totals (attempted and budget-suppressed), fleet-wide.
-    retries_attempted: int = 0
-    retries_suppressed: int = 0
+    retries_attempted: int = field(default=0, metadata=codec.OMIT_DEFAULT)
+    retries_suppressed: int = field(default=0, metadata=codec.OMIT_DEFAULT)
     timeline: List[List] = field(default_factory=list)
     service_samples: List[List] = field(default_factory=list)
-    retry_samples: List[List] = field(default_factory=list)
+    retry_samples: List[List] = field(default_factory=list, metadata=codec.OMIT_DEFAULT)
 
     @classmethod
     def from_injector(cls, injector, prober=None) -> "FailoverMetrics":
@@ -221,64 +201,8 @@ class FailoverMetrics:
                 )
         return metrics
 
-    def to_dict(self) -> dict:
-        payload = {
-            "kills": self.kills,
-            "heals": self.heals,
-            "repinned_clients": self.repinned_clients,
-            "orphaned_requests": self.orphaned_requests,
-            "timeline": [list(entry) for entry in self.timeline],
-            "service_samples": [list(entry) for entry in self.service_samples],
-        }
-        # Only-when-nonzero: a kill/heal-only plan serialises exactly as it
-        # did before the gray-failure, retry and prober extensions existed.
-        for key in (
-            "degrades",
-            "stalls",
-            "lossy_uploads",
-            "ejections",
-            "readmits",
-            "ejected_repins",
-            "probe_samples",
-            "retries_attempted",
-            "retries_suppressed",
-        ):
-            value = getattr(self, key)
-            if value:
-                payload[key] = value
-        if self.retry_samples:
-            payload["retry_samples"] = [list(entry) for entry in self.retry_samples]
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FailoverMetrics":
-        return cls(
-            kills=int(data.get("kills", 0)),
-            heals=int(data.get("heals", 0)),
-            repinned_clients=int(data.get("repinned_clients", 0)),
-            orphaned_requests=int(data.get("orphaned_requests", 0)),
-            degrades=int(data.get("degrades", 0)),
-            stalls=int(data.get("stalls", 0)),
-            lossy_uploads=int(data.get("lossy_uploads", 0)),
-            ejections=int(data.get("ejections", 0)),
-            readmits=int(data.get("readmits", 0)),
-            ejected_repins=int(data.get("ejected_repins", 0)),
-            probe_samples=int(data.get("probe_samples", 0)),
-            retries_attempted=int(data.get("retries_attempted", 0)),
-            retries_suppressed=int(data.get("retries_suppressed", 0)),
-            timeline=[
-                [float(time), action, int(shard)]
-                for time, action, shard in data.get("timeline", [])
-            ],
-            service_samples=[
-                [float(time), int(served)]
-                for time, served in data.get("service_samples", [])
-            ],
-            retry_samples=[
-                [float(time), int(sent), int(retried), int(suppressed)]
-                for time, sent, retried, suppressed in data.get("retry_samples", [])
-            ],
-        )
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
 
 
 @dataclass
@@ -294,8 +218,8 @@ class ClassMetrics:
     dropped: int = 0
     #: Upload retries the class's clients fired and budget-suppressed
     #: (zero — and absent from the serialised form — without retry policies).
-    retries_attempted: int = 0
-    retries_suppressed: int = 0
+    retries_attempted: int = field(default=0, metadata=codec.OMIT_DEFAULT)
+    retries_suppressed: int = field(default=0, metadata=codec.OMIT_DEFAULT)
     bytes_paid: float = 0.0
     payment_time: Summary = field(default_factory=lambda: summarise([]))
     response_time: Summary = field(default_factory=lambda: summarise([]))
@@ -315,46 +239,8 @@ class ClassMetrics:
         """Fraction of *all issued* requests that were served (stricter)."""
         return ratio(self.served, self.issued)
 
-    def to_dict(self) -> dict:
-        """A JSON-ready dictionary that :meth:`from_dict` can rebuild."""
-        payload = {
-            "client_class": self.client_class,
-            "clients": self.clients,
-            "aggregate_bandwidth_bps": self.aggregate_bandwidth_bps,
-            "issued": self.issued,
-            "served": self.served,
-            "denied": self.denied,
-            "dropped": self.dropped,
-            "bytes_paid": self.bytes_paid,
-            "payment_time": self.payment_time.as_dict(),
-            "response_time": self.response_time.as_dict(),
-            "mean_price_bytes": self.mean_price_bytes,
-        }
-        # Only-when-nonzero: policy-free runs serialise exactly as before.
-        if self.retries_attempted:
-            payload["retries_attempted"] = self.retries_attempted
-        if self.retries_suppressed:
-            payload["retries_suppressed"] = self.retries_suppressed
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassMetrics":
-        """Rebuild class metrics serialised by :meth:`to_dict`."""
-        return cls(
-            client_class=data["client_class"],
-            clients=int(data.get("clients", 0)),
-            aggregate_bandwidth_bps=float(data.get("aggregate_bandwidth_bps", 0.0)),
-            issued=int(data.get("issued", 0)),
-            served=int(data.get("served", 0)),
-            denied=int(data.get("denied", 0)),
-            dropped=int(data.get("dropped", 0)),
-            retries_attempted=int(data.get("retries_attempted", 0)),
-            retries_suppressed=int(data.get("retries_suppressed", 0)),
-            bytes_paid=float(data.get("bytes_paid", 0.0)),
-            payment_time=Summary.from_dict(data.get("payment_time", {})),
-            response_time=Summary.from_dict(data.get("response_time", {})),
-            mean_price_bytes=float(data.get("mean_price_bytes", 0.0)),
-        )
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
 
 
 @dataclass
@@ -364,7 +250,9 @@ class ShardMetrics:
     One entry per thinner shard: how many clients the dispatch policy pinned
     to it, the admission work its thinner did, and the payment traffic it had
     to sink — the quantity §4.3's provisioning estimates size each front-end
-    for.  Single-thinner runs carry exactly one entry.
+    for.  Single-thinner runs carry exactly one entry.  ``stages`` and
+    ``engagement`` are written only when set, so every non-composite
+    defense's entry keeps the schema of earlier releases.
     """
 
     shard: int
@@ -387,81 +275,24 @@ class ShardMetrics:
     served_by_class: Dict[str, int] = field(default_factory=dict)
     received_by_class: Dict[str, int] = field(default_factory=dict)
     #: Pipeline front-stage attribution; empty outside pipeline defenses.
-    stages: List[StageMetrics] = field(default_factory=list)
+    stages: List[StageMetrics] = field(default_factory=list, metadata=codec.OMIT_DEFAULT)
     #: Adaptive engagement windows; None outside adaptive defenses.
-    engagement: Optional[EngagementMetrics] = None
+    engagement: Optional[EngagementMetrics] = field(
+        default=None, metadata=codec.OMIT_DEFAULT
+    )
 
-    def to_dict(self) -> dict:
-        """A JSON-ready dictionary that :meth:`from_dict` can rebuild.
-
-        The ``stages``/``engagement`` keys are emitted only when present,
-        which keeps the serialised schema byte-identical to earlier
-        releases for every non-composite defense.
-        """
-        payload = {
-            "shard": self.shard,
-            "thinner_host": self.thinner_host,
-            "clients": self.clients,
-            "good_clients": self.good_clients,
-            "bad_clients": self.bad_clients,
-            "aggregate_bandwidth_bps": self.aggregate_bandwidth_bps,
-            "requests_received": self.requests_received,
-            "requests_admitted": self.requests_admitted,
-            "requests_served": self.requests_served,
-            "requests_dropped": self.requests_dropped,
-            "free_admissions": self.free_admissions,
-            "auctions_held": self.auctions_held,
-            "payment_bytes_sunk": self.payment_bytes_sunk,
-            "client_bytes_paid": self.client_bytes_paid,
-            "served_by_class": dict(self.served_by_class),
-            "received_by_class": dict(self.received_by_class),
-        }
-        if self.stages:
-            payload["stages"] = [stage.to_dict() for stage in self.stages]
-        if self.engagement is not None:
-            payload["engagement"] = self.engagement.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ShardMetrics":
-        """Rebuild shard metrics serialised by :meth:`to_dict`."""
-        return cls(
-            shard=int(data["shard"]),
-            thinner_host=data.get("thinner_host", ""),
-            clients=int(data.get("clients", 0)),
-            good_clients=int(data.get("good_clients", 0)),
-            bad_clients=int(data.get("bad_clients", 0)),
-            aggregate_bandwidth_bps=float(data.get("aggregate_bandwidth_bps", 0.0)),
-            requests_received=int(data.get("requests_received", 0)),
-            requests_admitted=int(data.get("requests_admitted", 0)),
-            requests_served=int(data.get("requests_served", 0)),
-            requests_dropped=int(data.get("requests_dropped", 0)),
-            free_admissions=int(data.get("free_admissions", 0)),
-            auctions_held=int(data.get("auctions_held", 0)),
-            payment_bytes_sunk=float(data.get("payment_bytes_sunk", 0.0)),
-            client_bytes_paid=float(data.get("client_bytes_paid", 0.0)),
-            served_by_class={
-                key: int(value)
-                for key, value in data.get("served_by_class", {}).items()
-            },
-            received_by_class={
-                key: int(value)
-                for key, value in data.get("received_by_class", {}).items()
-            },
-            stages=[
-                StageMetrics.from_dict(entry) for entry in data.get("stages", [])
-            ],
-            engagement=(
-                EngagementMetrics.from_dict(data["engagement"])
-                if data.get("engagement") is not None
-                else None
-            ),
-        )
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
 
 
 @dataclass
 class RunResult:
-    """Everything the experiments and benchmarks need from one run."""
+    """Everything the experiments and benchmarks need from one run.
+
+    ``to_dict`` is the stable schema of sweep results files and ``--out``
+    documents; ``failover`` and ``telemetry`` are written only when set, so
+    fault-free, full-mode results keep the schema of earlier releases.
+    """
 
     duration: float
     defense: str
@@ -485,11 +316,10 @@ class RunResult:
     #: Per-thinner-shard breakdown; a single entry outside fleet runs.
     shards: List[ShardMetrics] = field(default_factory=list)
     #: Fault-plan outcome; only set when the run injected faults.
-    failover: Optional[FailoverMetrics] = None
+    failover: Optional[FailoverMetrics] = field(default=None, metadata=codec.OMIT_DEFAULT)
     #: Rollup-mode measurement summary; only set when the run collected
-    #: through the bounded telemetry plane (full-mode results stay
-    #: byte-identical to the historical schema).
-    telemetry: Optional[TelemetryMetrics] = None
+    #: through the bounded telemetry plane.
+    telemetry: Optional[TelemetryMetrics] = field(default=None, metadata=codec.OMIT_DEFAULT)
 
     # -- the headline numbers ----------------------------------------------------
 
@@ -567,92 +397,10 @@ class RunResult:
 
     # -- stable serialisation (the sweep results store's schema) -----------------
 
-    def to_dict(self) -> dict:
-        """Full structured dictionary; :meth:`from_dict` round-trips it.
-
-        Unlike :meth:`as_dict` (a flat view for printing), this captures every
-        field, so it is the stable schema the sweep results store and the CLI
-        ``--out`` files use.
-        """
-        payload = {
-            "duration": self.duration,
-            "defense": self.defense,
-            "server_capacity_rps": self.server_capacity_rps,
-            "good": self.good.to_dict(),
-            "bad": self.bad.to_dict(),
-            "total_served": self.total_served,
-            "server_busy_time": self.server_busy_time,
-            "allocation_by_class": dict(self.allocation_by_class),
-            "busy_allocation_by_class": dict(self.busy_allocation_by_class),
-            "allocation_by_category": dict(self.allocation_by_category),
-            "served_by_category": dict(self.served_by_category),
-            "served_fraction_by_category": dict(self.served_fraction_by_category),
-            "mean_price_by_class": dict(self.mean_price_by_class),
-            "price_upper_bound_bytes": self.price_upper_bound_bytes,
-            "auctions_held": self.auctions_held,
-            "free_admissions": self.free_admissions,
-            "payment_bytes_sunk": self.payment_bytes_sunk,
-            "good_bandwidth_bps": self.good_bandwidth_bps,
-            "bad_bandwidth_bps": self.bad_bandwidth_bps,
-            "shards": [shard.to_dict() for shard in self.shards],
-        }
-        # Emitted only when set: fault-free results stay byte-identical to
-        # the pre-fault-layer schema.
-        if self.failover is not None:
-            payload["failover"] = self.failover.to_dict()
-        if self.telemetry is not None:
-            payload["telemetry"] = self.telemetry.to_dict()
-        return payload
-
-    def to_json(self, **dumps_kwargs) -> str:
-        """The :meth:`to_dict` schema rendered as a JSON document."""
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunResult":
-        """Rebuild a result serialised by :meth:`to_dict`."""
-        return cls(
-            duration=float(data["duration"]),
-            defense=data["defense"],
-            server_capacity_rps=float(data["server_capacity_rps"]),
-            good=ClassMetrics.from_dict(data["good"]),
-            bad=ClassMetrics.from_dict(data["bad"]),
-            total_served=int(data.get("total_served", 0)),
-            server_busy_time=float(data.get("server_busy_time", 0.0)),
-            allocation_by_class=dict(data.get("allocation_by_class", {})),
-            busy_allocation_by_class=dict(data.get("busy_allocation_by_class", {})),
-            allocation_by_category=dict(data.get("allocation_by_category", {})),
-            served_by_category={
-                key: int(value)
-                for key, value in data.get("served_by_category", {}).items()
-            },
-            served_fraction_by_category=dict(data.get("served_fraction_by_category", {})),
-            mean_price_by_class=dict(data.get("mean_price_by_class", {})),
-            price_upper_bound_bytes=float(data.get("price_upper_bound_bytes", 0.0)),
-            auctions_held=int(data.get("auctions_held", 0)),
-            free_admissions=int(data.get("free_admissions", 0)),
-            payment_bytes_sunk=float(data.get("payment_bytes_sunk", 0.0)),
-            good_bandwidth_bps=float(data.get("good_bandwidth_bps", 0.0)),
-            bad_bandwidth_bps=float(data.get("bad_bandwidth_bps", 0.0)),
-            shards=[
-                ShardMetrics.from_dict(entry) for entry in data.get("shards", [])
-            ],
-            failover=(
-                FailoverMetrics.from_dict(data["failover"])
-                if data.get("failover") is not None
-                else None
-            ),
-            telemetry=(
-                TelemetryMetrics.from_dict(data["telemetry"])
-                if data.get("telemetry") is not None
-                else None
-            ),
-        )
-
-    @classmethod
-    def from_json(cls, document: str) -> "RunResult":
-        """Rebuild a result from a :meth:`to_json` document."""
-        return cls.from_dict(json.loads(document))
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
+    to_json = codec.to_json
+    from_json = classmethod(codec.from_json)
 
 
 def _collect_class(deployment, client_class: str) -> ClassMetrics:

@@ -7,8 +7,10 @@ anywhere; the benchmark harness is free to use numpy on top of these.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+from repro import codec
 
 
 def mean(values: Sequence[float]) -> float:
@@ -65,51 +67,22 @@ class Summary:
 
     ``p999`` (p99.9) is optional: ``None`` on summaries built by the
     historical full-mode collector, populated by the rollup telemetry
-    path (and by ``summarise(..., extended=True)``).  ``as_dict`` emits
-    the key only when set, so stored results from older runs stay
-    byte-compatible.
+    path (and by ``summarise(..., extended=True)``).  It is serialised only
+    when set, and ``minimum``/``maximum`` are written as ``min``/``max``.
     """
 
     count: int
     mean: float
     stddev: float
-    minimum: float
-    maximum: float
+    minimum: float = field(metadata=codec.key("min"))
+    maximum: float = field(metadata=codec.key("max"))
     p50: float
     p90: float
     p99: float
-    p999: Optional[float] = None
+    p999: Optional[float] = field(default=None, metadata=codec.OMIT_DEFAULT)
 
-    def as_dict(self) -> dict:
-        data = {
-            "count": self.count,
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "min": self.minimum,
-            "max": self.maximum,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p99": self.p99,
-        }
-        if self.p999 is not None:
-            data["p999"] = self.p999
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Summary":
-        """Rebuild a summary serialised by :meth:`as_dict`."""
-        p999 = data.get("p999")
-        return cls(
-            count=int(data.get("count", 0)),
-            mean=float(data.get("mean", 0.0)),
-            stddev=float(data.get("stddev", 0.0)),
-            minimum=float(data.get("min", 0.0)),
-            maximum=float(data.get("max", 0.0)),
-            p50=float(data.get("p50", 0.0)),
-            p90=float(data.get("p90", 0.0)),
-            p99=float(data.get("p99", 0.0)),
-            p999=None if p999 is None else float(p999),
-        )
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
 
 
 def summarise(values: Sequence[float], extended: bool = False) -> Summary:

@@ -26,6 +26,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro import codec
 from repro.errors import ExperimentError
 from repro.metrics.collector import RunResult
 from repro.rng import derive_seed
@@ -169,35 +170,28 @@ class SweepRecord:
     """One executed sweep point: where it came from and what it measured."""
 
     index: int
-    scenario: str
-    replicate: int
-    seed: int
-    overrides: Dict[str, Any]
     spec: ScenarioSpec
     result: RunResult
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "scenario": self.scenario,
-            "replicate": self.replicate,
-            "seed": self.seed,
-            "overrides": dict(self.overrides),
-            "spec": self.spec.to_dict(),
-            "result": self.result.to_dict(),
-        }
+    scenario: str = ""
+    replicate: int = 0
+    seed: int = 0
+    overrides: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SweepRecord":
+    def for_point(cls, point: SweepPoint, result: RunResult) -> "SweepRecord":
+        """The record of ``point`` once it has run to ``result``."""
         return cls(
-            index=int(data["index"]),
-            scenario=data.get("scenario", ""),
-            replicate=int(data.get("replicate", 0)),
-            seed=int(data.get("seed", 0)),
-            overrides=dict(data.get("overrides", {})),
-            spec=ScenarioSpec.from_dict(data["spec"]),
-            result=RunResult.from_dict(data["result"]),
+            index=point.index,
+            spec=point.spec,
+            result=result,
+            scenario=point.spec.name,
+            replicate=point.replicate,
+            seed=point.spec.seed,
+            overrides=dict(point.overrides),
         )
+
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
 
 
 def run_spec(spec: ScenarioSpec) -> RunResult:
@@ -227,16 +221,7 @@ class SweepRunner:
         points = sweep.points()
         results = self.run_specs([point.spec for point in points])
         return [
-            SweepRecord(
-                index=point.index,
-                scenario=point.spec.name,
-                replicate=point.replicate,
-                seed=point.spec.seed,
-                overrides={path: value for path, value in point.overrides},
-                spec=point.spec,
-                result=result,
-            )
-            for point, result in zip(points, results)
+            SweepRecord.for_point(point, result) for point, result in zip(points, results)
         ]
 
 

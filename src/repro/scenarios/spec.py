@@ -15,11 +15,11 @@ multiplier shapes the group's non-homogeneous Poisson arrival process.
 from __future__ import annotations
 
 import gc
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import codec
 from repro.constants import DEFAULT_CLIENT_BANDWIDTH
 from repro.errors import ClientError, ExperimentError
 from repro.clients.base import RetryPolicy
@@ -132,9 +132,8 @@ class ArrivalSpec:
 
         return diurnal
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ArrivalSpec":
-        return cls(**data)
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +162,7 @@ class GroupSpec:
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
     #: Per-group retry discipline; overrides the scenario-level
     #: :attr:`ScenarioSpec.retry_policy` when set.
-    retry_policy: Optional[RetryPolicy] = None
+    retry_policy: Optional[RetryPolicy] = field(default=None, metadata=codec.OMIT_DEFAULT)
 
     def validate(self) -> None:
         if self.count < 0:
@@ -200,18 +199,8 @@ class GroupSpec:
             retry_policy=policy,
         )
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "GroupSpec":
-        payload = dict(data)
-        arrival = payload.pop("arrival", None)
-        if isinstance(arrival, dict):
-            payload["arrival"] = ArrivalSpec.from_dict(arrival)
-        elif isinstance(arrival, ArrivalSpec):
-            payload["arrival"] = arrival
-        retry_policy = payload.get("retry_policy")
-        if isinstance(retry_policy, dict):
-            payload["retry_policy"] = RetryPolicy.from_dict(retry_policy)
-        return cls(**payload)
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +222,9 @@ class TopologySpec:
       edge switches, ECMP hashed path selection at every fan-out point,
       ``oversubscription`` thinning the core tier, and
       ``cross_traffic_pairs`` bystander flows occupying core links.
+
+    The seven fabric fields are written only away from their defaults, so a
+    star, bottleneck or dumbbell spec serialises as it did before fabrics.
     """
 
     kind: str = "lan"
@@ -242,20 +234,20 @@ class TopologySpec:
     bottleneck_delay_s: float = DEFAULT_LAN_DELAY
     web_server_bandwidth_bps: float = DEFAULT_THINNER_BANDWIDTH
     #: Fat-tree arity (k pods, (k/2)^2 cores); fabric kinds only.
-    fabric_k: int = 4
+    fabric_k: int = field(default=4, metadata=codec.OMIT_DEFAULT)
     #: Leaf and spine switch counts; ``leaf-spine`` only.
-    leaves: int = 4
-    spines: int = 2
+    leaves: int = field(default=4, metadata=codec.OMIT_DEFAULT)
+    spines: int = field(default=2, metadata=codec.OMIT_DEFAULT)
     #: Core-tier capacity divisor: 1.0 is nonblocking for the aggregate
     #: client upload bandwidth, above 1.0 the core genuinely contends.
-    oversubscription: float = 1.0
+    oversubscription: float = field(default=1.0, metadata=codec.OMIT_DEFAULT)
     #: One-way delay of each switch-to-switch fabric cable.
-    fabric_delay_s: float = DEFAULT_LAN_DELAY
+    fabric_delay_s: float = field(default=DEFAULT_LAN_DELAY, metadata=codec.OMIT_DEFAULT)
     #: Unbounded bystander flows crossing the fabric (endpoint pairs).
-    cross_traffic_pairs: int = 0
+    cross_traffic_pairs: int = field(default=0, metadata=codec.OMIT_DEFAULT)
     #: Access bandwidth of each cross-traffic endpoint (0 = the mean client
     #: access bandwidth).
-    cross_traffic_bandwidth_bps: float = 0.0
+    cross_traffic_bandwidth_bps: float = field(default=0.0, metadata=codec.OMIT_DEFAULT)
 
     def validate(self) -> None:
         if self.kind not in TOPOLOGY_KINDS:
@@ -294,33 +286,8 @@ class TopologySpec:
                 "cross_traffic_pairs needs a fabric topology (fat-tree or leaf-spine)"
             )
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TopologySpec":
-        return cls(**data)
-
-
-#: The fabric-only ``TopologySpec`` fields, stripped from serialisations at
-#: their default values so legacy (star/bottleneck/dumbbell) spec JSON stays
-#: byte-identical to releases that predate fabrics.
-_FABRIC_FIELDS = (
-    "fabric_k",
-    "leaves",
-    "spines",
-    "oversubscription",
-    "fabric_delay_s",
-    "cross_traffic_pairs",
-    "cross_traffic_bandwidth_bps",
-)
-
-_TOPOLOGY_DEFAULTS = TopologySpec()
-
-
-def _topology_dict(topology: TopologySpec) -> Dict[str, Any]:
-    payload = asdict(topology)
-    for name in _FABRIC_FIELDS:
-        if payload.get(name) == getattr(_TOPOLOGY_DEFAULTS, name):
-            payload.pop(name, None)
-    return payload
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +301,8 @@ class ScenarioSpec:
 
     ``config_overrides`` holds extra :class:`DeploymentConfig` keyword
     arguments as a sorted tuple of (name, value) pairs, which keeps the spec
-    hashable; :meth:`from_dict` accepts either that form or a plain mapping.
+    hashable; :meth:`to_dict` writes it as an object and :meth:`from_dict`
+    accepts either that or the pair form.
     """
 
     name: str = "scenario"
@@ -367,21 +335,21 @@ class ScenarioSpec:
     #: byte-identical to a spec without the field.  Sweepable down to plan
     #: fields (``"fault_plan.repin_ttl_s"``) and individual events
     #: (``"fault_plan.events.0.at_s"``).
-    fault_plan: Optional[FaultPlan] = None
+    fault_plan: Optional[FaultPlan] = field(default=None, metadata=codec.OMIT_DEFAULT)
     #: Default retry discipline for every group (per-group ``retry_policy``
     #: overrides win).  ``None`` keeps clients fire-and-forget, bit for bit.
     #: Sweepable down to policy fields (``"retry_policy.budget"``).
-    retry_policy: Optional[RetryPolicy] = None
+    retry_policy: Optional[RetryPolicy] = field(default=None, metadata=codec.OMIT_DEFAULT)
     #: Health-driven shard ejection (see
     #: :class:`~repro.core.fleet.HealthProber`); needs ``thinner_shards > 1``.
     #: ``None`` builds no prober and stays byte-identical to a spec without
     #: the field.  Sweepable (``"health_probe.eject_fraction"``).
-    health_probe: Optional[HealthProbeSpec] = None
+    health_probe: Optional[HealthProbeSpec] = field(default=None, metadata=codec.OMIT_DEFAULT)
     #: How the run measures itself (see :mod:`repro.telemetry`).  ``None``
     #: keeps the historical full collector byte for byte; ``"rollup"`` mode
     #: bounds the measurement footprint to O(buckets + reservoir) — the
     #: regime for >=500k-client runs.  Sweepable (``"telemetry.reservoir"``).
-    telemetry: Optional[TelemetrySpec] = None
+    telemetry: Optional[TelemetrySpec] = field(default=None, metadata=codec.OMIT_DEFAULT)
     config_overrides: Tuple[Tuple[str, Any], ...] = ()
 
     # -- validation -------------------------------------------------------------
@@ -609,102 +577,20 @@ class ScenarioSpec:
     # -- serialisation ---------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """A JSON-ready dictionary that :meth:`from_dict` rebuilds exactly.
-
-        A string ``defense`` or ``shard_policy`` is written as the string; a
-        spec is written under the same key as its dictionary.
-        """
-        payload = {
-            "name": self.name,
-            "topology": _topology_dict(self.topology),
-            "groups": [_group_dict(group) for group in self.groups],
-            "capacity_rps": self.capacity_rps,
-            "defense": _value_dict(self.defense),
-            "duration": self.duration,
-            "seed": self.seed,
-            "encouragement_delay": self.encouragement_delay,
-            "thinner_shards": self.thinner_shards,
-            "shard_policy": _value_dict(self.shard_policy),
-            "admission_mode": self.admission_mode,
-            "config_overrides": {key: value for key, value in self.config_overrides},
-        }
-        if self.fault_plan is not None:
-            payload["fault_plan"] = self.fault_plan.to_dict()
-        if self.retry_policy is not None:
-            payload["retry_policy"] = self.retry_policy.to_dict()
-        if self.health_probe is not None:
-            payload["health_probe"] = self.health_probe.to_dict()
-        if self.telemetry is not None:
-            payload["telemetry"] = self.telemetry.to_dict()
-        return payload
-
-    def to_json(self, **dumps_kwargs) -> str:
-        return json.dumps(self.to_dict(), **dumps_kwargs)
+        """The codec's dictionary, with ``config_overrides`` as an object."""
+        return {**codec.to_dict(self), "config_overrides": dict(self.config_overrides)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        if not isinstance(data, dict):
-            raise ExperimentError(f"scenario spec must be an object, got {type(data).__name__}")
-        known = [item.name for item in fields(cls)]
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise ExperimentError(
-                f"unknown scenario spec keys: {unknown} (known fields: {', '.join(known)})"
-            )
+        """Read a spec back through the codec, freezing ``config_overrides``."""
+        if not (isinstance(data, dict) and "config_overrides" in data):
+            return codec.from_dict(cls, data)
         payload = dict(data)
-        topology = payload.pop("topology", None)
-        if isinstance(topology, dict):
-            payload["topology"] = TopologySpec.from_dict(topology)
-        elif isinstance(topology, TopologySpec):
-            payload["topology"] = topology
-        groups = payload.pop("groups", ())
-        payload["groups"] = tuple(
-            group if isinstance(group, GroupSpec) else GroupSpec.from_dict(group)
-            for group in groups
-        )
-        defense = payload.get("defense")
-        if isinstance(defense, dict):
-            payload["defense"] = DefenseSpec.from_dict(defense)
-        shard_policy = payload.get("shard_policy")
-        if isinstance(shard_policy, dict):
-            payload["shard_policy"] = RouterSpec.from_dict(shard_policy)
-        fault_plan = payload.get("fault_plan")
-        if isinstance(fault_plan, dict):
-            payload["fault_plan"] = FaultPlan.from_dict(fault_plan)
-        retry_policy = payload.get("retry_policy")
-        if isinstance(retry_policy, dict):
-            payload["retry_policy"] = RetryPolicy.from_dict(retry_policy)
-        health_probe = payload.get("health_probe")
-        if isinstance(health_probe, dict):
-            payload["health_probe"] = HealthProbeSpec.from_dict(health_probe)
-        telemetry = payload.get("telemetry")
-        if isinstance(telemetry, dict):
-            payload["telemetry"] = TelemetrySpec.from_dict(telemetry)
-        payload["config_overrides"] = freeze_overrides(
-            payload.get("config_overrides", ())
-        )
-        return cls(**payload)
+        overrides = freeze_overrides(payload.pop("config_overrides"))
+        return replace(codec.from_dict(cls, payload), config_overrides=overrides)
 
-    @classmethod
-    def from_json(cls, document: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(document))
-
-
-def _value_dict(value: Union[str, DefenseSpec, RouterSpec]) -> Any:
-    """A name-or-spec field as JSON: a name as is, a spec as its dictionary."""
-    return value if isinstance(value, str) else value.to_dict()
-
-
-def _group_dict(group: GroupSpec) -> Dict[str, Any]:
-    """``asdict`` with the ``retry_policy`` key stripped when unset.
-
-    Keeps policy-free group serialisations byte-identical to releases that
-    predate client retry policies.
-    """
-    payload = asdict(group)
-    if payload.get("retry_policy") is None:
-        payload.pop("retry_policy", None)
-    return payload
+    to_json = codec.to_json
+    from_json = classmethod(codec.from_json)
 
 
 def freeze_overrides(overrides: Any) -> Tuple[Tuple[str, Any], ...]:

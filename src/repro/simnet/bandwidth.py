@@ -204,9 +204,3 @@ def link_utilisations(flows: Iterable[Flow]) -> Dict[Link, float]:
         for link in flow.path:
             usage[link] = usage.get(link, 0.0) + flow.rate_bps
     return {link: used / link.capacity_bps for link, used in usage.items()}
-
-
-def bottleneck_link(flow: Flow, flows: Iterable[Flow]) -> Link:
-    """Return the link on ``flow``'s path with the highest utilisation."""
-    utilisation = link_utilisations(flows)
-    return max(flow.path, key=lambda link: utilisation.get(link, 0.0))

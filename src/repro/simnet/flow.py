@@ -218,23 +218,6 @@ class Flow:
     # -- derived quantities -------------------------------------------------
 
     @property
-    def is_active(self) -> bool:
-        """True while the network is allocating bandwidth to this flow."""
-        return self.state == FlowState.ACTIVE
-
-    @property
-    def is_bounded(self) -> bool:
-        """True if the flow has a fixed number of bytes to transfer."""
-        return self.size_bytes is not None
-
-    @property
-    def remaining_bytes(self) -> Optional[float]:
-        """Bytes left to deliver, or None for an unbounded flow."""
-        if self.size_bytes is None:
-            return None
-        return max(0.0, self.size_bytes - self.delivered_bytes)
-
-    @property
     def one_way_delay(self) -> float:
         """Propagation delay along the flow's path plus host-attributed delay."""
         return path_delay(self.path) + self.src.extra_delay_s + self.dst.extra_delay_s
@@ -243,10 +226,6 @@ class Flow:
         """The flow's own rate ceiling (infinite when uncapped)."""
         cap = self.rate_cap_bps
         return cap if cap is not None else _INF
-
-    def uses_link(self, link: Link) -> bool:
-        """True if the flow's path crosses ``link``."""
-        return link in self.path
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         size = "unbounded" if self.size_bytes is None else f"{self.size_bytes:.0f}B"

@@ -438,10 +438,6 @@ class LeafSpineTopology(FabricTopology):
                 self.add_shared_link(link)
                 self._uplinks[(leaf, spine)] = link
 
-    def fabric_link(self, leaf: int, spine: int) -> DuplexLink:
-        """The cable between ``leaf`` and ``spine``."""
-        return self._uplinks[(leaf, spine)]
-
     def _route(self, src: Host, dst: Host) -> List[Link]:
         src_leaf = self.edge_of(src)
         dst_leaf = self.edge_of(dst)

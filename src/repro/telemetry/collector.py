@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import codec
 from repro.metrics.summary import Summary, percentile
 
 CLIENT_CLASSES = ("good", "bad")
@@ -270,9 +271,8 @@ class TimeBuckets:
 class TelemetryMetrics:
     """The serialisable footprint-bounded measurement result of one run.
 
-    Attached to :class:`~repro.metrics.collector.RunResult` as an optional
-    field (omitted in full mode, so full-mode results stay byte-identical
-    to the historical collector).
+    Attached to :class:`~repro.metrics.collector.RunResult` in rollup mode
+    only; a full-mode result carries no ``telemetry`` key.
     """
 
     mode: str
@@ -282,34 +282,8 @@ class TelemetryMetrics:
     retained: int
     buckets: Dict[str, Dict[str, List[List[float]]]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "reservoir": self.reservoir,
-            "bucket_s": self.bucket_s,
-            "samples": self.samples,
-            "retained": self.retained,
-            "buckets": {
-                cls: {metric: [list(row) for row in rows] for metric, rows in metrics.items()}
-                for cls, metrics in self.buckets.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TelemetryMetrics":
-        return cls(
-            mode=str(data.get("mode", "rollup")),
-            reservoir=int(data.get("reservoir", 0)),
-            bucket_s=float(data.get("bucket_s", 0.0)),
-            samples=int(data.get("samples", 0)),
-            retained=int(data.get("retained", 0)),
-            buckets={
-                str(cls_name): {
-                    str(metric): [list(row) for row in rows] for metric, rows in metrics.items()
-                }
-                for cls_name, metrics in data.get("buckets", {}).items()
-            },
-        )
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
 
 
 class TelemetryCollector:

@@ -2,18 +2,17 @@
 
 :class:`TelemetrySpec` rides on :class:`~repro.scenarios.spec.ScenarioSpec`
 exactly like the other optional sub-specs (``fault_plan``, ``retry_policy``,
-``health_probe``): frozen, JSON round-trippable, sweepable through
-``with_value`` paths such as ``telemetry.reservoir``, and omitted from
-serialised specs when unset so every stored results file from earlier PRs
-stays byte-compatible.
+``health_probe``): frozen, serialised through :mod:`repro.codec`, and
+sweepable through ``with_value`` paths such as ``telemetry.reservoir``.  The
+scenario writes no ``telemetry`` key while the field is unset.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
+from repro import codec
 from repro.errors import ExperimentError
 
 TELEMETRY_MODES = ("full", "rollup")
@@ -84,30 +83,11 @@ class TelemetrySpec:
         bucket_slots = bucket_series * self.buckets_for(duration) * BUCKET_SLOTS
         return accumulator_slots + bucket_slots
 
-    def with_mode(self, mode: str) -> "TelemetrySpec":
-        return replace(self, mode=mode)
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "reservoir": self.reservoir,
-            "bucket_s": self.bucket_s,
-            "max_buckets": self.max_buckets,
-        }
+    to_dict = codec.to_dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "TelemetrySpec":
-        if not isinstance(data, dict):
-            raise ExperimentError(f"telemetry spec must be an object, got {type(data).__name__}")
-        known = {"mode", "reservoir", "bucket_s", "max_buckets"}
-        unknown = set(data) - known
-        if unknown:
-            raise ExperimentError(f"unknown telemetry spec keys: {sorted(unknown)}")
-        spec = cls(
-            mode=str(data.get("mode", "rollup")),
-            reservoir=int(data.get("reservoir", 512)),
-            bucket_s=float(data.get("bucket_s", 1.0)),
-            max_buckets=int(data.get("max_buckets", 4096)),
-        )
+        """Read a spec back through the codec, then :meth:`validate` it."""
+        spec = codec.from_dict(cls, data)
         spec.validate()
         return spec

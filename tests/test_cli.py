@@ -273,6 +273,23 @@ def test_failover_command_prints_pulse_and_summary(capsys):
     assert "<- kill" in output
 
 
+def test_failover_fault_plan_with_a_mistyped_key_exits_2(tmp_path, capsys):
+    """A plan file that says ``repin_ttl`` for ``repin_ttl_s`` fails with one
+    line naming the key and the file, instead of running on the default TTL."""
+    from repro.faults.spec import kill_heal_pulse
+
+    document = json.loads(kill_heal_pulse(1, kill_at_s=1.0, heal_at_s=2.0).to_json())
+    document["repin_ttl"] = document.pop("repin_ttl_s")
+    path = tmp_path / "pulse.json"
+    path.write_text(json.dumps(document))
+    exit_code = main(["failover", "--duration", "3", "--client-scale", "0.1",
+                      "--shards", "2", "--fault-plan", str(path)])
+    assert exit_code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "'repin_ttl'" in err and str(path) in err
+
+
 def test_fabric_command_prints_strategy_grid(capsys):
     exit_code = main(["fabric", "--duration", "4", "--client-scale", "0.2",
                       "--shards", "2", "--fabrics", "star,leaf-spine",

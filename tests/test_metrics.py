@@ -45,7 +45,7 @@ def test_summarise_fields():
     assert summary.minimum == 1.0
     assert summary.maximum == 3.0
     assert summary.p50 == 2.0
-    assert summary.as_dict()["mean"] == pytest.approx(2.0)
+    assert summary.to_dict()["mean"] == pytest.approx(2.0)
     empty = summarise([])
     assert empty.count == 0 and empty.mean == 0.0
 
@@ -71,11 +71,11 @@ def test_percentile_p999_needs_a_thousand_samples_to_leave_the_max():
 def test_summarise_extended_fills_p999():
     summary = summarise([1.0, 2.0, 3.0])
     assert summary.p999 is None
-    assert "p999" not in summary.as_dict()
+    assert "p999" not in summary.to_dict()
     extended = summarise([1.0, 2.0, 3.0], extended=True)
     assert extended.p999 == 3.0
-    assert extended.as_dict()["p999"] == 3.0
-    round_tripped = type(extended).from_dict(extended.as_dict())
+    assert extended.to_dict()["p999"] == 3.0
+    round_tripped = type(extended).from_dict(extended.to_dict())
     assert round_tripped == extended
     assert summarise([], extended=True).p999 == 0.0
 
@@ -175,6 +175,25 @@ def test_run_result_round_trips_through_json():
     assert restored.good_allocation == result.good_allocation
     assert restored.good.served_fraction == result.good.served_fraction
     assert restored.good.payment_time.p90 == result.good.payment_time.p90
+
+
+@pytest.mark.parametrize("path", ["", "good", "shards.0"], ids=["top", "good", "shard"])
+def test_a_mistyped_result_key_fails_with_one_line_at_any_depth(path):
+    """An unknown key anywhere in a stored result is one ExperimentError line
+    naming it, not a silently dropped number."""
+    from repro import quick_demo
+    from repro.errors import ExperimentError
+    from repro.metrics.collector import RunResult
+
+    document = quick_demo(good_clients=1, bad_clients=1, capacity_rps=8.0,
+                          duration=2.0).to_dict()
+    target = document
+    for part in filter(None, path.split(".")):
+        target = target[int(part)] if isinstance(target, list) else target[part]
+    target["bogus"] = 1
+    with pytest.raises(ExperimentError, match="'bogus'") as excinfo:
+        RunResult.from_dict(document)
+    assert "\n" not in str(excinfo.value)
 
 
 def test_class_metrics_round_trip_defaults_missing_fields():

@@ -1,5 +1,6 @@
 """The declarative scenario subsystem: specs, registry, and arrival shapes."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -180,6 +181,68 @@ def test_spec_from_dict_rejects_unknown_keys_with_one_line(key, value):
     message = str(excinfo.value)
     assert "\n" not in message
     assert "known fields" in message and "shard_policy" in message
+
+
+def _populated_spec_document():
+    """One spec JSON holding every kind of nested object a spec can carry."""
+    from repro.clients.base import RetryPolicy
+    from repro.core.fleet import HealthProbeSpec
+    from repro.core.routing import RouterSpec
+    from repro.faults.spec import FaultEvent, FaultPlan
+    from repro.telemetry.spec import TelemetrySpec
+
+    spec = ScenarioSpec(
+        topology=TopologySpec(kind="leaf-spine", leaves=2, spines=2),
+        groups=(
+            GroupSpec(
+                count=2,
+                arrival=ArrivalSpec(kind="onoff", period_s=4.0, on_s=1.0),
+                retry_policy=RetryPolicy.naive(),
+            ),
+        ),
+        thinner_shards=2,
+        shard_policy=RouterSpec(name="power-of-two"),
+        fault_plan=FaultPlan(
+            events=(FaultEvent(at_s=1.0, action="degrade", shard=0, factor=0.5),)
+        ),
+        retry_policy=RetryPolicy.budgeted(),
+        health_probe=HealthProbeSpec(),
+        telemetry=TelemetrySpec(),
+    )
+    return json.loads(spec.to_json())
+
+
+@pytest.mark.parametrize(
+    "path, key, value, needles",
+    [
+        ("topology", "bogus", 1, ("TopologySpec", "'bogus'")),
+        ("groups.0", "bogus", 1, ("GroupSpec", "'bogus'")),
+        ("groups.0.arrival", "bogus", 1, ("ArrivalSpec", "'bogus'")),
+        ("groups.0.retry_policy", "bogus", 1, ("RetryPolicy", "'bogus'")),
+        ("retry_policy", "bogus", 1, ("RetryPolicy", "'bogus'")),
+        ("health_probe", "bogus", 1, ("HealthProbeSpec", "'bogus'")),
+        ("shard_policy", "bogus", 1, ("RouterSpec", "'bogus'")),
+        ("fault_plan", "bogus", 1, ("FaultPlan", "'bogus'")),
+        ("fault_plan.events.0", "bogus", 1, ("FaultEvent", "'bogus'")),
+        ("", "capacity_rps", "fast", ("ScenarioSpec.capacity_rps", "'fast'")),
+        ("groups.0", "count", "ten", ("GroupSpec.count", "'ten'")),
+    ],
+)
+def test_a_mistyped_spec_key_fails_with_one_line_at_any_depth(path, key, value, needles):
+    """An unknown key in any nested object, or a wrong-typed scalar, is one
+    ExperimentError line naming the class and the key, never a TypeError or
+    a silently dropped setting."""
+    document = _populated_spec_document()
+    target = document
+    for part in filter(None, path.split(".")):
+        target = target[int(part)] if isinstance(target, list) else target[part]
+    target[key] = value
+    with pytest.raises(ExperimentError) as excinfo:
+        ScenarioSpec.from_dict(document)
+    message = str(excinfo.value)
+    assert "\n" not in message
+    for needle in needles:
+        assert needle in message
 
 
 @pytest.mark.parametrize(
