@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import ExperimentError
 from repro.metrics.summary import Summary
-from repro.scenarios.runner import SweepRecord, validate_record, write_results
+from repro.scenarios.runner import SweepRecord, decode_record, validate_record, write_results
 from repro.campaigns.runner import CampaignPlan, campaign_status, spool_path
 
 
@@ -49,7 +49,8 @@ class CampaignStore:
 
     # -- streaming primitives ----------------------------------------------
 
-    def _spool_iter(self, worker: int) -> Iterator[Dict[str, Any]]:
+    def _spool_iter(self, worker: int) -> Iterator[Tuple[int, str, int, Dict[str, Any]]]:
+        """(point index, spool path, line number, raw record) per line."""
         path = spool_path(self.directory, worker)
         if not os.path.exists(path):
             return
@@ -69,28 +70,32 @@ class CampaignStore:
                     ) from None
                 validate_record(entry, path, position=position)
                 position += 1
-                yield entry
+                yield int(entry["index"]), path, position, entry
 
-    def iter_dicts(self) -> Iterator[Dict[str, Any]]:
-        """All spooled records as raw dicts, merged in point-index order."""
+    def _merged(self) -> Iterator[Tuple[str, int, Dict[str, Any]]]:
+        """(spool path, line number, raw record) in point-index order."""
         iterators = [
             self._spool_iter(worker) for worker in range(self.plan.workers)
         ]
         last_index: Optional[int] = None
-        for entry in heapq.merge(*iterators, key=lambda d: int(d["index"])):
-            index = int(entry["index"])
+        for index, path, line, entry in heapq.merge(*iterators, key=lambda item: item[0]):
             if index == last_index:
                 raise ExperimentError(
                     f"campaign {self.directory!r} holds duplicate records "
                     f"for point {index}"
                 )
             last_index = index
+            yield path, line, entry
+
+    def iter_dicts(self) -> Iterator[Dict[str, Any]]:
+        """All spooled records as raw dicts, merged in point-index order."""
+        for _path, _line, entry in self._merged():
             yield entry
 
     def iter_records(self) -> Iterator[SweepRecord]:
         """All spooled records as :class:`SweepRecord`, one at a time."""
-        for entry in self.iter_dicts():
-            yield SweepRecord.from_dict(entry)
+        for path, line, entry in self._merged():
+            yield decode_record(entry, f"line {line} of spool {path!r}")
 
     # -- queries -----------------------------------------------------------
 
@@ -115,14 +120,14 @@ class CampaignStore:
     ) -> Iterator[SweepRecord]:
         """Stream records whose overrides match ``where`` (exact equality
         per path) and, if given, satisfy ``predicate`` on the raw dict."""
-        for entry in self.iter_dicts():
+        for spool, line, entry in self._merged():
             overrides = entry.get("overrides", {})
             if where is not None:
                 if any(overrides.get(path) != value for path, value in where.items()):
                     continue
             if predicate is not None and not predicate(entry):
                 continue
-            yield SweepRecord.from_dict(entry)
+            yield decode_record(entry, f"line {line} of spool {spool!r}")
 
     def summarise(
         self,

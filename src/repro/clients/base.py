@@ -27,8 +27,10 @@ arrival time, so those clients keep the legacy per-event path.
 
 Footprint: clients and their stats use ``__slots__``, ``backlog`` is a shared
 empty tuple until the first request backlogs, and the retry dicts exist only
-under a :class:`RetryPolicy`.  Most of what a client still costs is its own
-Mersenne Twister (about 3 KB), which every pinned output depends on.
+under a :class:`RetryPolicy`.  The client's own Mersenne Twister (about
+2.9 KB), which every pinned output depends on, is resident only while the
+client has draws left in the run: a refill whose next successor lies past the
+run horizon parks the stream, and the next draw replays it exactly.
 """
 
 from __future__ import annotations
@@ -341,7 +343,9 @@ class BaseClient:
         for (or buffers) a long batch of post-horizon arrivals.  Stopping
         early at *any* prefix is exact: the stream is consumed in the same
         order either way.  The queue is empty on entry; it is filled oldest
-        first and then reversed, so each arrival pops off its end.
+        first and then reversed, so each arrival pops off its end.  When the
+        next refill cannot come before the horizon, the stream is parked
+        (:meth:`repro.rng.RandomStream.park`) until it draws again.
         """
         rng = self.rng
         rate = self.rate_rps
@@ -351,16 +355,19 @@ class BaseClient:
         t = self._gen_time
         if modulator is None:
             batch = self.arrival_batch
-            # Draw in small chunks so at most a chunk's worth of gaps is
-            # pregenerated beyond the horizon (chained gaps already drawn
-            # stay valid arrival times for a later run).
-            chunk = batch if horizon is None else min(batch, 8)
+            # Under a horizon, draw chunks of 1, 2, 4, then 8 gaps, so a
+            # client whose first gap already crosses it draws only that one
+            # (chained gaps already drawn stay valid arrival times for a
+            # later run).
+            chunk = batch if horizon is None else 1
             while True:
-                for gap in rng.exponentials(rate, chunk):
+                for gap in rng.exponentials(rate, min(chunk, batch - len(pending))):
                     t = t + gap
                     pending.append(t)
                 if len(pending) >= batch or (horizon is not None and t > horizon):
                     break
+                if chunk < 8:
+                    chunk += chunk
         else:
             exponential = rng.exponential
             bernoulli = rng.bernoulli
@@ -380,6 +387,10 @@ class BaseClient:
                     break
         pending.reverse()
         self._gen_time = t
+        # The next refill comes when the newest arrival fires, or at ``t``
+        # if every candidate was thinned away.
+        if horizon is not None and (pending[0] if pending else t) > horizon:
+            rng.park()
 
     def _schedule_next_arrival(self) -> None:
         if not self._batched_arrivals:

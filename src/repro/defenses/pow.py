@@ -16,7 +16,7 @@ must have enough currency").
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import DefenseError
 from repro.core.thinner import ClientProtocol, Contender, ThinnerBase

@@ -6,6 +6,18 @@ its own named stream derived from a single experiment seed.  This keeps runs
 reproducible and keeps components statistically independent of one another:
 adding a new consumer of randomness never perturbs the draws seen by the
 existing ones.
+
+Streams are lazy and parkable.  A stream makes its Mersenne Twister (about
+2.9 KB with its instance dict) at its first draw, not when it is named, and
+:meth:`RandomStream.park` drops it again while the stream has used at most
+one Twister block of 32-bit words.  Replay is exact because a Twister's
+state after ``w`` words depends on the seed and ``w`` alone: the next draw
+reseeds and calls ``getrandbits(32 * w)``, which consumes exactly ``w``
+words, so the state is restored bit for bit.  The count covers the draws of
+fixed size (one ``random()`` call, two words); a draw of variable length
+(``randint``, ``choice``, ``shuffle``, ``sample``, ``lognormal``) stops it,
+and that stream never parks again.  A population of clients that each draw
+once and then idle past the run's end thus holds no generator while idle.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -22,41 +34,81 @@ def derive_seed(root_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+#: Words in one Mersenne Twister block: the most a parked stream replays.
+PARK_LIMIT = 624
+
+#: The word count after a variable-length draw: past the limit for good.
+_UNCOUNTED = PARK_LIMIT + 1
+
+
 class RandomStream:
     """A named pseudo-random stream with the distributions the sim needs."""
+
+    __slots__ = ("name", "seed", "_rng", "_words")
 
     def __init__(self, root_seed: int, name: str) -> None:
         self.name = name
         self.seed = derive_seed(root_seed, name)
-        self._rng = random.Random(self.seed)
+        #: The generator, made at the first draw and dropped by :meth:`park`.
+        self._rng: Optional[random.Random] = None
+        #: 32-bit words the fixed-size draws have used so far.  Past
+        #: :data:`PARK_LIMIT` (as after any variable-length draw) the stream
+        #: never parks again.
+        self._words = 0
+
+    def _wake(self) -> random.Random:
+        """Make the generator at the position the word count names."""
+        rng = self._rng = random.Random(self.seed)
+        if self._words:
+            rng.getrandbits(32 * self._words)
+        return rng
+
+    def _unparkable(self) -> random.Random:
+        """The generator for a variable-length draw, which ends the count."""
+        rng = self._rng or self._wake()
+        self._words = _UNCOUNTED
+        return rng
+
+    def park(self) -> None:
+        """Drop the generator until the next draw, if replaying it is cheap.
+
+        A no-op once the stream has used more than :data:`PARK_LIMIT` words
+        or made a variable-length draw.  Parking never changes a draw.
+        """
+        if self._words <= PARK_LIMIT:
+            self._rng = None
 
     # -- basic draws -------------------------------------------------------
 
     def uniform(self, low: float, high: float) -> float:
         """Uniform draw in [low, high]."""
-        return self._rng.uniform(low, high)
+        rng = self._rng or self._wake()
+        self._words += 2
+        return rng.uniform(low, high)
 
     def random(self) -> float:
         """Uniform draw in [0, 1)."""
-        return self._rng.random()
+        rng = self._rng or self._wake()
+        self._words += 2
+        return rng.random()
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer draw in [low, high] inclusive."""
-        return self._rng.randint(low, high)
+        return self._unparkable().randint(low, high)
 
     def choice(self, items: Sequence):
         """Uniformly pick one element of ``items``."""
         if not items:
             raise IndexError("cannot choose from an empty sequence")
-        return self._rng.choice(items)
+        return self._unparkable().choice(items)
 
     def shuffle(self, items: list) -> None:
         """Shuffle ``items`` in place."""
-        self._rng.shuffle(items)
+        self._unparkable().shuffle(items)
 
     def sample(self, items: Sequence, k: int) -> list:
         """Sample ``k`` distinct elements from ``items``."""
-        return self._rng.sample(items, k)
+        return self._unparkable().sample(items, k)
 
     # -- distributions used by the paper's workload model -------------------
 
@@ -64,7 +116,9 @@ class RandomStream:
         """Exponential inter-arrival time for a Poisson process of ``rate``/s."""
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
-        return self._rng.expovariate(rate)
+        rng = self._rng or self._wake()
+        self._words += 2
+        return rng.expovariate(rate)
 
     def exponentials(self, rate: float, count: int) -> list[float]:
         """``count`` consecutive exponential draws in one call.
@@ -79,7 +133,9 @@ class RandomStream:
             raise ValueError(f"rate must be positive, got {rate}")
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        expovariate = self._rng.expovariate
+        rng = self._rng or self._wake()
+        self._words += 2 * count
+        expovariate = rng.expovariate
         return [expovariate(rate) for _ in range(count)]
 
     def service_time(self, capacity: float, jitter: float = 0.1) -> float:
@@ -89,23 +145,23 @@ class RandomStream:
         if not 0 <= jitter < 1:
             raise ValueError(f"jitter must be in [0, 1), got {jitter}")
         mean = 1.0 / capacity
-        return self._rng.uniform((1.0 - jitter) * mean, (1.0 + jitter) * mean)
+        return self.uniform((1.0 - jitter) * mean, (1.0 + jitter) * mean)
 
     def bernoulli(self, probability: float) -> bool:
         """Return True with the given probability."""
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
-        return self._rng.random() < probability
+        return self.random() < probability
 
     def pareto(self, shape: float, scale: float) -> float:
         """Pareto draw (used for synthetic heavy-tailed request difficulty)."""
         if shape <= 0 or scale <= 0:
             raise ValueError("shape and scale must be positive")
-        return scale * (1.0 / (1.0 - self._rng.random())) ** (1.0 / shape)
+        return scale * (1.0 / (1.0 - self.random())) ** (1.0 / shape)
 
     def lognormal(self, mean: float, sigma: float) -> float:
         """Log-normal draw (alternative request-difficulty model)."""
-        return self._rng.lognormvariate(mean, sigma)
+        return self._unparkable().lognormvariate(mean, sigma)
 
     def poisson_arrivals(self, rate: float, duration: float) -> list[float]:
         """Materialise a Poisson arrival process on [0, duration)."""

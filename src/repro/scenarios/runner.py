@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import codec
-from repro.errors import ExperimentError
+from repro.errors import DefenseError, ExperimentError
 from repro.metrics.collector import RunResult
 from repro.rng import derive_seed
 from repro.scenarios.spec import ScenarioSpec
@@ -335,9 +335,19 @@ def load_results(path: str) -> List[SweepRecord]:
             f"results file {path!r} is truncated or not valid JSON: {error}"
         ) from None
     records = validate_results_document(document, path)
+    return [
+        decode_record(entry, f"record {position} of results file {path!r}")
+        for position, entry in enumerate(records)
+    ]
+
+
+def decode_record(entry: Dict[str, Any], where: str) -> SweepRecord:
+    """One stored record as a :class:`SweepRecord`; a failure says ``where``.
+
+    The codec and :class:`~repro.defenses.spec.DefenseSpec` name the class
+    and key that failed; this adds the file and the record's place in it.
+    """
     try:
-        return [SweepRecord.from_dict(entry) for entry in records]
-    except (KeyError, TypeError, ValueError) as error:
-        raise ExperimentError(
-            f"results file {path!r} has a malformed record: {error}"
-        ) from None
+        return SweepRecord.from_dict(entry)
+    except (DefenseError, ExperimentError) as error:
+        raise ExperimentError(f"{where} is malformed: {error}") from None

@@ -78,7 +78,7 @@ does (encouragement latency, quiescent periods, auction responses).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
 

@@ -49,7 +49,7 @@ first-occurrence ``argmin`` (identical to a strict ``<`` scan), and
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

@@ -21,7 +21,7 @@ differs, via the :meth:`Topology._route` hook.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import MBIT, milliseconds
 from repro.errors import TopologyError

@@ -228,6 +228,30 @@ def test_store_rejects_torn_spools_without_resume(finished_campaign):
     assert status.workers[0].torn and not status.complete
 
 
+def test_a_spool_line_that_fails_to_decode_names_the_spool(finished_campaign):
+    directory, _sweep = finished_campaign
+    path = spool_path(directory, 1)
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    entry = json.loads(lines[1])
+    entry["spec"]["topology"]["bogus"] = 1
+    lines[1] = json.dumps(entry)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    store = CampaignStore(directory)
+    capacity = entry["overrides"]["capacity_rps"]
+    readers = (store.load, lambda: list(store.query(where={"capacity_rps": capacity})))
+    for read in readers:
+        with pytest.raises(ExperimentError) as excinfo:
+            read()
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert f"line 2 of spool {path!r}" in message
+        assert "unknown TopologySpec keys: ['bogus']" in message
+    # The raw views never decode, so they still read the record.
+    assert store.count() == 6
+
+
 def test_two_hundred_point_campaign_completes(tmp_path):
     """The acceptance floor: a >=200-point campaign runs, checkpoints, and
     merges through the streaming store."""

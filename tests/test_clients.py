@@ -11,6 +11,7 @@ from repro.clients.population import PopulationSpec, build_mixed_population, bui
 from repro.constants import MBIT
 from repro.core.frontend import Deployment, DeploymentConfig
 from repro.errors import ClientError
+from repro.rng import RandomStream
 from repro.scenarios.registry import build_scenario
 from repro.simnet.topology import build_lan, uniform_bandwidths
 from tests.conftest import make_deployment
@@ -246,6 +247,30 @@ def test_pregeneration_stops_near_run_horizon():
     assert client._gen_time < 40.0
 
 
+def test_the_first_refill_draws_only_what_the_horizon_needs():
+    """A 0.02 req/s client in a 0.05 s run draws one gap, which already
+    lies past the run's end, and buffers nothing behind it."""
+    deployment, hosts = build_empty_deployment(clients=1, capacity=10.0, seed=0)
+    client = GoodClient(deployment, hosts[0], rate_rps=0.02)
+    deployment.run(0.05)
+    twin = RandomStream(0, f"client:{client.name}")
+    assert client._gen_time == 0.0 + twin.exponential(0.02)
+    assert client._gen_time > 0.05
+    assert client._pending_arrivals == []
+    assert client.stats.issued == 0
+
+
+def test_a_refill_under_a_horizon_stops_at_its_batch():
+    """Chunks of 1, 2, 4 and 8 gaps are capped at what is left of the
+    batch, so a refill that stays inside the horizon holds exactly
+    ``arrival_batch`` arrivals."""
+    deployment, hosts = build_empty_deployment(clients=1, capacity=10.0, seed=0)
+    client = GoodClient(deployment, hosts[0], rate_rps=1000.0, arrival_batch=10)
+    deployment.engine.run_horizon = 10.0
+    client.start()
+    assert len(client._pending_arrivals) == 10 - 1  # one is already scheduled
+
+
 def test_population_spec_threads_arrival_batch():
     deployment, hosts = build_empty_deployment(clients=2)
     clients = build_population(
@@ -273,18 +298,25 @@ def test_clients_have_no_instance_dict():
         assert not hasattr(client.stats, "__dict__")
 
 
-def test_a_built_client_costs_at_most_6500_bytes():
-    """Bytes ``build()`` allocates per client at 2,000 clients.
-
-    A slotted client reads about 5.2 KB on CPython 3.11, mostly its own
-    Mersenne Twister (about 3 KB) and its host and access links (about
-    1.2 KB).  An instance dict and two eagerly made deques per client would
-    push it to about 8.2 KB, past the bound.
-    """
-    spec = build_scenario(
+def _rollup_mega_2000():
+    return build_scenario(
         "rollup-mega", good_clients=1950, bad_clients=50,
         thinner_bandwidth_bps=400 * MBIT, seed=0,
     )
+
+
+def test_a_built_client_costs_at_most_6500_bytes():
+    """Bytes ``build()`` allocates per client at 2,000 clients.
+
+    A slotted client reads about 2.2 KB on CPython 3.11, mostly its host
+    and access links (about 1.2 KB); its Mersenne Twister is made at its
+    first draw, inside ``run()``.  A Twister made at build time, an
+    instance dict and two eagerly made deques per client would push it to
+    about 8.2 KB, past the bound.  Each alone stays under it: the slots are
+    checked by ``test_clients_have_no_instance_dict`` and the lazy Twister
+    by ``test_idle_clients_hold_no_generator_after_a_run``.
+    """
+    spec = _rollup_mega_2000()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -294,3 +326,52 @@ def test_a_built_client_costs_at_most_6500_bytes():
         tracemalloc.stop()
     assert len(deployment.clients) == 2000
     assert allocated / 2000 <= 6500
+
+
+def test_idle_clients_hold_no_generator_after_a_run():
+    """After a 0.05 s run nearly every client's next draw lies past the
+    run's end, so its stream is parked.  The peak of ``build()`` plus
+    ``run()`` is about 2.6 KB per client; Twisters made at build time would
+    put it at about 5.2 KB, and Twisters never parked at about 5.8 KB."""
+    spec = _rollup_mega_2000()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        deployment = spec.build()
+        deployment.run(spec.duration)
+        allocated = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    now = deployment.engine.now
+    idle = [
+        client for client in deployment.clients
+        if not client._pending_arrivals and client._gen_time > now
+    ]
+    assert len(idle) >= 1950
+    assert all(client.rng._rng is None for client in idle)
+    assert allocated / 2000 <= 3500
+
+
+def test_a_second_run_resumes_parked_streams_exactly():
+    """Each client's arrivals over two runs are the chained gaps a fresh
+    twin of its stream draws, whether or not the stream sat parked between
+    the runs."""
+    spec = build_scenario("rollup-mega", good_clients=20, bad_clients=0, seed=3)
+    deployment = spec.build()
+    deployment.run(spec.duration)
+    parked = [client for client in deployment.clients if client.rng._rng is None]
+    assert len(parked) == 20
+    deployment.run(150.0)
+    resumed = 0
+    for client in deployment.clients:
+        twin = RandomStream(3, f"client:{client.name}")
+        arrivals = []
+        t = 0.0
+        while t < client._gen_time:
+            t = t + twin.exponential(client.rate_rps)
+            arrivals.append(t)
+        assert t == client._gen_time
+        assert client.stats.issued == sum(1 for at in arrivals if at <= deployment.engine.now)
+        assert client.rng.random() == twin.random()
+        resumed += client.stats.issued > 0
+    assert resumed >= 15

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rng import (
+    PARK_LIMIT,
     RandomStream,
     StreamFactory,
     derive_seed,
@@ -167,3 +168,84 @@ def test_exponentials_batch_matches_sequential_draws():
         a.exponentials(0.0, 3)
     with pytest.raises(ValueError):
         a.exponentials(1.0, -1)
+
+
+# ---------------------------------------------------------------------------
+# Lazy, parkable streams
+# ---------------------------------------------------------------------------
+
+
+def _shuffled(stream):
+    items = list(range(12))
+    stream.shuffle(items)
+    return items
+
+
+#: Every draw a stream offers, each with fixed arguments.
+DRAWS = {
+    "uniform": lambda s: s.uniform(1.0, 3.0),
+    "random": lambda s: s.random(),
+    "randint": lambda s: s.randint(0, 1000),
+    "choice": lambda s: s.choice("abcdefg"),
+    "shuffle": _shuffled,
+    "sample": lambda s: s.sample(range(100), 5),
+    "exponential": lambda s: s.exponential(2.0),
+    "exponentials": lambda s: s.exponentials(2.0, 40),
+    "service_time": lambda s: s.service_time(100.0),
+    "bernoulli": lambda s: s.bernoulli(0.3),
+    "pareto": lambda s: s.pareto(1.5, 2.0),
+    "lognormal": lambda s: s.lognormal(0.0, 0.5),
+    "poisson_arrivals": lambda s: s.poisson_arrivals(20.0, 1.0),
+}
+
+VARIABLE_LENGTH = ("randint", "choice", "shuffle", "sample", "lognormal")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.lists(st.sampled_from(sorted(DRAWS) + ["park"] * 4), max_size=40),
+)
+def test_parking_never_changes_a_draw(seed, steps):
+    """Property: a stream parked between draws gives its twin's values."""
+    parked = RandomStream(seed, "parked")
+    twin = RandomStream(seed, "parked")
+    for step in steps:
+        if step == "park":
+            parked.park()
+        else:
+            assert DRAWS[step](parked) == DRAWS[step](twin), step
+    assert parked.random() == twin.random()
+
+
+def test_a_stream_has_no_generator_until_its_first_draw():
+    stream = RandomStream(5, "lazy")
+    assert stream._rng is None
+    first = stream.random()
+    assert stream._rng is not None
+    stream.park()
+    assert stream._rng is None
+    twin = RandomStream(5, "lazy")
+    assert [twin.random(), twin.random()] == [first, stream.random()]
+
+
+def test_park_holds_up_to_one_twister_block():
+    stream = RandomStream(3, "block")
+    stream.exponentials(1.0, PARK_LIMIT // 2)  # exactly 624 words
+    stream.park()
+    assert stream._rng is None
+    stream.random()  # 626 words: replaying would cost more than a block
+    stream.park()
+    assert stream._rng is not None
+
+
+@pytest.mark.parametrize("draw", VARIABLE_LENGTH)
+def test_park_is_a_no_op_after_a_variable_length_draw(draw):
+    stream = RandomStream(3, "variable")
+    stream.random()
+    DRAWS[draw](stream)
+    stream.park()
+    assert stream._rng is not None
+    stream.random()
+    stream.park()
+    assert stream._rng is not None

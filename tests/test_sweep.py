@@ -189,6 +189,33 @@ def test_results_file_with_a_retired_spec_key_fails_with_one_line(tmp_path):
     assert "\n" not in str(excinfo.value)
 
 
+def test_a_record_that_fails_to_decode_names_the_results_file(tmp_path):
+    records = SweepRunner().run(Sweep(_base_spec(), axes={"capacity_rps": (5.0, 10.0)}))
+    path = tmp_path / "results.json"
+    save_results(records, str(path))
+    document = json.loads(path.read_text())
+    document["records"][1]["spec"]["topology"]["bogus"] = 1
+    path.write_text(json.dumps(document))
+    with pytest.raises(ExperimentError) as excinfo:
+        load_results(str(path))
+    message = str(excinfo.value)
+    assert "\n" not in message
+    assert f"record 1 of results file {str(path)!r}" in message
+    assert "unknown TopologySpec keys: ['bogus']" in message
+
+
+def test_a_malformed_defense_in_a_stored_record_names_the_results_file(tmp_path):
+    records = SweepRunner().run(Sweep(_base_spec()))
+    path = tmp_path / "results.json"
+    save_results(records, str(path))
+    document = json.loads(path.read_text())
+    document["records"][0]["spec"]["defense"] = {"name": "speakup", "extra": 1}
+    path.write_text(json.dumps(document))
+    with pytest.raises(ExperimentError, match="unexpected defense spec keys") as excinfo:
+        load_results(str(path))
+    assert f"record 0 of results file {str(path)!r}" in str(excinfo.value)
+
+
 def test_results_store_rejects_unknown_versions(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"version": 99, "records": []}')
