@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import median
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro import codec
 from repro.core.routing import ShardRouter
@@ -277,6 +277,9 @@ class HealthProber:
     sample counts reset, and because re-pinned clients never migrate back,
     the ``counts[shard] > 0`` eligibility guard keeps an idle readmitted
     shard from being re-ejected for serving nobody.
+
+    Each ejection and readmission appends ``(time, "eject"|"readmit",
+    shard)`` to the deployment's ``timeline``.
     """
 
     def __init__(self, deployment, spec: HealthProbeSpec) -> None:
@@ -295,12 +298,9 @@ class HealthProber:
         self._probation_until: List[Optional[float]] = [None] * shards
         self._task = None
 
-        # -- the FailoverMetrics surface ------------------------------------
-        self.ejections = 0
-        self.readmits = 0
+        # -- the FailoverMetrics surface beyond the deployment's timeline ----
         self.repinned_clients = 0
         self.probe_samples = 0
-        self.timeline: List[Tuple[float, str, int]] = []
 
     def arm(self) -> None:
         """Start the periodic probe loop (idempotent per deployment run)."""
@@ -317,7 +317,7 @@ class HealthProber:
         """Cumulative payment bytes that reached ``shard`` (sunk + open bids)."""
         thinner = self.deployment.thinners[shard]
         total = thinner.stats.payment_bytes_sunk
-        for contender in thinner._contenders.values():
+        for contender in thinner.contenders():
             total += contender.peek_bid(now)
         return total
 
@@ -361,8 +361,7 @@ class HealthProber:
                 self._probation_until[shard] = None
                 router.set_ejected(shard, False)
                 self._reset_shard(shard)
-                self.readmits += 1
-                self.timeline.append((now, "readmit", shard))
+                self.deployment.timeline.append((now, "readmit", shard))
 
     def _reset_shard(self, shard: int) -> None:
         stats = self.deployment.thinners[shard].stats
@@ -406,8 +405,7 @@ class HealthProber:
 
     def _eject(self, now: float, router: ShardRouter, shard: int) -> None:
         router.set_ejected(shard, True)
-        self.ejections += 1
-        self.timeline.append((now, "eject", shard))
+        self.deployment.timeline.append((now, "eject", shard))
         if self.spec.holddown_s > 0:
             self._probation_until[shard] = now + self.spec.holddown_s
         # Drain the sick front-end: evict its contenders (channels close,

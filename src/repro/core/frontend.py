@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.constants import DEFAULT_POST_BYTES, SERVICE_TIME_JITTER
 from repro.errors import DefenseError, ExperimentError, FaultError, ThinnerError
@@ -53,7 +53,6 @@ from repro.simnet.host import Host
 from repro.simnet.network import FluidNetwork
 from repro.simnet.tcp import SlowStartRamp
 from repro.simnet.topology import Topology
-from repro.simnet.trace import Tracer
 from repro.telemetry.spec import TelemetrySpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -99,8 +98,6 @@ class DeploymentConfig:
     service_jitter: float = SERVICE_TIME_JITTER
     #: Root seed for every random stream in the deployment.
     seed: int = 0
-    #: Collect a :class:`~repro.simnet.trace.Tracer` of flow/auction events.
-    enable_tracing: bool = False
     #: Bound on concurrent contenders (connection descriptors, §6); None = unbounded.
     max_contenders: Optional[int] = None
     #: Number of thinner front-end shards (§4.3 scale-out).  1 deploys the
@@ -259,8 +256,13 @@ class Deployment:
 
         self.engine = Engine()
         self.streams = StreamFactory(self.config.seed)
-        self.tracer = Tracer() if self.config.enable_tracing else None
-        self.network = FluidNetwork(self.engine, topology, tracer=self.tracer)
+        #: What the run did, in engine order: one ``(time, action, shard)``
+        #: per fault the injector executed, per ejection or readmission the
+        #: health prober made, and per ``"engage"``/``"disengage"`` switch of
+        #: an adaptive controller.  The collector derives the failover and
+        #: engagement metrics from it.
+        self.timeline: List[Tuple[float, str, int]] = []
+        self.network = FluidNetwork(self.engine, topology)
         self.slow_start = SlowStartRamp(self.network) if self.config.model_slow_start else None
 
         #: The rollup telemetry collector, or ``None`` in full mode.  Full

@@ -22,14 +22,14 @@ a freed slot to the currently-active thinner first (the controller points
 the mux's ``next_offer`` at it; the mux does not rotate).  Switching
 migrates the inactive side's contenders (closing any open payment channels
 on disengage — the clients stop paying, exactly as the paper promises for
-peacetime) and appends a transition to the engagement log, which the
-metrics collector surfaces as
-:class:`~repro.metrics.collector.EngagementMetrics`.
+peacetime) and appends ``(time, "engage"|"disengage", shard)`` to the
+deployment's ``timeline``, from which the metrics collector derives the
+shard's :class:`~repro.metrics.collector.EngagementMetrics`.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import Union
 
 from repro.errors import DefenseError
 from repro.core.admission import NoDefenseThinner
@@ -66,6 +66,9 @@ class AdaptiveThinner:
         server=None,
     ) -> None:
         self.engine = deployment.engine
+        self.shard = shard
+        #: The deployment's timeline, where every switch is recorded.
+        self._timeline = deployment.timeline
         self.engage_threshold = engage_threshold
         self.disengage_threshold = disengage_threshold
         self.check_interval = check_interval
@@ -86,9 +89,6 @@ class AdaptiveThinner:
         self.engaged = False
         #: Both sides record into the deployment's book.
         self.prices = deployment.prices
-
-        #: (time, engaged) transitions, in order; starts disengaged at t=0.
-        self.engagement_log: List[Tuple[float, bool]] = []
         self.counters = self._passthrough.counters
         self._busy_mark = real_server.stats.busy_time
         self._watcher = self.engine.schedule_every(check_interval, self._check_load)
@@ -129,6 +129,15 @@ class AdaptiveThinner:
             if request.request_id in side._contenders:
                 side._drop(request, reason)
                 return
+
+    def set_stalled(self, stalled: bool) -> None:
+        """Start or stop the ``stall`` fault on both sides, the active one first.
+
+        So on resume the active side is the first offered a free slot.
+        """
+        idle = self._passthrough if self.engaged else self._engaged
+        self.active.set_stalled(stalled)
+        idle.set_stalled(stalled)
 
     def _pop_owner(self, request_id: int):
         """Detach the owning client from whichever side tracked the request."""
@@ -198,7 +207,9 @@ class AdaptiveThinner:
         self.engaged = engage
         target = self.active
         self._mux.next_offer = 1 if engage else 0
-        self.engagement_log.append((self.engine.now, engage))
+        self._timeline.append(
+            (self.engine.now, "engage" if engage else "disengage", self.shard)
+        )
         self.counters.engagement_switches += 1
         self._migrate(source, target)
 

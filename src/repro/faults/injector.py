@@ -51,10 +51,14 @@ that the fleet keeps routing to a misbehaving shard until the health prober
   (:meth:`~repro.core.thinner.ThinnerBase.set_stalled`): it keeps receiving
   requests and sinking payment bytes but stops granting admission.
 
-The injector also samples cumulative good-client service (and, for the
-retry-amplification analysis, good-client sends/retries/suppressions) on a
-fixed cadence while armed; :class:`~repro.metrics.collector.FailoverMetrics`
-exposes the series so experiments can plot service through the pulse.
+Every transition that takes effect (a no-op kill of a dead shard does not)
+appends ``(time, action, shard)`` to the deployment's ``timeline``, which
+:class:`~repro.metrics.collector.FailoverMetrics` takes its timeline and
+transition counts from.  The injector keeps only what that list cannot say:
+re-pins, orphaned requests, lossy uploads, and the cumulative good-client
+service (and, for the retry-amplification analysis, good-client
+sends/retries/suppressions) it samples on a fixed cadence while armed, so
+experiments can plot service through the pulse.
 """
 
 from __future__ import annotations
@@ -107,18 +111,11 @@ class FaultInjector:
             else None
         )
 
-        # -- the FailoverMetrics surface ------------------------------------
-        self.kills = 0
-        self.heals = 0
+        # -- the FailoverMetrics surface beyond the deployment's timeline ----
         self.repinned_clients = 0
         self.orphaned_requests = 0
-        #: Gray-failure transition counters (start events that took effect).
-        self.degrades = 0
-        self.stalls = 0
         #: Uploads the ``lossy`` fault actually dropped.
         self.lossy_uploads = 0
-        #: Executed fault timeline: ``(time, action, shard)``.
-        self.timeline: List[Tuple[float, str, int]] = []
         #: Cumulative good-client served samples: ``(time, served)``.
         self.service_samples: List[Tuple[float, int]] = []
         #: Cumulative good-client retry samples:
@@ -157,8 +154,7 @@ class FaultInjector:
         if not self.alive[shard]:
             return  # already dead: a no-op, so random schedules compose
         self.alive[shard] = False
-        self.kills += 1
-        self.timeline.append((self.engine.now, "kill", shard))
+        self._record("kill", shard)
 
         deployment = self.deployment
         deployment._router.set_alive(shard, False)
@@ -198,8 +194,7 @@ class FaultInjector:
         if self.alive[shard]:
             return  # healing a live shard is a no-op
         self.alive[shard] = True
-        self.heals += 1
-        self.timeline.append((self.engine.now, "heal", shard))
+        self._record("heal", shard)
 
         deployment = self.deployment
         deployment._router.set_alive(shard, True)
@@ -221,15 +216,14 @@ class FaultInjector:
         if self.capacity_factor[shard] == factor:
             return  # re-degrading at the same factor is a no-op
         self.capacity_factor[shard] = factor
-        self.degrades += 1
-        self.timeline.append((self.engine.now, "degrade", shard))
+        self._record("degrade", shard)
         self._apply_capacity_factor(shard, factor)
 
     def _restore(self, shard: int) -> None:
         if self.capacity_factor[shard] == 1.0:
             return  # restoring an undegraded shard is a no-op
         self.capacity_factor[shard] = 1.0
-        self.timeline.append((self.engine.now, "restore", shard))
+        self._record("restore", shard)
         self._apply_capacity_factor(shard, 1.0)
 
     def _apply_capacity_factor(self, shard: int, factor: float) -> None:
@@ -243,27 +237,26 @@ class FaultInjector:
         if self.loss_p[shard] == loss_p:
             return
         self.loss_p[shard] = loss_p
-        self.timeline.append((self.engine.now, "lossy", shard))
+        self._record("lossy", shard)
 
     def _lossless(self, shard: int) -> None:
         if self.loss_p[shard] == 0.0:
             return
         self.loss_p[shard] = 0.0
-        self.timeline.append((self.engine.now, "lossless", shard))
+        self._record("lossless", shard)
 
     def _stall(self, shard: int) -> None:
         if self.stalled[shard]:
             return
         self.stalled[shard] = True
-        self.stalls += 1
-        self.timeline.append((self.engine.now, "stall", shard))
+        self._record("stall", shard)
         self.deployment.thinners[shard].set_stalled(True)
 
     def _resume(self, shard: int) -> None:
         if not self.stalled[shard]:
             return
         self.stalled[shard] = False
-        self.timeline.append((self.engine.now, "resume", shard))
+        self._record("resume", shard)
         self.deployment.thinners[shard].set_stalled(False)
 
     def upload_lost(self, shard: int) -> bool:
@@ -312,6 +305,9 @@ class FaultInjector:
         self.retry_samples.append((now, sent, retried, suppressed))
 
     # -- internals -------------------------------------------------------------
+
+    def _record(self, action: str, shard: int) -> None:
+        self.deployment.timeline.append((self.engine.now, action, shard))
 
     def _reclaim_slot(self, shard: int, thinner) -> None:
         deployment = self.deployment

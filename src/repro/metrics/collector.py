@@ -13,12 +13,17 @@ The quantities mirror what the paper's figures report:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro import codec
 from repro.metrics.summary import Summary, mean, ratio, summarise
 from repro.telemetry.collector import TelemetryMetrics
+
+#: The deployment timeline actions an adaptive controller writes; every
+#: other action is a fault transition or a health-prober verdict.
+ENGAGEMENT_ACTIONS = ("engage", "disengage")
 
 
 @dataclass
@@ -46,19 +51,14 @@ class StageMetrics:
 class EngagementMetrics:
     """When an adaptive defense was engaged over a run (per thinner shard).
 
-    ``transitions`` holds the (time, engaged) switch events in order; the
-    run starts disengaged at t=0.  Present only for adaptive defenses.
+    ``transitions`` holds the (time, engaged) switch events in order: the
+    shard's ``"engage"``/``"disengage"`` entries of the deployment's
+    timeline.  The run starts disengaged at t=0, so a shard that never
+    switched has none.  Present only for adaptive defenses.
     """
 
     duration: float
     transitions: List[List] = field(default_factory=list)
-
-    @classmethod
-    def from_log(cls, log, duration: float) -> "EngagementMetrics":
-        return cls(
-            duration=duration,
-            transitions=[[float(time), bool(engaged)] for time, engaged in log],
-        )
 
     @property
     def engagements(self) -> int:
@@ -123,12 +123,15 @@ class FailoverMetrics:
     failover key at all, keeping their serialised form byte-identical to
     pre-fault-layer results.
 
-    ``timeline`` holds the executed ``[time, action, shard]`` events in
-    order (no-op kills of dead shards and heals of live ones are not
-    recorded; the health prober's eject/readmit transitions are merged in
-    when one ran).  ``service_samples`` is the cumulative good-client served
-    count sampled on the plan's cadence, ``[time, served]`` — difference
-    neighbouring samples to get a service rate through the pulse.
+    ``timeline`` is the deployment's timeline less the adaptive controllers'
+    engagement switches: the executed ``[time, action, shard]`` fault
+    transitions and health-prober ejections and readmits, in engine order
+    (no-op kills of dead shards and heals of live ones are not recorded).
+    The six transition counts (kills, heals, degrades, stalls, ejections,
+    readmits) count its actions.  ``service_samples`` is the cumulative
+    good-client served count sampled on the plan's cadence,
+    ``[time, served]`` — difference neighbouring samples to get a service
+    rate through the pulse.
     ``retry_samples`` is the parallel cumulative retry accounting,
     ``[time, sent, retried, suppressed]`` over the good clients — the
     series retry-amplification numbers are differenced from.
@@ -160,46 +163,6 @@ class FailoverMetrics:
     timeline: List[List] = field(default_factory=list)
     service_samples: List[List] = field(default_factory=list)
     retry_samples: List[List] = field(default_factory=list, metadata=codec.OMIT_DEFAULT)
-
-    @classmethod
-    def from_injector(cls, injector, prober=None) -> "FailoverMetrics":
-        """Build from the fault injector and/or health prober (either may be None)."""
-        metrics = cls()
-        if injector is not None:
-            metrics.kills = injector.kills
-            metrics.heals = injector.heals
-            metrics.repinned_clients = injector.repinned_clients
-            metrics.orphaned_requests = injector.orphaned_requests
-            metrics.degrades = injector.degrades
-            metrics.stalls = injector.stalls
-            metrics.lossy_uploads = injector.lossy_uploads
-            metrics.timeline = [
-                [float(time), action, int(shard)]
-                for time, action, shard in injector.timeline
-            ]
-            metrics.service_samples = [
-                [float(time), int(served)]
-                for time, served in injector.service_samples
-            ]
-            metrics.retry_samples = [
-                [float(time), int(sent), int(retried), int(suppressed)]
-                for time, sent, retried, suppressed in injector.retry_samples
-            ]
-        if prober is not None:
-            metrics.ejections = prober.ejections
-            metrics.readmits = prober.readmits
-            metrics.ejected_repins = prober.repinned_clients
-            metrics.probe_samples = prober.probe_samples
-            if prober.timeline:
-                metrics.timeline = sorted(
-                    metrics.timeline
-                    + [
-                        [float(time), action, int(shard)]
-                        for time, action, shard in prober.timeline
-                    ],
-                    key=lambda entry: entry[0],
-                )
-        return metrics
 
     to_dict = codec.to_dict
     from_dict = classmethod(codec.from_dict)
@@ -514,10 +477,14 @@ def _collect_shards(deployment) -> List[ShardMetrics]:
                 StageMetrics(name=name, screened=screened, rejected=rejected)
                 for name, screened, rejected in stage_triples
             ]
-        engagement_log = getattr(thinner, "engagement_log", None)
-        if engagement_log is not None:
-            metrics.engagement = EngagementMetrics.from_log(
-                engagement_log, deployment.duration
+        if hasattr(thinner, "engaged"):  # an adaptive controller
+            metrics.engagement = EngagementMetrics(
+                duration=deployment.duration,
+                transitions=[
+                    [float(time), action == "engage"]
+                    for time, action, shard in deployment.timeline
+                    if shard == index and action in ENGAGEMENT_ACTIONS
+                ],
             )
         shards.append(metrics)
     # One pass over the clients (not one scan per shard) to attribute them.
@@ -535,13 +502,41 @@ def _collect_shards(deployment) -> List[ShardMetrics]:
 
 def _collect_failover(deployment, good, bad) -> Optional[FailoverMetrics]:
     """Failover metrics when faults were injected or a prober ran, else None."""
-    injector = getattr(deployment, "fault_injector", None)
-    prober = getattr(deployment, "health_prober", None)
+    injector = deployment.fault_injector
+    prober = deployment.health_prober
     if injector is None and prober is None:
         return None
-    metrics = FailoverMetrics.from_injector(injector, prober)
-    metrics.retries_attempted = good.retries_attempted + bad.retries_attempted
-    metrics.retries_suppressed = good.retries_suppressed + bad.retries_suppressed
+    timeline = [
+        [float(time), action, int(shard)]
+        for time, action, shard in deployment.timeline
+        if action not in ENGAGEMENT_ACTIONS
+    ]
+    counts = Counter(action for _time, action, _shard in timeline)
+    metrics = FailoverMetrics(
+        kills=counts["kill"],
+        heals=counts["heal"],
+        degrades=counts["degrade"],
+        stalls=counts["stall"],
+        ejections=counts["eject"],
+        readmits=counts["readmit"],
+        retries_attempted=good.retries_attempted + bad.retries_attempted,
+        retries_suppressed=good.retries_suppressed + bad.retries_suppressed,
+        timeline=timeline,
+    )
+    if injector is not None:
+        metrics.repinned_clients = injector.repinned_clients
+        metrics.orphaned_requests = injector.orphaned_requests
+        metrics.lossy_uploads = injector.lossy_uploads
+        metrics.service_samples = [
+            [float(time), int(served)] for time, served in injector.service_samples
+        ]
+        metrics.retry_samples = [
+            [float(time), int(sent), int(retried), int(suppressed)]
+            for time, sent, retried, suppressed in injector.retry_samples
+        ]
+    if prober is not None:
+        metrics.ejected_repins = prober.repinned_clients
+        metrics.probe_samples = prober.probe_samples
     return metrics
 
 

@@ -18,7 +18,6 @@ from repro.simnet.bandwidth import max_min_fair_rates
 from repro.simnet.network import FluidNetwork
 from repro.simnet.tcp import SlowStartRamp, slow_start_transfer_time
 from repro.simnet.topology import Topology, build_lan, build_bottleneck, build_dumbbell
-from repro.simnet.trace import Tracer, TraceRecord
 
 __all__ = [
     "Engine",
@@ -36,6 +35,4 @@ __all__ = [
     "build_lan",
     "build_bottleneck",
     "build_dumbbell",
-    "Tracer",
-    "TraceRecord",
 ]

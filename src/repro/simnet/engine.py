@@ -179,7 +179,7 @@ class Engine:
 
     def schedule_at(self, time: float, callback: Callable, *args, **kwargs) -> Event:
         """Schedule ``callback(*args, **kwargs)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # also refuses NaN, for which ``<`` is false
             raise SchedulingError(
                 f"cannot schedule event at t={time:.6f}, which is before now={self._now:.6f}"
             )
@@ -191,7 +191,7 @@ class Engine:
 
     def schedule_after(self, delay: float, callback: Callable, *args, **kwargs) -> Event:
         """Schedule ``callback`` to fire ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SchedulingError(f"delay must be non-negative, got {delay}")
         # ``schedule_at(self._now + delay, ...)``, inlined.
         time = self._now + delay
@@ -217,7 +217,7 @@ class Engine:
 
     def schedule_reserved(self, time: float, seq: int, callback: Callable, *args) -> Event:
         """Schedule ``callback(*args)`` at ``time`` under a claimed ``seq``."""
-        if time < self._now:
+        if not time >= self._now:
             raise SchedulingError(
                 f"cannot schedule event at t={time:.6f}, which is before now={self._now:.6f}"
             )
@@ -321,7 +321,7 @@ class Engine:
         **kwargs,
     ) -> "PeriodicTask":
         """Run ``callback`` every ``interval`` seconds until cancelled."""
-        if interval <= 0:
+        if not interval > 0:
             raise SchedulingError(f"interval must be positive, got {interval}")
         task = PeriodicTask(self, interval, callback, args, kwargs)
         first = interval if start_after is None else start_after

@@ -49,8 +49,8 @@ class Flow:
     Parameters
     ----------
     src, dst:
-        Endpoints.  Only used for bookkeeping and tracing; the constraint set
-        is ``path``.
+        Endpoints.  Only used for bookkeeping; the constraint set is
+        ``path``.
     path:
         The directed links the flow crosses, in order.
     size_bytes:
@@ -60,7 +60,7 @@ class Flow:
         An upper bound on the flow's rate in addition to fair sharing;
         the TCP slow-start ramp raises this over time.
     label:
-        Free-form tag used by traces and metrics (e.g. ``"payment"``).
+        Free-form tag shown in the flow's ``repr`` (e.g. ``"payment:7"``).
     """
 
     __slots__ = (

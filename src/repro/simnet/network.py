@@ -91,7 +91,6 @@ from repro.simnet.host import Host
 from repro.simnet.link import Link
 from repro.simnet.soa import SoAStore, waterfill_arrays
 from repro.simnet.topology import Topology
-from repro.simnet.trace import Tracer
 
 #: Completion is declared when fewer than this many bytes remain; guards
 #: against floating-point residue keeping a flow alive forever.
@@ -127,15 +126,9 @@ class FluidNetwork:
     #: are bit-identical, so this is purely a performance knob.
     VEC_MIN_COMPONENT = 64
 
-    def __init__(
-        self,
-        engine: Engine,
-        topology: Topology,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
+    def __init__(self, engine: Engine, topology: Topology) -> None:
         self.engine = engine
         self.topology = topology
-        self.tracer = tracer
 
         #: The struct-of-arrays store backing flows, links and channels.
         self.soa = SoAStore()
@@ -244,16 +237,6 @@ class FluidNetwork:
         lids = self._ensure_path_lids(flow)
         self._note_change(flow.path, lids, flow)
         self._attach(flow, lids)
-        if self.tracer is not None:
-            self.tracer.record(
-                "flow_start",
-                time=self.engine.now,
-                flow_id=flow.flow_id,
-                label=flow.label,
-                src=flow.src.name,
-                dst=flow.dst.name,
-                size=flow.size_bytes,
-            )
         return flow
 
     def send(
@@ -288,14 +271,6 @@ class FluidNetwork:
         self._note_change(flow.path, flow._path_lids)
         self._detach(flow, FlowState.STOPPED)
         self.stopped_flows += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                "flow_stop",
-                time=self.engine.now,
-                flow_id=flow.flow_id,
-                label=flow.label,
-                delivered=flow.delivered_bytes,
-            )
         return flow.delivered_bytes
 
     def set_rate_cap(self, flow: Flow, rate_cap_bps: Optional[float]) -> None:
@@ -973,14 +948,6 @@ class FluidNetwork:
         self._note_change(flow.path, flow._path_lids)
         self._detach(flow, FlowState.COMPLETED)
         self.completed_flows += 1
-        if self.tracer is not None:
-            self.tracer.record(
-                "flow_complete",
-                time=self.engine.now,
-                flow_id=flow.flow_id,
-                label=flow.label,
-                delivered=flow.delivered_bytes,
-            )
         if flow.on_complete is not None:
             flow.on_complete(flow)
 

@@ -198,7 +198,7 @@ def test_adaptive_thinner_direct_wiring():
     thinner = deployment.thinner
     # The constant attack keeps utilisation pinned: engaged once, still on.
     assert thinner.engaged
-    assert thinner.engagement_log and thinner.engagement_log[0][1] is True
+    assert [action for _t, action, _s in deployment.timeline] == ["engage"]
     # The merged stats and the shared book read coherently through the proxy.
     assert thinner.stats.requests_received > 0
     assert len(thinner.prices) > 0

@@ -80,6 +80,26 @@ def test_negative_delay_raises():
         engine.schedule_after(-0.1, lambda: None)
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        lambda engine: engine.schedule_at(float("nan"), lambda: None),
+        lambda engine: engine.schedule_after(float("nan"), lambda: None),
+        lambda engine: engine.schedule_reserved(
+            float("nan"), engine.reserve_seq(), lambda: None
+        ),
+        lambda engine: engine.schedule_every(float("nan"), lambda: None),
+    ],
+    ids=["schedule_at", "schedule_after", "schedule_reserved", "schedule_every"],
+)
+def test_a_nan_time_is_refused(schedule):
+    engine = Engine()
+    engine.run(until=1.0)
+    with pytest.raises(SchedulingError):
+        schedule(engine)
+    assert engine.pending_events == 0
+
+
 def test_cancelled_event_does_not_fire():
     engine = Engine()
     fired = []

@@ -7,14 +7,17 @@ Three families of tests:
   landed.  Runs with no plan and runs with an *empty* ``FaultPlan()`` must
   both still match them bit for bit, across all three dispatch policies and
   both admission modes: the fault layer must be invisible until a plan has
-  events.
+  events.  Its ``faulted`` pins cover runs whose failover timeline is not
+  empty: a kill/heal pulse, probed stall and lossy pulses (entries at one
+  instant), and a degrade pulse on an adaptive fleet.
 * **semantic tests** — what one kill/heal pulse does: eviction, slot
   reclamation (both admission modes), lagged re-pinning, sticky healing,
   and the validation errors (quantum, single shard, malformed plans).
 * **property tests** (``-m slow``) — randomized kill/heal schedules over
   several seeds preserve the client-accounting identity, leave nothing
-  attached to dead shards, keep the injector's counters monotone, and stay
-  deterministic run-to-run.
+  attached to dead shards, record exactly the transitions the plan takes
+  effect as, keep the injector's counters monotone, and stay deterministic
+  run-to-run.
 """
 
 import hashlib
@@ -194,6 +197,22 @@ def test_empty_fault_plan_is_byte_identical_to_pre_fault_main(
     assert events == pin["events_processed"]
 
 
+@pytest.mark.parametrize("key", sorted(PINS["faulted"]))
+def test_faulted_runs_match_their_pins(key):
+    pin = PINS["faulted"][key]
+    spec = build_scenario(pin["scenario"], **pin["params"])
+    deployment = spec.build()
+    deployment.run(spec.duration)
+    result = deployment.results()
+    assert result.failover.timeline, "a faulted pin must exercise the timeline"
+    digest = hashlib.sha256(
+        json.dumps(result.to_dict(), sort_keys=True).encode()
+    ).hexdigest()
+    assert digest == pin["sha256"], f"{key} diverged from its pinned run"
+    assert deployment.engine.events_processed == pin["events_processed"]
+    assert result.total_served == pin["total_served"]
+
+
 # ---------------------------------------------------------------------------
 # Kill/heal semantics
 # ---------------------------------------------------------------------------
@@ -261,8 +280,8 @@ def test_kill_evicts_and_clients_repin_to_survivors(mode):
     plan = kill_heal_pulse(1, kill_at_s=4.0, heal_at_s=20.0, repin_ttl_s=1.0)
     deployment, result = run_faulted_fleet(plan, admission_mode=mode)
     injector = deployment.fault_injector
-    assert injector.kills == 1
-    assert injector.heals == 0  # heal scheduled after the run ends
+    # The heal is scheduled after the run ends.
+    assert deployment.timeline == [(4.0, "kill", 1)]
     assert injector.repinned_clients > 0
     assert injector.orphaned_requests > 0
     assert not injector.alive[1]
@@ -276,14 +295,14 @@ def test_kill_evicts_and_clients_repin_to_survivors(mode):
     assert result.total_served > 0
     _assert_invariants(deployment)
     assert result.failover is not None
-    assert result.failover.kills == 1
+    assert (result.failover.kills, result.failover.heals) == (1, 0)
 
 
 def test_heal_rejoins_but_repinned_clients_stay_put():
     plan = kill_heal_pulse(1, kill_at_s=4.0, heal_at_s=8.0, repin_ttl_s=1.0)
     deployment, result = run_faulted_fleet(plan)
     injector = deployment.fault_injector
-    assert injector.kills == 1 and injector.heals == 1
+    assert deployment.timeline == [(4.0, "kill", 1), (8.0, "heal", 1)]
     assert injector.alive == [True, True, True]
     host = deployment.thinner_hosts[1]
     assert host.access.up.is_up and host.access.down.is_up
@@ -291,10 +310,8 @@ def test_heal_rejoins_but_repinned_clients_stay_put():
     # further kills nobody re-resolves, so the shard stays empty.
     assert deployment._router.counts[1] == 0
     _assert_invariants(deployment)
-    assert [action for _t, action, _s in result.failover.timeline] == [
-        "kill",
-        "heal",
-    ]
+    assert result.failover.timeline == [[4.0, "kill", 1], [8.0, "heal", 1]]
+    assert (result.failover.kills, result.failover.heals) == (1, 1)
 
 
 def test_failover_metrics_round_trip_and_stay_optional():
@@ -410,9 +427,9 @@ def test_degrade_scales_the_access_link_and_restores():
     assert host.access.up.capacity_bps == base_up
     assert host.access.down.capacity_bps == base_down
     injector = deployment.fault_injector
-    assert injector.degrades == 1
     assert injector.capacity_factor == [1.0, 1.0, 1.0]
-    assert [action for _t, action, _s in injector.timeline] == ["degrade", "restore"]
+    assert deployment.timeline == [(3.0, "degrade", 1), (8.0, "restore", 1)]
+    assert deployment.results().failover.degrades == 1
     # Degrades never touch the dispatch masks.
     assert injector.alive == [True, True, True]
     assert deployment._router.alive == [True, True, True]
@@ -445,7 +462,8 @@ def test_stall_freezes_admission_and_resume_recovers():
     deployment.engine.schedule_at(7.5, snap, "late")
     deployment.run(12.0)
     injector = deployment.fault_injector
-    assert injector.stalls == 1
+    assert deployment.timeline == [(3.0, "stall", 1), (8.0, "resume", 1)]
+    assert deployment.results().failover.stalls == 1
     assert injector.stalled == [False, False, False]  # resumed
     # The stalled shard granted nothing while stalled; the others kept going.
     assert snapshots["late"][1] == snapshots["early"][1]
@@ -453,6 +471,53 @@ def test_stall_freezes_admission_and_resume_recovers():
     # After the resume the shard grants admission again.
     final = [t.stats.requests_admitted for t in deployment.thinners]
     assert final[1] > snapshots["late"][1]
+    _assert_invariants(deployment)
+
+
+def _run_adaptive_brownout(fault, probe_at=(), **params):
+    """A 6+6-client adaptive fleet-brownout run; snapshots shard admissions."""
+    spec = build_scenario(
+        "fleet-brownout",
+        good_clients=6,
+        bad_clients=6,
+        duration=12.0,
+        defense="adaptive",
+        fault=fault,
+        **params,
+    )
+    deployment = spec.build()
+    admitted = {}
+
+    def snap(at):
+        admitted[at] = [t.stats.requests_admitted for t in deployment.thinners]
+
+    for at in probe_at:
+        deployment.engine.schedule_at(at, snap, at)
+    deployment.run(spec.duration)
+    return deployment, deployment.results(), admitted
+
+
+@pytest.mark.parametrize("fault", ["stall", "degrade", "lossy"])
+def test_an_adaptive_fleet_runs_each_gray_fault_under_the_prober(fault):
+    deployment, result, _admitted = _run_adaptive_brownout(fault, health_probe=True)
+    _assert_invariants(deployment)  # every client's, so each class's, accounting
+    assert result.failover.probe_samples > 0
+    assert all(shard.engagement is not None for shard in result.shards)
+    # The failover timeline leaves the engagement switches out.
+    assert not {"engage", "disengage"} & {a for _t, a, _s in result.failover.timeline}
+
+
+def test_a_stalled_adaptive_shard_admits_nothing_until_it_resumes():
+    # The stall pulse holds shard 1 from 4 s to 8 s; both sides of its
+    # controller stop admitting, whichever is active.
+    deployment, result, admitted = _run_adaptive_brownout(
+        "stall", probe_at=(4.01, 7.99, 9.0)
+    )
+    assert admitted[4.01][1] == admitted[7.99][1]
+    assert admitted[9.0][1] > admitted[7.99][1]
+    assert sum(admitted[7.99]) > sum(admitted[4.01])  # the others kept going
+    assert deployment.thinners[1].active.stalled is False
+    assert result.failover.stalls == 1
     _assert_invariants(deployment)
 
 
@@ -546,7 +611,7 @@ def test_kill_on_exact_backlog_deadline_keeps_the_identity():
     plan = kill_heal_pulse(shard, kill_at_s=deadline, heal_at_s=deadline + 100.0)
     deployment = _build_faulted_fleet(plan)
     deployment.run(deadline + 2.0)
-    assert deployment.fault_injector.kills == 1
+    assert deployment.timeline == [(deadline, "kill", shard)]
     for client in deployment.clients:
         stats = client.stats
         assert stats.issued == (
@@ -661,6 +726,37 @@ def test_failover_experiment_reports_recovery():
 # ---------------------------------------------------------------------------
 
 
+def _effective_transitions(plan, shards=3):
+    """The ``[time, action, shard]`` entries a plan's events take effect as.
+
+    Replays the plan against per-shard state: an event that would leave its
+    shard as it found it (killing a dead shard, restoring an undegraded one,
+    and so on) changes nothing and is not recorded.
+    """
+    alive = [True] * shards
+    factor = [1.0] * shards
+    loss_p = [0.0] * shards
+    stalled = [False] * shards
+    effective = []
+    for event in plan.ordered_events():
+        action, shard = event.action, event.shard
+        if action in ("kill", "heal"):
+            changed = alive[shard] != (action == "heal")
+            alive[shard] = action == "heal"
+        elif action in ("degrade", "restore"):
+            target = event.factor if action == "degrade" else 1.0
+            changed, factor[shard] = factor[shard] != target, target
+        elif action in ("lossy", "lossless"):
+            target = event.loss_p if action == "lossy" else 0.0
+            changed, loss_p[shard] = loss_p[shard] != target, target
+        else:
+            changed = stalled[shard] != (action == "stall")
+            stalled[shard] = action == "stall"
+        if changed:
+            effective.append([event.at_s, action, shard])
+    return effective
+
+
 def _random_plan(seed, shards=3, duration=10.0, events=8):
     rng = random.Random(seed)
     return FaultPlan(
@@ -686,11 +782,19 @@ def test_random_schedules_preserve_invariants(seed, mode):
     )
     injector = deployment.fault_injector
     _assert_invariants(deployment)
-    # Kills and heals alternate per shard, so executed heals never exceed
-    # executed kills and the timeline matches the counters.
-    assert injector.heals <= injector.kills
-    assert injector.kills + injector.heals == len(injector.timeline)
-    assert result.failover.orphaned_requests == injector.orphaned_requests
+    failover = result.failover
+    # The timeline holds the plan's effective kills and heals, and the
+    # counts agree with the plan; kills and heals alternate per shard, so
+    # executed heals never exceed executed kills.
+    expected = _effective_transitions(plan)
+    assert failover.timeline == expected
+    actions = [action for _t, action, _s in expected]
+    assert (failover.kills, failover.heals) == (
+        actions.count("kill"),
+        actions.count("heal"),
+    )
+    assert failover.heals <= failover.kills
+    assert failover.orphaned_requests == injector.orphaned_requests
 
 
 @pytest.mark.slow
@@ -704,14 +808,14 @@ def test_random_schedule_counters_are_monotone(seed):
     deployment = Deployment(topology, thinner_hosts, config)
     build_mixed_population(deployment, hosts, 6, 6)
 
-    counters = ("kills", "heals", "repinned_clients", "orphaned_requests")
+    counters = ("repinned_clients", "orphaned_requests")
     snapshots = []
     injector = deployment.fault_injector
 
     def snapshot():
         snapshots.append(
             {name: getattr(injector, name) for name in counters}
-            | {"timeline": len(injector.timeline)}
+            | {"timeline": len(deployment.timeline)}
         )
 
     for at in (2.5, 5.0, 7.5):
@@ -780,12 +884,21 @@ def test_random_gray_schedules_preserve_invariants(seed, mode):
             host.access.down.base_capacity_bps * factor
         )
         assert 0.0 <= injector.loss_p[shard] <= 1.0
-    # Every executed transition is on the timeline; no counter double-counts.
-    assert injector.heals <= injector.kills
-    assert result.failover.orphaned_requests == injector.orphaned_requests
-    assert result.failover.lossy_uploads == injector.lossy_uploads
-    assert result.failover.degrades == injector.degrades
-    assert result.failover.stalls == injector.stalls
+    # The timeline holds exactly the plan's effective transitions, and each
+    # count agrees with the plan.
+    failover = result.failover
+    expected = _effective_transitions(plan)
+    assert failover.timeline == expected
+    actions = [action for _t, action, _s in expected]
+    assert (failover.kills, failover.heals, failover.degrades, failover.stalls) == (
+        actions.count("kill"),
+        actions.count("heal"),
+        actions.count("degrade"),
+        actions.count("stall"),
+    )
+    assert failover.heals <= failover.kills
+    assert failover.orphaned_requests == injector.orphaned_requests
+    assert failover.lossy_uploads == injector.lossy_uploads
 
 
 @pytest.mark.slow

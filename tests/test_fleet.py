@@ -471,20 +471,19 @@ def test_prober_ejects_a_stalled_shard_and_readmits_after_holddown():
     result = deployment.results()
     prober = deployment.health_prober
     assert prober is not None
-    assert prober.ejections >= 1
-    assert prober.readmits >= 1
     # The eject precedes its readmit and names the stalled shard.
-    events = [(kind, shard) for _at, kind, shard in prober.timeline]
+    events = [(kind, shard) for _at, kind, shard in deployment.timeline]
     assert events.index(("eject", 0)) < events.index(("readmit", 0))
     # Probation cleared every ejection by the end of the run.
     assert deployment._router.ejected == [False, False, False, False]
     # Re-pinned clients are sticky: nobody migrates back after readmission.
     assert deployment._router.counts[0] == 0
     assert sum(deployment._router.counts) == len(deployment.clients)
-    # The prober's story lands in the failover metrics and survives JSON.
+    # The prober's story lands in the failover metrics, in engine order next
+    # to the stall pulse, and survives JSON.
     failover = result.failover
-    assert failover.ejections == prober.ejections
-    assert failover.readmits == prober.readmits
+    assert failover.timeline == [list(entry) for entry in deployment.timeline]
+    assert failover.ejections >= 1 and failover.readmits >= 1
     assert failover.ejected_repins == prober.repinned_clients
     round_tripped = type(failover).from_dict(failover.to_dict())
     assert round_tripped.ejections == failover.ejections
@@ -508,7 +507,6 @@ def test_prober_is_quiet_on_a_healthy_fleet():
     deployment = spec.build()
     deployment.run(spec.duration)
     prober = deployment.health_prober
-    assert prober.ejections == 0
-    assert prober.readmits == 0
+    assert deployment.timeline == []  # no ejection, and the pulse never landed
     assert prober.probe_samples > 0
     assert deployment._router.ejected == [False] * 4

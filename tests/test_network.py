@@ -13,13 +13,12 @@ from repro.simnet.engine import Engine
 from repro.simnet.flow import FlowState
 from repro.simnet.network import FluidNetwork
 from repro.simnet.topology import build_bottleneck, build_lan, uniform_bandwidths
-from repro.simnet.trace import Tracer
 
 
-def make_network(clients=3, bandwidth=2 * MBIT, tracer=None):
+def make_network(clients=3, bandwidth=2 * MBIT):
     topology, hosts, thinner = build_lan(uniform_bandwidths(clients, bandwidth))
     engine = Engine()
-    network = FluidNetwork(engine, topology, tracer=tracer)
+    network = FluidNetwork(engine, topology)
     return engine, network, hosts, thinner
 
 
@@ -178,16 +177,6 @@ def test_link_load_and_utilisation_queries():
     assert network.link_utilisation(uplink) == pytest.approx(1.0)
     assert network.flows_on(uplink) == [flow]
     assert network.aggregate_rate_bps() == pytest.approx(2 * MBIT)
-
-
-def test_tracer_records_flow_lifecycle():
-    tracer = Tracer()
-    engine, network, hosts, thinner = make_network(tracer=tracer)
-    network.send(hosts[0], thinner, size_bytes=1000)
-    engine.run(until=1)
-    kinds = tracer.kinds()
-    assert kinds.get("flow_start") == 1
-    assert kinds.get("flow_complete") == 1
 
 
 def test_total_delivered_bytes_accumulates():
