@@ -29,6 +29,7 @@ single-thinner construction.
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
@@ -155,19 +156,26 @@ class DeploymentConfig:
 
     def validate(self) -> None:
         """Raise :class:`~repro.errors.ExperimentError` on nonsensical settings."""
-        if self.server_capacity_rps <= 0:
-            raise ExperimentError("server_capacity_rps must be positive")
+        if not 0 < self.server_capacity_rps < math.inf:
+            raise ExperimentError(
+                f"server_capacity_rps must be positive and finite, got {self.server_capacity_rps}"
+            )
         spec = self.defense_spec()
         try:
             defense = spec.create()
         except DefenseError as error:
             raise ExperimentError(str(error)) from None
-        if self.post_bytes <= 0:
-            raise ExperimentError("post_bytes must be positive")
-        if self.request_bytes <= 0:
-            raise ExperimentError("request_bytes must be positive")
-        if self.encouragement_delay < 0:
-            raise ExperimentError("encouragement_delay must be non-negative")
+        if not 0 < self.post_bytes < math.inf:
+            raise ExperimentError(f"post_bytes must be positive and finite, got {self.post_bytes}")
+        if not 0 < self.request_bytes < math.inf:
+            raise ExperimentError(
+                f"request_bytes must be positive and finite, got {self.request_bytes}"
+            )
+        if not 0 <= self.encouragement_delay < math.inf:
+            raise ExperimentError(
+                "encouragement_delay must be non-negative and finite, "
+                f"got {self.encouragement_delay}"
+            )
         if self.thinner_shards < 1:
             raise ExperimentError("thinner_shards must be at least 1")
         try:

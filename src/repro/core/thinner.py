@@ -27,6 +27,7 @@ Clients interact with a thinner through a small protocol:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Protocol
 
@@ -129,8 +130,10 @@ class ThinnerBase:
         max_contenders: Optional[int] = None,
         prices: Optional[PriceBook] = None,
     ) -> None:
-        if encouragement_delay < 0:
-            raise ThinnerError("encouragement_delay must be non-negative")
+        if not 0 <= encouragement_delay < math.inf:
+            raise ThinnerError(
+                f"encouragement_delay must be non-negative and finite, got {encouragement_delay}"
+            )
         if max_contenders is not None and max_contenders <= 0:
             raise ThinnerError("max_contenders must be positive or None")
         self.engine = engine

@@ -1,38 +1,82 @@
 """Hosts: endpoints with access links.
 
-A host owns a duplex access link.  The topology decides what sits between a
+A host has a duplex access link.  The topology decides what sits between a
 host's access link and its peer's access link (nothing for a LAN, a shared
 bottleneck cable for the §7.6/§7.7 topologies).
+
+The access link is built on demand: a host keeps its access parameters
+(upload and download bandwidth, one-way delay) and builds the
+:class:`~repro.simnet.link.DuplexLink` the first time :attr:`Host.access` is
+read, which in a run is when the topology first routes a path through the
+host.  Speak-up's client populations are mostly idle at any instant (§3,
+§4.3), so most clients of a large run never send and never build one.  The
+capacity and delay accessors read the parameters until the link exists, so
+the metrics and the deployment's bandwidth sums build nothing.  The
+parameters are checked when the host is made, built link or not.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import TopologyError
-from repro.simnet.link import DuplexLink, Link
+from repro.simnet.link import DuplexLink, Link, check_capacity, check_delay
 
 
 class Host:
     """A network endpoint (client, thinner, web server, ...)."""
 
-    __slots__ = ("name", "access", "kind", "extra_delay_s")
+    __slots__ = (
+        "name",
+        "kind",
+        "extra_delay_s",
+        "_upload_bps",
+        "_download_bps",
+        "_delay_s",
+        "_access",
+    )
 
     def __init__(
         self,
         name: str,
-        access: DuplexLink,
+        upload_bps: float,
+        download_bps: Optional[float] = None,
+        delay_s: float = 0.0,
         kind: str = "host",
         extra_delay_s: float = 0.0,
     ) -> None:
-        if extra_delay_s < 0:
-            raise TopologyError(f"host {name!r}: extra delay must be non-negative")
+        if download_bps is None:
+            download_bps = upload_bps
+        owner = f"host {name!r}"
+        check_capacity(owner, "upload bandwidth", upload_bps)
+        check_capacity(owner, "download bandwidth", download_bps)
+        check_delay(owner, "access delay", delay_s)
+        check_delay(owner, "extra delay", extra_delay_s)
         self.name = name
-        self.access = access
         self.kind = kind
         #: Additional one-way delay attributed to the host itself (used by the
         #: RTT-heterogeneity experiment, Figure 7).
         self.extra_delay_s = extra_delay_s
+        # Kept as given (a population shares one object per group) and read
+        # through ``float`` as the link stores them, so a reading is the
+        # same before and after the link is built.
+        self._upload_bps = upload_bps
+        self._download_bps = download_bps
+        self._delay_s = delay_s
+        #: The access link once built; ``None`` until a path needs it.
+        self._access: Optional[DuplexLink] = None
+
+    @property
+    def access(self) -> DuplexLink:
+        """The host's duplex access link, built on first read."""
+        access = self._access
+        if access is None:
+            access = self._access = DuplexLink(
+                f"{self.name}.access",
+                self._upload_bps,
+                delay_s=self._delay_s,
+                down_capacity_bps=self._download_bps,
+            )
+        return access
 
     @property
     def uplink(self) -> Link:
@@ -46,17 +90,23 @@ class Host:
 
     @property
     def upload_capacity_bps(self) -> float:
-        """The host's upload bandwidth — its speak-up 'wealth'."""
-        return self.access.up.capacity_bps
+        """The host's upload bandwidth — its speak-up 'wealth'.
+
+        Once the access link exists this is its live capacity, which a
+        ``degrade`` fault can scale.
+        """
+        access = self._access
+        return float(self._upload_bps) if access is None else access.up.capacity_bps
 
     @property
     def download_capacity_bps(self) -> float:
         """The host's download bandwidth."""
-        return self.access.down.capacity_bps
+        access = self._access
+        return float(self._download_bps) if access is None else access.down.capacity_bps
 
     def one_way_delay_to_access(self) -> float:
         """One-way delay from the host to the far end of its access link."""
-        return self.access.delay_s + self.extra_delay_s
+        return float(self._delay_s) + self.extra_delay_s
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -73,11 +123,17 @@ def make_host(
     kind: str = "host",
     extra_delay_s: float = 0.0,
 ) -> Host:
-    """Convenience constructor building the access link along with the host."""
-    access = DuplexLink(
-        f"{name}.access",
-        capacity_bps=upload_bps,
+    """Make a host whose access link is ``upload_bps`` up, ``download_bps``
+    down (default: symmetric) and ``delay_s`` one way.
+
+    The parameters are checked here; the link itself is built when a path
+    is first routed through the host (see :attr:`Host.access`).
+    """
+    return Host(
+        name,
+        upload_bps,
+        download_bps=download_bps,
         delay_s=delay_s,
-        down_capacity_bps=download_bps if download_bps is not None else upload_bps,
+        kind=kind,
+        extra_delay_s=extra_delay_s,
     )
-    return Host(name, access, kind=kind, extra_delay_s=extra_delay_s)

@@ -32,6 +32,7 @@ path reads and writes plain attributes:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 from repro.errors import TopologyError
@@ -39,6 +40,18 @@ from repro.errors import TopologyError
 #: Entry-group sums at or below this many bits/s are snapped to zero (and
 #: dropped) so repeated attach/detach cycles cannot accumulate float drift.
 _LOAD_EPSILON = 1e-9
+
+
+def check_capacity(owner: str, what: str, value: float) -> None:
+    """Raise :class:`TopologyError` unless ``0 < value < inf``; NaN fails too."""
+    if not 0 < value < math.inf:
+        raise TopologyError(f"{owner}: {what} must be positive and finite, got {value}")
+
+
+def check_delay(owner: str, what: str, value: float) -> None:
+    """Raise :class:`TopologyError` unless ``0 <= value < inf``; NaN fails too."""
+    if not 0 <= value < math.inf:
+        raise TopologyError(f"{owner}: {what} must be non-negative and finite, got {value}")
 
 
 class Link:
@@ -69,10 +82,8 @@ class Link:
         delay_s: float = 0.0,
         buffer_bytes: Optional[float] = None,
     ) -> None:
-        if capacity_bps <= 0:
-            raise TopologyError(f"link {name!r}: capacity must be positive, got {capacity_bps}")
-        if delay_s < 0:
-            raise TopologyError(f"link {name!r}: delay must be non-negative, got {delay_s}")
+        check_capacity(f"link {name!r}", "capacity", capacity_bps)
+        check_delay(f"link {name!r}", "delay", delay_s)
         self.name = name
         self.capacity_bps = float(capacity_bps)
         #: The configured capacity, the fixed point :meth:`set_capacity_factor`
@@ -116,10 +127,7 @@ class Link:
         both the scalar and vectorized waterfill paths; without one (links
         not yet attached to a network) only the stored capacity moves.
         """
-        if factor <= 0:
-            raise TopologyError(
-                f"link {self.name!r}: capacity factor must be positive, got {factor}"
-            )
+        check_capacity(f"link {self.name!r}", "capacity factor", factor)
         target = self.base_capacity_bps if factor == 1.0 else self.base_capacity_bps * factor
         if network is not None:
             network.set_link_capacity(self, target)

@@ -108,6 +108,10 @@ _INF = float("inf")
 #: ``FluidNetwork._next`` when no completion time is pending.
 _NO_DUE = (_INF, -1, -1)
 
+#: Pads each row of the vectorized flush's cache key past its crossed link
+#: ids; larger than any link id.
+_KEY_PAD = np.iinfo(np.int64).max
+
 
 class FluidNetwork:
     """Fluid-flow network simulator bound to an :class:`Engine` and a topology."""
@@ -165,24 +169,19 @@ class FluidNetwork:
         self._reset_link_state()
 
     def _reset_link_state(self) -> None:
-        """Clear allocator bookkeeping on every link and register it with
-        this network's store.
+        """Clear allocator bookkeeping on every link built so far and
+        register it with this network's store.
 
         A topology handed to a fresh network may have been driven by a
         previous one; registration assigns new dense ids in the new store.
+        A host's access link is built when a path first crosses it, so the
+        links not yet built register at their first flow instead
+        (:meth:`_ensure_path_lids`).
         """
         soa = self.soa
-        for host in self.topology.hosts:
-            access = host.access
-            access.up._reset_runtime()
-            soa.register_link(access.up)
-            access.down._reset_runtime()
-            soa.register_link(access.down)
-        for cable in self.topology.shared_links:
-            cable.up._reset_runtime()
-            soa.register_link(cable.up)
-            cable.down._reset_runtime()
-            soa.register_link(cable.down)
+        for link in self.topology.built_links():
+            link._reset_runtime()
+            soa.register_link(link)
 
     # -- queries ---------------------------------------------------------------
 
@@ -318,9 +317,9 @@ class FluidNetwork:
         rate caches need no invalidation: their keys embed the constraint
         capacities on both paths.
         """
-        if capacity_bps <= 0:
+        if not 0 < capacity_bps < _INF:
             raise FlowError(
-                f"link capacity must be positive, got {capacity_bps} for {link.name!r}"
+                f"link capacity must be positive and finite, got {capacity_bps} for {link.name!r}"
             )
         old_cap = link.capacity_bps
         if capacity_bps == old_cap:
@@ -668,6 +667,7 @@ class FluidNetwork:
         width = int(soa.f_plen[fids].max())
         paths = soa.f_path[fids, :width]
         valid = paths >= 0
+        # Padding indexes the sentinel column of the gathers below.
         padded = np.where(valid, paths, nlinks)
         cap_ext = np.empty(nlinks + 1)
         cap_ext[:nlinks] = soa.l_cap[:nlinks]
@@ -699,7 +699,10 @@ class FluidNetwork:
         # (sorted crossed lids, padded) + effective cap, lexicographically
         # ordered; constraint part sorted by lid.  Equal structures yield
         # equal bytes, so hit/miss behaviour matches the scalar criterion.
-        crossed = np.where(crossing_con, padded, nlinks + 1)
+        # The pad is a constant above every id: links register as flows
+        # first cross them, so the link count moves during a run and must
+        # not enter the key.
+        crossed = np.where(crossing_con, padded, _KEY_PAD)
         crossed.sort(axis=1)
         sort_keys = [eff]
         for column in range(width - 1, -1, -1):

@@ -21,7 +21,7 @@ differs, via the :meth:`Topology._route` hook.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.constants import MBIT, milliseconds
 from repro.errors import TopologyError
@@ -36,6 +36,7 @@ class Topology:
     def __init__(self, name: str = "topology") -> None:
         self.name = name
         self._hosts: Dict[str, Host] = {}
+        #: Shared cables between a host and the core, for hosts that have any.
         self._via: Dict[str, List[DuplexLink]] = {}
         self._shared: Dict[str, DuplexLink] = {}
         # Route and delay memos: topologies are static star shapes queried
@@ -65,11 +66,12 @@ class Topology:
         if host.name in self._hosts:
             raise TopologyError(f"host {host.name!r} already exists")
         self._hosts[host.name] = host
-        chain = list(via) if via else []
-        for link in chain:
-            if link.name not in self._shared:
-                self._shared[link.name] = link
-        self._via[host.name] = chain
+        if via:
+            chain = list(via)
+            for link in chain:
+                if link.name not in self._shared:
+                    self._shared[link.name] = link
+            self._via[host.name] = chain
         self._invalidate_routes()
         return host
 
@@ -84,6 +86,19 @@ class Topology:
     def shared_links(self) -> List[DuplexLink]:
         """All shared cables, in insertion order."""
         return list(self._shared.values())
+
+    def built_links(self) -> Iterator[Link]:
+        """Every directed link built so far: the access links of hosts that a
+        path was routed through (host order), then both directions of every
+        shared cable."""
+        for host in self._hosts.values():
+            access = host._access
+            if access is not None:
+                yield access.up
+                yield access.down
+        for cable in self._shared.values():
+            yield cable.up
+            yield cable.down
 
     def host(self, name: str) -> Host:
         """Look a host up by name."""
@@ -107,12 +122,13 @@ class Topology:
     def upstream_links(self, host: Host) -> List[Link]:
         """Directed links from ``host`` to the core (access uplink first)."""
         self._check(host)
-        return [host.access.up] + [cable.up for cable in self._via[host.name]]
+        return [host.access.up] + [cable.up for cable in self._via.get(host.name, ())]
 
     def downstream_links(self, host: Host) -> List[Link]:
         """Directed links from the core to ``host`` (access downlink last)."""
         self._check(host)
-        return [cable.down for cable in reversed(self._via[host.name])] + [host.access.down]
+        chain = self._via.get(host.name, ())
+        return [cable.down for cable in reversed(chain)] + [host.access.down]
 
     def path(self, src: Host, dst: Host) -> List[Link]:
         """Directed links a flow from ``src`` to ``dst`` crosses.

@@ -254,6 +254,29 @@ def test_sweep_rejects_unknown_scenario_and_bad_grid(capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "groups.0.bandwidth_bps=nan",
+        "groups.0.bandwidth_bps=inf",
+        "topology.thinner_bandwidth_bps=nan",
+        "topology.lan_delay_s=nan",
+        "encouragement_delay=nan",
+        "capacity_rps=nan",
+    ],
+)
+def test_a_non_finite_link_host_or_deployment_value_exits_2_and_writes_nothing(grid, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    exit_code = main(["sweep", "--scenario", "lan-baseline",
+                      "--set", "good_clients=2", "--set", "bad_clients=2",
+                      "--set", "duration=2", "--grid", grid, "--out", str(out)])
+    assert exit_code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "finite" in err
+    assert not out.exists()
+
+
 def test_fleet_command_prints_provisioning_curve(capsys):
     exit_code = main(["fleet", "--duration", "6", "--client-scale", "0.12",
                       "--shards", "1,2"])

@@ -305,16 +305,15 @@ def _rollup_mega_2000():
     )
 
 
-def test_a_built_client_costs_at_most_6500_bytes():
+def test_a_built_client_costs_at_most_1800_bytes():
     """Bytes ``build()`` allocates per client at 2,000 clients.
 
-    A slotted client reads about 2.2 KB on CPython 3.11, mostly its host
-    and access links (about 1.2 KB); its Mersenne Twister is made at its
-    first draw, inside ``run()``.  A Twister made at build time, an
-    instance dict and two eagerly made deques per client would push it to
-    about 8.2 KB, past the bound.  Each alone stays under it: the slots are
-    checked by ``test_clients_have_no_instance_dict`` and the lazy Twister
-    by ``test_idle_clients_hold_no_generator_after_a_run``.
+    A slotted client reads about 1.25 KB on CPython 3.11.  Its host keeps
+    only its access parameters: the access link is built when the client
+    first sends, inside ``run()``, and so is its Mersenne Twister.  Access
+    links built with every host (about 2.2 KB per client) fail the bound,
+    and so does a Twister made at build time (about 4.1 KB).  The headroom
+    is for other CPython versions.
     """
     spec = _rollup_mega_2000()
     tracemalloc.start()
@@ -325,14 +324,15 @@ def test_a_built_client_costs_at_most_6500_bytes():
     finally:
         tracemalloc.stop()
     assert len(deployment.clients) == 2000
-    assert allocated / 2000 <= 6500
+    assert allocated / 2000 <= 1800
 
 
 def test_idle_clients_hold_no_generator_after_a_run():
     """After a 0.05 s run nearly every client's next draw lies past the
     run's end, so its stream is parked.  The peak of ``build()`` plus
-    ``run()`` is about 2.6 KB per client; Twisters made at build time would
-    put it at about 5.2 KB, and Twisters never parked at about 5.8 KB."""
+    ``run()`` is about 1.63 KB per client.  Access links built with every
+    host put it at about 2.6 KB, Twisters made at build time at about
+    4.2 KB, and Twisters never parked at about 4.5 KB."""
     spec = _rollup_mega_2000()
     tracemalloc.start()
     try:
@@ -349,7 +349,30 @@ def test_idle_clients_hold_no_generator_after_a_run():
     ]
     assert len(idle) >= 1950
     assert all(client.rng._rng is None for client in idle)
-    assert allocated / 2000 <= 3500
+    assert allocated / 2000 <= 2300
+
+
+def test_only_hosts_that_carried_a_flow_build_an_access_link():
+    """After a 2,000-client run exactly the senders and the thinner have an
+    access link, and the network's store holds only the links a flow
+    crossed: each sender's uplink and the thinner's downlink."""
+    spec = _rollup_mega_2000()
+    deployment = spec.build()
+    deployment.run(spec.duration)
+    thinner = deployment.thinner_hosts[0]
+    senders = [client.host for client in deployment.clients if client.stats.sent]
+    assert 0 < len(senders) < 100
+    network = deployment.network
+    built = {link.name for link in network.topology.built_links()}
+    assert built == {
+        f"{host.name}.access.{direction}"
+        for host in senders + [thinner]
+        for direction in ("up", "down")
+    }
+    registered = [link.name for link in network.soa.l_views]
+    assert sorted(registered) == sorted(
+        [host.uplink.name for host in senders] + [thinner.downlink.name]
+    )
 
 
 def test_a_second_run_resumes_parked_streams_exactly():

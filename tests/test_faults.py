@@ -408,6 +408,34 @@ def _build_faulted_fleet(plan, good=6, bad=6, shards=3, retry_policy=None, **kwa
     return deployment
 
 
+def test_a_kill_before_any_flow_takes_the_link_down_and_the_heal_restores_it():
+    """A kill at t = 0 reaches the shard's access link before any flow has
+    crossed it, so the kill builds it; the heal brings that link back up."""
+    plan = kill_heal_pulse(1, kill_at_s=0.0, heal_at_s=4.0, repin_ttl_s=1.0)
+    deployment = _build_faulted_fleet(plan)
+    host = deployment.thinner_hosts[1]
+    network = deployment.network
+    observed = {}
+
+    def peek():
+        access = host.access
+        observed["killed"] = (
+            access.up.is_up,
+            access.down.is_up,
+            network.flows_on(access.up) + network.flows_on(access.down),
+        )
+
+    deployment.engine.schedule_at(2.0, peek)
+    deployment.run(8.0)
+    assert observed["killed"] == (False, False, [])
+    assert host.access.up.is_up and host.access.down.is_up
+    assert deployment.timeline == [(0.0, "kill", 1), (4.0, "heal", 1)]
+    # The link the kill built is the one a path to the shard crosses.
+    client = deployment.clients[0]
+    assert network.topology.path(client.host, host)[-1] is host.access.down
+    _assert_invariants(deployment)
+
+
 def test_degrade_scales_the_access_link_and_restores():
     plan = gray_pulse((1,), 3.0, 8.0, factor=0.25)
     deployment = _build_faulted_fleet(plan, shard_bandwidth_bps=12 * MBIT)
@@ -418,14 +446,18 @@ def test_degrade_scales_the_access_link_and_restores():
 
     def peek():
         observed["mid"] = (host.access.up.capacity_bps, host.access.up.is_up)
+        observed["host"] = (host.upload_capacity_bps, host.download_capacity_bps)
 
     deployment.engine.schedule_at(5.0, peek)
     deployment.run(12.0)
-    # Mid-pulse the link ran at a quarter capacity but never went down.
+    # Mid-pulse the link ran at a quarter capacity but never went down, and
+    # the host's capacities read the live link.
     assert observed["mid"] == (0.25 * base_up, True)
+    assert observed["host"] == (0.25 * base_up, 0.25 * base_down)
     # The restore put both directions back at their base capacity.
     assert host.access.up.capacity_bps == base_up
     assert host.access.down.capacity_bps == base_down
+    assert (host.upload_capacity_bps, host.download_capacity_bps) == (base_up, base_down)
     injector = deployment.fault_injector
     assert injector.capacity_factor == [1.0, 1.0, 1.0]
     assert deployment.timeline == [(3.0, "degrade", 1), (8.0, "restore", 1)]

@@ -179,6 +179,34 @@ def test_link_load_and_utilisation_queries():
     assert network.aggregate_rate_bps() == pytest.approx(2 * MBIT)
 
 
+def test_a_second_network_starts_with_the_links_the_first_built_reset():
+    topology, hosts, thinner = build_lan(uniform_bandwidths(3, 2 * MBIT))
+    engine = Engine()
+    first = FluidNetwork(engine, topology)
+    first.send(hosts[0], thinner)
+    hosts[0].uplink.set_capacity_factor(0.5, network=first)
+    engine.run(until=1)
+    uplink = hosts[0].uplink
+    assert uplink._flows and uplink.capacity_bps == 1 * MBIT
+
+    engine = Engine()
+    second = FluidNetwork(engine, topology)
+    # Only the links the first network built are registered, each reset.
+    assert second.soa.l_views == list(topology.built_links())
+    assert len(second.soa.l_views) == 4
+    for link in second.soa.l_views:
+        assert link._soa is second.soa
+        assert not link._flows and not link._entry_sums
+        assert link.capacity_bps == link.base_capacity_bps
+    # A flow starts from a clean slate: no ghost of the first network's flow.
+    flow = second.send(hosts[0], thinner)
+    other = second.send(hosts[1], thinner)
+    engine.run(until=1)
+    assert second.delivered_bytes(flow) == pytest.approx(2 * MBIT / 8)
+    assert second.delivered_bytes(other) == pytest.approx(2 * MBIT / 8)
+    assert len(second.soa.l_views) == 5
+
+
 def test_total_delivered_bytes_accumulates():
     engine, network, hosts, thinner = make_network()
     network.send(hosts[0], thinner, size_bytes=1000)

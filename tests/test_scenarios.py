@@ -1,11 +1,12 @@
 """The declarative scenario subsystem: specs, registry, and arrival shapes."""
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 from repro.faults.spec import kill_heal_pulse
 from repro.scenarios import (
     ArrivalSpec,
@@ -314,6 +315,38 @@ def test_validate_rejects_every_deployment_setting_build_rejects(changes, messag
     with pytest.raises(ExperimentError, match=message):
         spec.validate()
     with pytest.raises(ExperimentError, match=message):
+        spec.build()
+
+
+@pytest.mark.parametrize(
+    "path, value, needle",
+    [
+        ("groups.0.bandwidth_bps", math.nan, "upload bandwidth"),
+        ("groups.0.bandwidth_bps", math.inf, "upload bandwidth"),
+        ("topology.thinner_bandwidth_bps", math.nan, "host 'thinner': upload bandwidth"),
+        ("topology.lan_delay_s", math.nan, "access delay"),
+        ("encouragement_delay", math.nan, "encouragement_delay"),
+        ("capacity_rps", math.nan, "server_capacity_rps"),
+    ],
+    ids=["bandwidth-nan", "bandwidth-inf", "thinner-nan", "lan-delay-nan", "encouragement-nan",
+         "capacity-nan"],
+)
+def test_a_non_finite_link_host_or_deployment_value_fails_build_with_one_line(
+    path, value, needle
+):
+    spec = _small_lan_spec().with_value(path, value)
+    with pytest.raises(ReproError, match=needle) as error:
+        spec.build()
+    assert "\n" not in str(error.value)
+
+
+def test_a_non_finite_bandwidth_fails_build_for_a_client_that_never_sends():
+    """The host checks its access parameters when it is made, not when its
+    link is built at the first send, which this client would never reach."""
+    spec = _small_lan_spec()
+    idle = GroupSpec(count=1, client_class="good", rate_rps=1e-9, bandwidth_bps=math.nan)
+    spec = replace(spec, groups=spec.groups + (idle,))
+    with pytest.raises(ReproError, match="host 'client-004': upload bandwidth"):
         spec.build()
 
 

@@ -16,10 +16,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.constants import MBIT
 from repro.core.bidindex import KineticBidIndex
 from repro.scenarios.registry import build_scenario
+from repro.simnet.engine import Engine
 from repro.simnet.network import FluidNetwork
 from repro.simnet.soa import SoAStore
+from repro.simnet.topology import build_lan, uniform_bandwidths
 
 
 def _run(spec, monkeypatch, scalar, changes=()):
@@ -129,6 +132,42 @@ def test_vectorized_and_scalar_paths_are_bit_identical(seed, monkeypatch):
     assert scalar["good_allocation"] == vector["good_allocation"]
     assert scalar["total_delivered"] == vector["total_delivered"]
     assert scalar["flows"] == vector["flows"]
+
+
+def test_a_link_registered_between_two_wide_flushes_keeps_the_cache_key(monkeypatch):
+    """A link registers when a flow first crosses it, so the number of
+    registered links moves during a run.  The array path's cache key must
+    not depend on it: the same wide structure flushed again after a new
+    link registered is a cache hit."""
+    widths = []
+    flush = FluidNetwork._flush_component_vec
+
+    def flush_spy(network, flows):
+        widths.append(len(flows))
+        return flush(network, flows)
+
+    monkeypatch.setattr(FluidNetwork, "_flush_component_vec", flush_spy)
+    wide = FluidNetwork.VEC_MIN_COMPONENT
+    topology, clients, thinner = build_lan(
+        uniform_bandwidths(wide + 2, 2 * MBIT), thinner_bandwidth_bps=10 * MBIT
+    )
+    network = FluidNetwork(Engine(), topology)
+    flows = [network.send(client, thinner) for client in clients[:wide]]
+    network.sync()
+    assert widths == [wide] and network.counters.cache_misses == 1
+    network.stop_flow(flows[0])
+    network.sync()
+
+    registered = len(network.soa.l_views)
+    network.send(clients[wide], clients[wide + 1])
+    network.sync()
+    assert len(network.soa.l_views) == registered + 2
+
+    hits = network.counters.cache_hits
+    network.send(clients[0], thinner)
+    network.sync()
+    assert widths[-1] == wide
+    assert network.counters.cache_hits == hits + 1
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])

@@ -8,6 +8,7 @@ counts and capacities, path existence between every client/thinner pair,
 ECMP run-twice determinism, and hash balance across equal-cost paths.
 """
 
+import math
 import random
 
 import pytest
@@ -33,6 +34,12 @@ def test_link_rejects_bad_parameters():
         Link("bad", 0.0)
     with pytest.raises(TopologyError):
         Link("bad", 1 * MBIT, delay_s=-1.0)
+    for capacity in (math.nan, math.inf):
+        with pytest.raises(TopologyError, match="finite"):
+            Link("bad", capacity)
+    for delay in (math.nan, math.inf):
+        with pytest.raises(TopologyError, match="finite"):
+            Link("bad", 1 * MBIT, delay_s=delay)
 
 
 def test_duplex_link_directions_are_independent():
@@ -56,6 +63,58 @@ def test_host_properties():
     assert host.upload_capacity_bps == 2 * MBIT
     assert host.download_capacity_bps == 8 * MBIT
     assert host.one_way_delay_to_access() == pytest.approx(0.055)
+
+
+def test_host_readings_are_the_same_before_and_after_its_link_exists():
+    host = make_host("h", upload_bps=2 * MBIT, download_bps=8 * MBIT, delay_s=0.005,
+                     extra_delay_s=0.05)
+
+    def readings():
+        values = (
+            host.upload_capacity_bps,
+            host.download_capacity_bps,
+            host.one_way_delay_to_access(),
+        )
+        return values, tuple(type(value) for value in values)
+
+    before = readings()
+    access = host.access
+    assert readings() == before
+    assert (access.up.capacity_bps, access.down.capacity_bps) == (2 * MBIT, 8 * MBIT)
+    assert access.delay_s == 0.005
+    assert host.access is access
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        dict(upload_bps=math.nan),
+        dict(upload_bps=math.inf),
+        dict(upload_bps=0.0),
+        dict(download_bps=math.nan),
+        dict(delay_s=math.nan),
+        dict(delay_s=math.inf),
+        dict(delay_s=-1.0),
+        dict(extra_delay_s=math.nan),
+    ],
+    ids=["up-nan", "up-inf", "up-zero", "down-nan", "delay-nan", "delay-inf",
+         "delay-negative", "extra-nan"],
+)
+def test_a_host_checks_its_access_parameters_before_any_link_exists(changes):
+    params = {"upload_bps": 2 * MBIT, **changes}
+    with pytest.raises(TopologyError, match="host 'h'"):
+        make_host("h", **params)
+
+
+def test_a_host_builds_its_access_link_at_the_first_path_through_it():
+    topology, clients, thinner = build_lan(uniform_bandwidths(3, 2 * MBIT))
+    assert list(topology.built_links()) == []
+    path = topology.path(clients[0], thinner)
+    assert path == [clients[0].uplink, thinner.downlink]
+    # Host order: build_lan adds the thinner first.
+    assert list(topology.built_links()) == [
+        thinner.access.up, thinner.access.down, clients[0].access.up, clients[0].access.down,
+    ]
 
 
 def test_topology_path_and_rtt():
