@@ -10,12 +10,14 @@ Arrival generation is *batched*: instead of scheduling one engine event per
 candidate arrival (and, for modulated demand, burning an event on every
 thinned-away candidate), each client pregenerates a chunk of accepted
 arrival times per refill — ``arrival_batch`` inter-arrival draws per RNG
-call — and keeps a single pending engine event for the next accepted
-arrival.  Thinning for non-homogeneous demand happens inside the refill
-loop, so a mostly-idle client (a flash crowd before its flash, a pulsed
-attacker between pulses) costs one *refill* event per
-:data:`MAX_CANDIDATES_PER_REFILL` rejected candidates instead of one engine
-event per candidate: engine event count no longer scales with idle clients.
+call — and holds at most one pending arrival.  Thinning for non-homogeneous
+demand happens inside the refill loop, so a mostly-idle client (a flash
+crowd before its flash, a pulsed attacker between pulses) costs one *refill*
+event per :data:`MAX_CANDIDATES_PER_REFILL` rejected candidates instead of
+one engine event per candidate.  A next arrival inside the run horizon is an
+engine event; one past it waits in the deployment's :class:`ArrivalPark`,
+which holds a single engine event for all of them, so an idle client holds
+no engine event at all.
 
 Determinism contract: the refill loop consumes the client's random stream in
 exactly the order the historical one-event-per-candidate scheduler did
@@ -25,19 +27,25 @@ bit-identical under a fixed seed.  The one exception is a *callable*
 ``difficulty`` spec: its draws must interleave with the arrival draws at
 arrival time, so those clients keep the legacy per-event path.
 
-Footprint: clients and their stats use ``__slots__``, ``backlog`` is a shared
-empty tuple until the first request backlogs, and the retry dicts exist only
-under a :class:`RetryPolicy`.  The client's own Mersenne Twister (about
-2.9 KB), which every pinned output depends on, is resident only while the
-client has draws left in the run: a refill whose next successor lies past the
-run horizon parks the stream, and the next draw replays it exactly.
+Footprint: an idle client costs only its identity.  Clients and their stats
+use ``__slots__``.  The backlog, the pending arrivals and the three sample
+lists are the shared empty tuple, and the channel and upload maps a shared
+empty mapping, until their first write; the upload map goes back to the
+shared empty when a shard kill clears it, and the pending arrivals whenever
+the last one is taken.  The retry dicts exist only under a
+:class:`RetryPolicy`.  The client's own Mersenne Twister (about 2.9 KB),
+which every pinned output depends on, is resident only while the client has
+draws left in the run: a refill whose next successor lies past the run
+horizon parks the stream, and the next draw replays it exactly.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Union
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro import codec
 from repro.constants import REQUEST_TIMEOUT
@@ -159,6 +167,12 @@ class RetryPolicy:
     from_json = classmethod(codec.from_json)
 
 
+#: What a client holds in place of a sequence or a map it has never written:
+#: its backlog, pending arrivals and samples, and its channel and upload maps.
+_NO_ITEMS: tuple = ()
+_NO_ENTRIES: Mapping = MappingProxyType({})
+
+
 @dataclass(slots=True)
 class ClientStats:
     """Counters and per-served-request samples for one client."""
@@ -172,9 +186,11 @@ class ClientStats:
     retries_attempted: int = 0   # re-sends scheduled by the retry policy
     retries_suppressed: int = 0  # retries the token-bucket budget refused
     bytes_paid: float = 0.0
-    payment_times: List[float] = field(default_factory=list)
-    response_times: List[float] = field(default_factory=list)
-    prices: List[float] = field(default_factory=list)
+    #: Full-mode samples: the shared empty tuple until the first served
+    #: request makes all three lists (rollup mode never does).
+    payment_times: Sequence[float] = _NO_ITEMS
+    response_times: Sequence[float] = _NO_ITEMS
+    prices: Sequence[float] = _NO_ITEMS
 
     @property
     def finished(self) -> int:
@@ -189,8 +205,60 @@ class ClientStats:
         return self.served / self.finished
 
 
-#: The backlog of every client that has never backlogged a request.
-_NO_BACKLOG: tuple = ()
+class ArrivalPark:
+    """Accepted arrivals past the run horizon, held off the engine heap.
+
+    Most clients of a large population are idle, and an idle client's next
+    arrival lies past the end of the run.  Instead of pushing an engine event
+    for it, the client claims the seq that event would have taken
+    (:meth:`~repro.simnet.engine.Engine.reserve_seq`) and parks
+    ``(due, seq, client)`` here.  The park holds one engine event of its own,
+    pushed with :meth:`~repro.simnet.engine.Engine.schedule_reserved` at the
+    earliest parked ``(due, seq)``, as the fluid network holds one completion
+    timer.  That event fires only in a run whose horizon covers it.  Firing
+    pushes every parked arrival the horizon covers at its own ``(due, seq)``,
+    re-parks the rest (re-pointing the event past the horizon), and runs the
+    earliest arrival in place: one pass over the park per run, and every
+    arrival fires at the time and in the order its own event would have.
+    """
+
+    __slots__ = ("engine", "_dues", "_seqs", "_clients", "_event")
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        # Three columns rather than a tuple per entry: 24 bytes a client.
+        self._dues = array("d")
+        self._seqs = array("q")
+        self._clients: List["BaseClient"] = []
+        #: The engine event at the earliest parked ``(due, seq)``, or None.
+        self._event = None
+
+    def park(self, due: float, seq: int, client: "BaseClient") -> None:
+        """Hold ``client``'s arrival at ``due`` under its claimed ``seq``."""
+        self._dues.append(due)
+        self._seqs.append(seq)
+        self._clients.append(client)
+        event = self._event
+        if event is None or (due, seq) < (event.time, event.seq):
+            if event is not None:
+                event.cancel()
+            self._event = self.engine.schedule_reserved(due, seq, self._wake)
+
+    def _wake(self) -> None:
+        engine = self.engine
+        horizon = engine.run_horizon
+        first = self._event.seq
+        self._event = None
+        dues, seqs, clients = self._dues, self._seqs, self._clients
+        self._dues, self._seqs, self._clients = array("d"), array("q"), []
+        for due, seq, client in zip(dues, seqs, clients):
+            if seq == first:
+                woken = client
+            elif horizon is None or due <= horizon:
+                engine.schedule_reserved(due, seq, client._arrival)
+            else:
+                self.park(due, seq, client)
+        woken._arrival()
 
 
 class BaseClient:
@@ -257,13 +325,13 @@ class BaseClient:
         self.stats = ClientStats()
 
         self.outstanding = 0
-        self.backlog: Union[tuple, Deque[Request]] = _NO_BACKLOG
-        self.channels: Dict[int, PaymentChannel] = {}
+        self.backlog: Union[tuple, Deque[Request]] = _NO_ITEMS
+        self.channels: Mapping[int, PaymentChannel] = _NO_ENTRIES
         self._started = False
         self._sweep_event = None
         #: Request uploads still on the wire (request_id -> (request, flow)),
         #: so a shard kill can abort them with correct accounting.
-        self._inflight: Dict[int, tuple] = {}
+        self._inflight: Mapping[int, tuple] = _NO_ENTRIES
         #: True between the pinned shard's kill and this client's re-pin;
         #: while set, new arrivals back up in the backlog (and may be denied
         #: by the normal sweep) instead of being sent to a dead front-end.
@@ -294,7 +362,7 @@ class BaseClient:
         #: Pregenerated accepted arrival times, newest first; ``pop()``
         #: takes the oldest.
         self.arrival_batch = int(arrival_batch)
-        self._pending_arrivals: List[float] = []
+        self._pending_arrivals: Union[tuple, List[float]] = _NO_ITEMS
         #: Simulated time of the last *candidate* drawn (accepted or thinned);
         #: the next refill chains its first gap from here.
         self._gen_time = 0.0
@@ -330,7 +398,7 @@ class BaseClient:
 
     # -- batched arrival pregeneration ---------------------------------------------
 
-    def _refill_arrivals(self) -> None:
+    def _refill_arrivals(self) -> List[float]:
         """Pregenerate accepted arrival times, up to ``arrival_batch`` of them.
 
         Draw order and float arithmetic replicate the legacy per-event
@@ -342,15 +410,15 @@ class BaseClient:
         ``run()`` are deferred to a later refill, so a short run never pays
         for (or buffers) a long batch of post-horizon arrivals.  Stopping
         early at *any* prefix is exact: the stream is consumed in the same
-        order either way.  The queue is empty on entry; it is filled oldest
-        first and then reversed, so each arrival pops off its end.  When the
-        next refill cannot come before the horizon, the stream is parked
+        order either way.  Returns a fresh queue, filled oldest first and
+        then reversed, so each arrival pops off its end.  When the next
+        refill cannot come before the horizon, the stream is parked
         (:meth:`repro.rng.RandomStream.park`) until it draws again.
         """
         rng = self.rng
         rate = self.rate_rps
         modulator = self.rate_modulator
-        pending = self._pending_arrivals
+        pending: List[float] = []
         horizon = self.engine.run_horizon
         t = self._gen_time
         if modulator is None:
@@ -391,22 +459,33 @@ class BaseClient:
         # if every candidate was thinned away.
         if horizon is not None and (pending[0] if pending else t) > horizon:
             rng.park()
+        return pending
 
     def _schedule_next_arrival(self) -> None:
+        engine = self.engine
         if not self._batched_arrivals:
             gap = self.rng.exponential(self.rate_rps)
-            self.engine.schedule_after(gap, self._legacy_arrival)
+            engine.schedule_after(gap, self._legacy_arrival)
             return
-        pending = self._pending_arrivals
+        pending = self._pending_arrivals or self._refill_arrivals()
         if not pending:
-            self._refill_arrivals()
-        if pending:
-            self.engine.schedule_at(pending.pop(), self._arrival)
-        else:
             # Every candidate in the refill was thinned away (deep idle):
             # resume generation when the clock reaches the last candidate,
             # one event per MAX_CANDIDATES_PER_REFILL candidates.
-            self.engine.schedule_at(self._gen_time, self._schedule_next_arrival)
+            engine.schedule_at(self._gen_time, self._schedule_next_arrival)
+            return
+        due = pending.pop()
+        self._pending_arrivals = pending or _NO_ITEMS
+        horizon = engine.run_horizon
+        if horizon is None or due <= horizon:
+            engine.schedule_at(due, self._arrival)
+            return
+        # Past the horizon: claim the seq ``schedule_at`` would have, and park.
+        deployment = self.deployment
+        park = deployment.arrival_park
+        if park is None:
+            park = deployment.arrival_park = ArrivalPark(engine)
+        park.park(due, engine.reserve_seq(), self)
 
     def _arrival(self) -> None:
         request = new_request(
@@ -422,7 +501,7 @@ class BaseClient:
             self._issue(request)
         else:
             request.state = RequestState.BACKLOGGED
-            if self.backlog is _NO_BACKLOG:
+            if self.backlog is _NO_ITEMS:
                 self.backlog = deque()
             self.backlog.append(request)
             self.stats.backlogged += 1
@@ -462,10 +541,13 @@ class BaseClient:
             label=f"request:{request.request_id}",
             on_complete=lambda _flow: self._request_delivered(request),
         )
+        if self._inflight is _NO_ENTRIES:
+            self._inflight = {}
         self._inflight[request.request_id] = (request, flow)
 
     def _request_delivered(self, request: Request) -> None:
-        self._inflight.pop(request.request_id, None)
+        if self._inflight:
+            self._inflight.pop(request.request_id, None)
         injector = self.deployment.fault_injector
         if injector is not None and injector.upload_lost(self.shard):
             # The ``lossy`` gray failure: the upload completed but the
@@ -488,6 +570,8 @@ class BaseClient:
         channel = self.deployment.payment_channel(
             self.host, request, thinner_host=self.thinner_host
         )
+        if self.channels is _NO_ENTRIES:
+            self.channels = {}
         self.channels[request.request_id] = channel
         channel.open()
         self.thinner.register_payment(request, channel)
@@ -504,11 +588,14 @@ class BaseClient:
         if telemetry is None:
             # Full mode: the historical unbounded per-request lists, kept
             # byte-identical for every pinned figure/sweep fingerprint.
-            self.stats.prices.append(request.price_paid)
+            stats = self.stats
+            if stats.prices is _NO_ITEMS:
+                stats.prices, stats.payment_times, stats.response_times = [], [], []
+            stats.prices.append(request.price_paid)
             if payment_time is not None:
-                self.stats.payment_times.append(payment_time)
+                stats.payment_times.append(payment_time)
             if response_time is not None:
-                self.stats.response_times.append(response_time)
+                stats.response_times.append(response_time)
         else:
             telemetry.record_served(
                 self.client_class,
@@ -640,6 +727,8 @@ class BaseClient:
             self._issue(request)
 
     def _forget_channel(self, request: Request) -> None:
+        if not self.channels:
+            return
         channel = self.channels.pop(request.request_id, None)
         if channel is not None and channel.is_open:
             channel.close()
@@ -664,7 +753,7 @@ class BaseClient:
             self.outstanding -= 1
             self.stats.dropped += 1
             orphaned += 1
-        self._inflight.clear()
+        self._inflight = _NO_ENTRIES
         # Requests waiting out a retry backoff are equally orphaned: cancel
         # their timers and finalise them, or they would re-send to the dead
         # shard (or leak from ``outstanding``) after the re-pin.

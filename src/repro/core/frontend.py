@@ -350,6 +350,9 @@ class Deployment:
         #: registered as clients, so they stay out of the served/allocation
         #: metrics and the aggregate-bandwidth accounting.
         self.auxiliaries: List = []
+        #: Client arrivals past the run horizon, held off the engine heap
+        #: (:class:`repro.clients.base.ArrivalPark`); made at the first one.
+        self.arrival_park = None
         self.duration: Optional[float] = None
 
         #: The fault injector, or ``None`` for fault-free runs.  Only a plan
@@ -447,8 +450,8 @@ class Deployment:
 
     def run(self, duration: float) -> "Deployment":
         """Run the simulation for ``duration`` simulated seconds."""
-        if duration <= 0:
-            raise ExperimentError("duration must be positive")
+        if not 0 < duration < math.inf:
+            raise ExperimentError(f"duration must be positive and finite, got {duration}")
         until = self.engine.now + duration
         # Publish the horizon before starting clients so their initial
         # arrival pregeneration does not draw a whole batch past run end.

@@ -43,7 +43,9 @@ The measurement plane adds two gauges (machine-independent, surfaced in
 * ``peak_live_events``  — high-water mark of live (non-cancelled) events,
   sampled at every rate flush, with each pending flow completion counted
   as one event (the network's single completion timer is not counted
-  itself); the simulator's own memory pressure, independent of wall clock;
+  itself); the simulator's own memory pressure, independent of wall clock.
+  Client arrivals parked past the run horizon are not events and are not
+  counted; the park's one wake-up event is;
 * ``records_emitted``   — telemetry samples routed into the rollup
   collector (zero in full mode, where per-request lists are kept
   instead).

@@ -136,6 +136,18 @@ class ArrivalSpec:
     from_dict = classmethod(codec.from_dict)
 
 
+def _check_positive(path: str, value: float) -> None:
+    """Refuse a value outside ``(0, inf)``, NaN included, naming its field."""
+    if not 0 < value < math.inf:
+        raise ExperimentError(f"{path} must be positive and finite, got {value}")
+
+
+def _check_non_negative(path: str, value: float) -> None:
+    """Refuse a value outside ``[0, inf)``, NaN included, naming its field."""
+    if not 0 <= value < math.inf:
+        raise ExperimentError(f"{path} must be non-negative and finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Population groups
 # ---------------------------------------------------------------------------
@@ -164,19 +176,18 @@ class GroupSpec:
     #: :attr:`ScenarioSpec.retry_policy` when set.
     retry_policy: Optional[RetryPolicy] = field(default=None, metadata=codec.OMIT_DEFAULT)
 
-    def validate(self) -> None:
+    def validate(self, path: str = "group") -> None:
+        """Raise :class:`ExperimentError` naming the field, as ``path.field``."""
         if self.count < 0:
-            raise ExperimentError(f"group count must be non-negative, got {self.count}")
+            raise ExperimentError(f"{path}.count must be non-negative, got {self.count}")
         if self.client_class not in ("good", "bad"):
             raise ExperimentError(f"unknown client class {self.client_class!r}")
-        if self.bandwidth_bps <= 0:
-            raise ExperimentError("group bandwidth_bps must be positive")
-        if self.rate_rps is not None and self.rate_rps <= 0:
-            raise ExperimentError("group rate_rps must be positive when given")
+        _check_positive(f"{path}.bandwidth_bps", self.bandwidth_bps)
+        if self.rate_rps is not None:
+            _check_positive(f"{path}.rate_rps", self.rate_rps)
         if self.window is not None and self.window < 1:
-            raise ExperimentError("group window must be at least 1 when given")
-        if self.extra_delay_s < 0:
-            raise ExperimentError("group extra_delay_s must be non-negative")
+            raise ExperimentError(f"{path}.window must be at least 1 when given")
+        _check_non_negative(f"{path}.extra_delay_s", self.extra_delay_s)
         self.arrival.validate()
         if self.retry_policy is not None:
             try:
@@ -254,14 +265,12 @@ class TopologySpec:
             raise ExperimentError(
                 f"unknown topology kind {self.kind!r}; expected one of {TOPOLOGY_KINDS}"
             )
-        if self.lan_delay_s < 0 or self.bottleneck_delay_s < 0 or self.fabric_delay_s < 0:
-            raise ExperimentError("topology delays must be non-negative")
-        if self.thinner_bandwidth_bps <= 0 or self.web_server_bandwidth_bps <= 0:
-            raise ExperimentError("topology bandwidths must be positive")
-        if self.kind in ("bottleneck", "dumbbell") and self.bottleneck_bandwidth_bps <= 0:
-            raise ExperimentError(
-                f"{self.kind!r} topologies need a positive bottleneck_bandwidth_bps"
-            )
+        for name in ("lan_delay_s", "bottleneck_delay_s", "fabric_delay_s"):
+            _check_non_negative(f"topology.{name}", getattr(self, name))
+        for name in ("thinner_bandwidth_bps", "web_server_bandwidth_bps"):
+            _check_positive(f"topology.{name}", getattr(self, name))
+        if self.kind in ("bottleneck", "dumbbell"):
+            _check_positive("topology.bottleneck_bandwidth_bps", self.bottleneck_bandwidth_bps)
         if self.kind == "fat-tree" and (self.fabric_k < 2 or self.fabric_k % 2 != 0):
             raise ExperimentError(
                 f"fat-tree topologies need an even fabric_k >= 2, got {self.fabric_k}"
@@ -271,16 +280,14 @@ class TopologySpec:
                 "leaf-spine topologies need at least one leaf and one spine"
             )
         if self.kind in FABRIC_KINDS:
-            if self.oversubscription <= 0:
-                raise ExperimentError(
-                    f"oversubscription must be positive, got {self.oversubscription}"
-                )
+            _check_positive("topology.oversubscription", self.oversubscription)
             if self.cross_traffic_pairs < 0:
                 raise ExperimentError(
                     f"cross_traffic_pairs must be non-negative, got {self.cross_traffic_pairs}"
                 )
-            if self.cross_traffic_bandwidth_bps < 0:
-                raise ExperimentError("cross_traffic_bandwidth_bps must be non-negative")
+            _check_non_negative(
+                "topology.cross_traffic_bandwidth_bps", self.cross_traffic_bandwidth_bps
+            )
         elif self.cross_traffic_pairs:
             raise ExperimentError(
                 "cross_traffic_pairs needs a fabric topology (fat-tree or leaf-spine)"
@@ -367,10 +374,9 @@ class ScenarioSpec:
 
     def _validate_scenario(self) -> None:
         self.topology.validate()
-        for group in self.groups:
-            group.validate()
-        if self.duration <= 0:
-            raise ExperimentError("duration must be positive")
+        for index, group in enumerate(self.groups):
+            group.validate(f"groups.{index}")
+        _check_positive("duration", self.duration)
         if self.thinner_shards > 1 and self.topology.kind not in ("lan",) + FABRIC_KINDS:
             raise ExperimentError(
                 "thinner fleets (thinner_shards > 1) need a 'lan' or fabric topology"

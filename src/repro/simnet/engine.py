@@ -23,10 +23,15 @@ Two hot-path design points:
 
 Reserved slots (:meth:`Engine.reserve_seq`, :meth:`Engine.schedule_reserved`)
 let a caller claim a sequence number now and push the event later, or never.
-The network claims one for every completion time it computes — exactly where
-a per-flow event would have taken its seq — and pushes its single timer at
-the earliest claimed ``(time, seq)``.  So completions fire in the order
-per-flow events would have, and every other event keeps its seq.
+Two callers do.  The network claims one for every completion time it
+computes — exactly where a per-flow event would have taken its seq — and
+pushes its single timer at the earliest claimed ``(time, seq)``.  A client
+whose next arrival lies past the run horizon claims one where its arrival
+event would have, and parks the arrival in its deployment's
+:class:`~repro.clients.base.ArrivalPark`, which pushes one event at the
+earliest parked ``(time, seq)`` and, when that fires, each arrival the new
+horizon covers at its own.  So completions and arrivals fire in the order
+their own events would have, and every other event keeps its seq.
 
 The engine also hosts the *flush hook* protocol used by the fluid network's
 deferred rate recomputation: components register a callback via
@@ -136,7 +141,8 @@ class Engine:
     def pending_events(self) -> int:
         """Number of live (not cancelled) events still in the queue.
 
-        A fluid network's pending completions count as one event, its timer.
+        A fluid network's pending completions count as one event, its timer,
+        and so do the arrivals parked in a client park, its wake-up event.
         """
         return len(self._queue) - self._cancelled_in_queue
 
@@ -254,7 +260,11 @@ class Engine:
         Returns the simulated time at which the run stopped.  When ``until``
         is given, the clock is advanced to exactly ``until`` even if the last
         event fired earlier, so back-to-back ``run`` calls compose naturally.
+        A NaN ``until`` is refused: no event time is ever past it, so the run
+        would never end.
         """
+        if until is not None and until != until:
+            raise SchedulingError(f"cannot run until t={until}")
         self._running = True
         self._stopped = False
         self.run_horizon = until

@@ -277,6 +277,36 @@ def test_a_non_finite_link_host_or_deployment_value_exits_2_and_writes_nothing(g
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_duration_exits_2_and_writes_nothing(value, tmp_path, capsys):
+    """A NaN or infinite duration used to run forever; it now fails the
+    spec's check before any run starts."""
+    out = tmp_path / "out.json"
+    exit_code = main(["sweep", "--scenario", "lan-baseline",
+                      "--set", "good_clients=2", "--set", "bad_clients=2",
+                      "--set", f"duration={value}", "--out", str(out)])
+    assert exit_code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"duration must be positive and finite, got {value}" in err
+    assert not out.exists()
+
+
+def test_a_campaign_with_a_non_finite_group_value_fails_its_pre_flight(tmp_path, capsys):
+    """The pre-flight names the field and leaves no campaign behind, rather
+    than failing at the first build with the host's name."""
+    directory = tmp_path / "nan-campaign"
+    exit_code = main(["campaign", "run", "--scenario", "lan-baseline",
+                      "--set", "good_clients=2", "--set", "bad_clients=2",
+                      "--set", "duration=2", "--grid", "groups.0.bandwidth_bps=nan",
+                      "--dir", str(directory)])
+    assert exit_code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "groups.0.bandwidth_bps must be positive and finite, got nan" in err
+    assert not (directory / "campaign.json").exists()
+
+
 def test_fleet_command_prints_provisioning_curve(capsys):
     exit_code = main(["fleet", "--duration", "6", "--client-scale", "0.12",
                       "--shards", "1,2"])

@@ -3,8 +3,11 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clients.bad import BadClient
+from repro.clients.base import _NO_ENTRIES, _NO_ITEMS, ArrivalPark
 from repro.clients.cheats import FocusedCheater, LurkingCheater
 from repro.clients.good import GoodClient
 from repro.clients.population import PopulationSpec, build_mixed_population, build_population
@@ -13,6 +16,7 @@ from repro.core.frontend import Deployment, DeploymentConfig
 from repro.errors import ClientError
 from repro.rng import RandomStream
 from repro.scenarios.registry import build_scenario
+from repro.simnet.engine import Engine
 from repro.simnet.topology import build_lan, uniform_bandwidths
 from tests.conftest import make_deployment
 
@@ -256,7 +260,7 @@ def test_the_first_refill_draws_only_what_the_horizon_needs():
     twin = RandomStream(0, f"client:{client.name}")
     assert client._gen_time == 0.0 + twin.exponential(0.02)
     assert client._gen_time > 0.05
-    assert client._pending_arrivals == []
+    assert len(client._pending_arrivals) == 0
     assert client.stats.issued == 0
 
 
@@ -305,15 +309,17 @@ def _rollup_mega_2000():
     )
 
 
-def test_a_built_client_costs_at_most_1800_bytes():
+def test_a_built_client_costs_at_most_1200_bytes():
     """Bytes ``build()`` allocates per client at 2,000 clients.
 
-    A slotted client reads about 1.25 KB on CPython 3.11.  Its host keeps
+    A slotted client reads about 0.9 KB on CPython 3.11.  Its host keeps
     only its access parameters: the access link is built when the client
-    first sends, inside ``run()``, and so is its Mersenne Twister.  Access
-    links built with every host (about 2.2 KB per client) fail the bound,
-    and so does a Twister made at build time (about 4.1 KB).  The headroom
-    is for other CPython versions.
+    first sends, inside ``run()``, and so is its Mersenne Twister.  Its
+    sample lists, channel and upload maps and pending arrivals are shared
+    empties until their first write; fresh empty ones read about 1.25 KB
+    per client and fail the bound, as do access links built with every
+    host (about 2.2 KB) and a Twister made at build time (about 4.1 KB).
+    The headroom is for other CPython versions.
     """
     spec = _rollup_mega_2000()
     tracemalloc.start()
@@ -324,15 +330,17 @@ def test_a_built_client_costs_at_most_1800_bytes():
     finally:
         tracemalloc.stop()
     assert len(deployment.clients) == 2000
-    assert allocated / 2000 <= 1800
+    assert allocated / 2000 <= 1200
 
 
 def test_idle_clients_hold_no_generator_after_a_run():
     """After a 0.05 s run nearly every client's next draw lies past the
-    run's end, so its stream is parked.  The peak of ``build()`` plus
-    ``run()`` is about 1.63 KB per client.  Access links built with every
-    host put it at about 2.6 KB, Twisters made at build time at about
-    4.2 KB, and Twisters never parked at about 4.5 KB."""
+    run's end, so its stream is parked, and so is its next arrival.  The
+    peak of ``build()`` plus ``run()`` is about 1.05 KB per client.  An
+    engine event per idle arrival with fresh empty containers puts it at
+    about 1.63 KB, access links built with every host at about 2.6 KB,
+    Twisters made at build time at about 4.2 KB, and Twisters never parked
+    at about 4.5 KB."""
     spec = _rollup_mega_2000()
     tracemalloc.start()
     try:
@@ -349,7 +357,107 @@ def test_idle_clients_hold_no_generator_after_a_run():
     ]
     assert len(idle) >= 1950
     assert all(client.rng._rng is None for client in idle)
-    assert allocated / 2000 <= 2300
+    assert allocated / 2000 <= 1450
+
+
+def test_idle_clients_hold_no_engine_event_and_no_containers():
+    """A client that never sent holds no engine event of its own (its next
+    arrival waits in the deployment's park) and only the shared empties."""
+    spec = _rollup_mega_2000()
+    deployment = spec.build()
+    deployment.run(spec.duration)
+    assert deployment.engine.pending_events < 100
+    idle = [client for client in deployment.clients if not client.stats.sent]
+    assert len(idle) >= 1900
+    for client in idle:
+        assert client.channels is _NO_ENTRIES and client._inflight is _NO_ENTRIES
+        assert client._pending_arrivals is _NO_ITEMS and client.backlog is _NO_ITEMS
+        stats = client.stats
+        assert stats.payment_times is stats.response_times is stats.prices is _NO_ITEMS
+
+
+@pytest.mark.parametrize(
+    "make_spec, steps",
+    [
+        (_rollup_mega_2000, (0.05, 0.2, 0.25)),
+        (lambda: build_scenario("lan-baseline", good_clients=10, bad_clients=10, seed=3),
+         (1.0, 1.5, 1.5)),
+    ],
+    ids=["rollup-mega", "lan-baseline"],
+)
+def test_stepped_runs_give_the_result_of_one_run(make_spec, steps):
+    """Each ``run()`` wakes the arrivals parked past the last one's horizon;
+    run in steps, a deployment fires the same events and reports the same
+    result as one run over the whole span."""
+    spec = make_spec()
+    whole = spec.build()
+    whole.run(sum(steps))
+    stepped = spec.build()
+    for step in steps:
+        stepped.run(step)
+    assert stepped.engine.now == whole.engine.now
+    assert stepped.engine.events_processed == whole.engine.events_processed
+    assert stepped.results().to_dict() == whole.results().to_dict()
+
+
+class _Probe:
+    """Stands in for a client: logs each arrival and may schedule one more,
+    parking it as a client does when it lies past the run horizon."""
+
+    def __init__(self, engine, park, log, name, gap):
+        self.engine, self.park, self.log, self.name, self.gap = engine, park, log, name, gap
+
+    def _arrival(self):
+        self.log.append((self.engine.now, self.name))
+        if self.gap is not None:
+            due, self.gap = self.engine.now + self.gap, None
+            self.name += "'"
+            _push_arrival(self.engine, self.park, due, self)
+
+
+def _push_arrival(engine, park, due, probe):
+    horizon = engine.run_horizon
+    if park is None or horizon is None or due <= horizon:
+        engine.schedule_at(due, probe._arrival)
+    else:
+        park.park(due, engine.reserve_seq(), probe)
+
+
+def _fire_all(operations, horizons, parked):
+    """Schedule the operations, run to each horizon then to the end; return
+    the ``(time, name)`` log and the events fired."""
+    engine = Engine()
+    park = ArrivalPark(engine) if parked else None
+    log = []
+    engine.run_horizon = horizons[0]
+    for index, (is_arrival, time, gap) in enumerate(operations):
+        if is_arrival:
+            _push_arrival(engine, park, time, _Probe(engine, park, log, f"a{index}", gap))
+        else:
+            engine.schedule_at(time, lambda name=f"e{index}": log.append((engine.now, name)))
+    for horizon in horizons:
+        engine.run(until=horizon)
+    engine.run()
+    return log, engine.events_processed
+
+
+_INSTANTS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.0, 4.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    operations=st.lists(
+        st.tuples(st.booleans(), _INSTANTS, st.none() | st.sampled_from([0.0, 0.5, 1.0, 2.5])),
+        max_size=30,
+    ),
+    horizons=st.lists(_INSTANTS, min_size=1, max_size=4).map(sorted),
+)
+def test_parked_arrivals_fire_in_the_order_of_their_own_events(operations, horizons):
+    """Ties, same-instant events and arrivals parked mid-run included, the
+    park fires each arrival at the time and seq its own event would have."""
+    assert _fire_all(operations, horizons, parked=True) == _fire_all(
+        operations, horizons, parked=False
+    )
 
 
 def test_only_hosts_that_carried_a_flow_build_an_access_link():

@@ -100,6 +100,15 @@ def test_a_nan_time_is_refused(schedule):
     assert engine.pending_events == 0
 
 
+def test_a_nan_run_horizon_is_refused():
+    """No event time is past NaN, so such a run would never end."""
+    engine = Engine()
+    engine.schedule_every(1.0, lambda: None)
+    with pytest.raises(SchedulingError, match="nan"):
+        engine.run(until=float("nan"), max_events=100)
+    assert engine.now == 0.0 and engine.events_processed == 0
+
+
 def test_cancelled_event_does_not_fire():
     engine = Engine()
     fired = []

@@ -1,5 +1,7 @@
 """Tests for Deployment / DeploymentConfig wiring."""
 
+import math
+
 import pytest
 
 from repro.constants import MBIT
@@ -69,6 +71,14 @@ def test_run_requires_positive_duration_and_results_require_run():
         deployment.run(0.0)
     with pytest.raises(ExperimentError):
         deployment.results()
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+def test_run_refuses_a_non_finite_duration_with_one_line(duration):
+    deployment, _hosts = build()
+    with pytest.raises(ExperimentError, match="duration must be positive and finite"):
+        deployment.run(duration)
+    assert deployment.engine.now == 0.0
 
 
 def test_run_advances_clock_and_accumulates_duration():

@@ -321,10 +321,11 @@ def test_validate_rejects_every_deployment_setting_build_rejects(changes, messag
 @pytest.mark.parametrize(
     "path, value, needle",
     [
-        ("groups.0.bandwidth_bps", math.nan, "upload bandwidth"),
-        ("groups.0.bandwidth_bps", math.inf, "upload bandwidth"),
-        ("topology.thinner_bandwidth_bps", math.nan, "host 'thinner': upload bandwidth"),
-        ("topology.lan_delay_s", math.nan, "access delay"),
+        ("groups.0.bandwidth_bps", math.nan,
+         "groups.0.bandwidth_bps must be positive and finite, got nan"),
+        ("groups.0.bandwidth_bps", math.inf, "groups.0.bandwidth_bps"),
+        ("topology.thinner_bandwidth_bps", math.nan, "topology.thinner_bandwidth_bps"),
+        ("topology.lan_delay_s", math.nan, "topology.lan_delay_s"),
         ("encouragement_delay", math.nan, "encouragement_delay"),
         ("capacity_rps", math.nan, "server_capacity_rps"),
     ],
@@ -341,13 +342,51 @@ def test_a_non_finite_link_host_or_deployment_value_fails_build_with_one_line(
 
 
 def test_a_non_finite_bandwidth_fails_build_for_a_client_that_never_sends():
-    """The host checks its access parameters when it is made, not when its
-    link is built at the first send, which this client would never reach."""
+    """The spec refuses the group's bandwidth before anything is built, so a
+    client that would never send cannot carry it into a run."""
     spec = _small_lan_spec()
     idle = GroupSpec(count=1, client_class="good", rate_rps=1e-9, bandwidth_bps=math.nan)
     spec = replace(spec, groups=spec.groups + (idle,))
-    with pytest.raises(ReproError, match="host 'client-004': upload bandwidth"):
+    with pytest.raises(ReproError, match="groups.2.bandwidth_bps"):
         spec.build()
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("duration", math.nan),
+        ("duration", math.inf),
+        ("groups.1.bandwidth_bps", math.nan),
+        ("groups.0.rate_rps", math.inf),
+        ("groups.0.extra_delay_s", math.nan),
+        ("topology.bottleneck_delay_s", math.inf),
+        ("topology.web_server_bandwidth_bps", math.nan),
+    ],
+)
+def test_a_non_finite_spec_value_fails_validate_and_build_with_one_line(path, value):
+    """A NaN or infinite duration, group or topology value read from JSON is
+    refused by ``validate()``, the pre-flight of sweeps and campaigns, with
+    one line naming the field.  A NaN duration used to run forever."""
+    document = _small_lan_spec().to_dict()
+    target = document
+    *parents, key = path.split(".")
+    for part in parents:
+        target = target[int(part)] if isinstance(target, list) else target[part]
+    target[key] = value
+    spec = ScenarioSpec.from_dict(document)
+    for call in (spec.validate, spec.build):
+        with pytest.raises(ExperimentError, match=f"{path} must be .* and finite") as error:
+            call()
+        assert "\n" not in str(error.value)
+
+
+def test_a_fabric_spec_refuses_non_finite_oversubscription_and_cross_traffic():
+    spec = build_scenario("fabric-mega", duration=1.0)
+    for path, value in (("topology.oversubscription", math.nan),
+                        ("topology.cross_traffic_bandwidth_bps", math.inf),
+                        ("topology.fabric_delay_s", math.nan)):
+        with pytest.raises(ExperimentError, match=path):
+            spec.with_value(path, value).validate()
 
 
 def test_with_value_replaces_nested_fields():
