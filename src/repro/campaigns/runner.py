@@ -29,6 +29,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro import codec
 from repro.errors import ExperimentError
 from repro.scenarios.runner import AxisKey, Sweep, SweepRecord, validate_record
 from repro.scenarios.spec import ScenarioSpec
@@ -53,7 +54,8 @@ def manifest_path(directory: str, worker: int) -> str:
 
 def _dump_line(record: Dict[str, Any]) -> str:
     """One spool line: compact, key-sorted, newline-terminated."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    what = f"campaign record {record.get('index')}"
+    return codec.dumps(record, what, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +182,16 @@ class CampaignPlan:
     def save(self, directory: str) -> None:
         path = os.path.join(directory, CAMPAIGN_FILENAME)
         tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
+        try:
+            what = f"campaign plan {path!r}"
+            text = codec.dumps(self.to_dict(), what, indent=2, sort_keys=True)
+            with open(tmp, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+            os.replace(tmp, path)
+        finally:
+            # Only a failed write leaves the temporary file behind.
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, directory: str) -> "CampaignPlan":

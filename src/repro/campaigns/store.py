@@ -113,22 +113,6 @@ class CampaignStore:
         """Materialise every record (the one deliberately O(points) call)."""
         return list(self.iter_records())
 
-    def query(
-        self,
-        where: Optional[Mapping[str, Any]] = None,
-        predicate: Optional[Callable[[Dict[str, Any]], bool]] = None,
-    ) -> Iterator[SweepRecord]:
-        """Stream records whose overrides match ``where`` (exact equality
-        per path) and, if given, satisfy ``predicate`` on the raw dict."""
-        for spool, line, entry in self._merged():
-            overrides = entry.get("overrides", {})
-            if where is not None:
-                if any(overrides.get(path) != value for path, value in where.items()):
-                    continue
-            if predicate is not None and not predicate(entry):
-                continue
-            yield decode_record(entry, f"line {line} of spool {spool!r}")
-
     def summarise(
         self,
         metric: str,

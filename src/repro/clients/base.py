@@ -9,15 +9,15 @@ metrics when responses (or drops) come back.
 Arrival generation is *batched*: instead of scheduling one engine event per
 candidate arrival (and, for modulated demand, burning an event on every
 thinned-away candidate), each client pregenerates a chunk of accepted
-arrival times per refill — ``arrival_batch`` inter-arrival draws per RNG
-call — and holds at most one pending arrival.  Thinning for non-homogeneous
-demand happens inside the refill loop, so a mostly-idle client (a flash
-crowd before its flash, a pulsed attacker between pulses) costs one *refill*
-event per :data:`MAX_CANDIDATES_PER_REFILL` rejected candidates instead of
-one engine event per candidate.  A next arrival inside the run horizon is an
-engine event; one past it waits in the deployment's :class:`ArrivalPark`,
-which holds a single engine event for all of them, so an idle client holds
-no engine event at all.
+arrival times per refill — :data:`ARRIVAL_BATCH` inter-arrival draws per
+RNG call — and holds at most one pending arrival.  Thinning for
+non-homogeneous demand happens inside the refill loop, so a mostly-idle
+client (a flash crowd before its flash, a pulsed attacker between pulses)
+costs one *refill* event per :data:`MAX_CANDIDATES_PER_REFILL` rejected
+candidates instead of one engine event per candidate.  A next arrival
+inside the run horizon is an engine event; one past it waits in the
+deployment's :class:`ArrivalPark`, which holds a single engine event for all
+of them, so an idle client holds no engine event at all.
 
 Determinism contract: the refill loop consumes the client's random stream in
 exactly the order the historical one-event-per-candidate scheduler did
@@ -48,8 +48,8 @@ from types import MappingProxyType
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro import codec
-from repro.constants import REQUEST_TIMEOUT
-from repro.errors import ClientError
+from repro.constants import REQUEST_BYTES, REQUEST_TIMEOUT
+from repro.errors import ClientError, check_non_negative
 from repro.core.frontend import Deployment
 from repro.core.payment import PaymentChannel
 from repro.httpd.messages import Request, RequestState, Response, new_request
@@ -68,7 +68,7 @@ DifficultySpec = Union[float, Callable[["BaseClient"], float]]
 RateModulator = Callable[[float], float]
 
 #: Accepted arrivals pregenerated per refill of a client's arrival queue.
-DEFAULT_ARRIVAL_BATCH = 64
+ARRIVAL_BATCH = 64
 
 #: Bound on candidate draws per refill call.  A modulated client whose
 #: multiplier sits at zero for a long stretch would otherwise pregenerate
@@ -102,21 +102,17 @@ class RetryPolicy:
     budget: Optional[float] = None
     refill_per_s: float = 0.0
 
-    def validate(self) -> None:
-        if self.base_backoff_s < 0:
-            raise ClientError(
-                f"base_backoff_s must be non-negative, got {self.base_backoff_s}"
-            )
-        if self.max_backoff_s < 0:
-            raise ClientError(
-                f"max_backoff_s must be non-negative, got {self.max_backoff_s}"
-            )
+    def validate(self, path: str = "retry_policy") -> None:
+        """Raise :class:`ClientError` naming the field, as ``path.field``."""
+        check_non_negative(f"{path}.base_backoff_s", self.base_backoff_s, ClientError)
+        check_non_negative(f"{path}.max_backoff_s", self.max_backoff_s, ClientError)
         if self.max_attempts < 0:
-            raise ClientError(f"max_attempts must be non-negative, got {self.max_attempts}")
-        if self.budget is not None and self.budget < 0:
-            raise ClientError(f"budget must be non-negative or None, got {self.budget}")
-        if self.refill_per_s < 0:
-            raise ClientError(f"refill_per_s must be non-negative, got {self.refill_per_s}")
+            raise ClientError(
+                f"{path}.max_attempts must be non-negative, got {self.max_attempts}"
+            )
+        if self.budget is not None:
+            check_non_negative(f"{path}.budget", self.budget, ClientError)
+        check_non_negative(f"{path}.refill_per_s", self.refill_per_s, ClientError)
 
     def backoff_delay(self, prev_s: float, rng) -> float:
         """The next backoff, by decorrelated jitter from the previous one.
@@ -266,12 +262,12 @@ class BaseClient:
 
     __slots__ = (
         "deployment", "engine", "network", "shard", "thinner", "thinner_host",
-        "host", "rate_rps", "window", "client_class", "category", "request_bytes",
-        "backlog_timeout", "difficulty", "rate_modulator", "cpu_power", "rng",
-        "stats", "outstanding", "backlog", "channels", "_started", "_sweep_event",
-        "_inflight", "_shard_down", "retry_policy", "_retry_state",
-        "_retry_pending", "_retry_rng", "_retry_tokens", "_retry_refill_time",
-        "arrival_batch", "_pending_arrivals", "_gen_time", "_batched_arrivals",
+        "host", "rate_rps", "window", "client_class", "category", "difficulty",
+        "rate_modulator", "cpu_power", "rng", "stats", "outstanding", "backlog",
+        "channels", "_started", "_sweep_event", "_inflight", "_shard_down",
+        "retry_policy", "_retry_state", "_retry_pending", "_retry_rng",
+        "_retry_tokens", "_retry_refill_time", "_pending_arrivals", "_gen_time",
+        "_batched_arrivals",
     )
 
     def __init__(
@@ -282,22 +278,14 @@ class BaseClient:
         window: int,
         client_class: str = "good",
         category: Optional[str] = None,
-        request_bytes: Optional[float] = None,
-        backlog_timeout: float = REQUEST_TIMEOUT,
         difficulty: DifficultySpec = 1.0,
         rate_modulator: Optional[RateModulator] = None,
-        arrival_batch: int = DEFAULT_ARRIVAL_BATCH,
         retry_policy: Optional[RetryPolicy] = None,
-        auto_register: bool = True,
     ) -> None:
         if rate_rps <= 0:
             raise ClientError(f"rate_rps must be positive, got {rate_rps}")
         if window < 1:
             raise ClientError(f"window must be at least 1, got {window}")
-        if backlog_timeout <= 0:
-            raise ClientError("backlog_timeout must be positive")
-        if arrival_batch < 1:
-            raise ClientError(f"arrival_batch must be at least 1, got {arrival_batch}")
         self.deployment = deployment
         self.engine = deployment.engine
         self.network = deployment.network
@@ -312,10 +300,6 @@ class BaseClient:
         self.window = int(window)
         self.client_class = client_class
         self.category = category
-        self.request_bytes = (
-            request_bytes if request_bytes is not None else deployment.config.request_bytes
-        )
-        self.backlog_timeout = backlog_timeout
         self.difficulty = difficulty
         self.rate_modulator = rate_modulator
         #: Puzzle units solved per second under proof-of-work
@@ -361,7 +345,6 @@ class BaseClient:
 
         #: Pregenerated accepted arrival times, newest first; ``pop()``
         #: takes the oldest.
-        self.arrival_batch = int(arrival_batch)
         self._pending_arrivals: Union[tuple, List[float]] = _NO_ITEMS
         #: Simulated time of the last *candidate* drawn (accepted or thinned);
         #: the next refill chains its first gap from here.
@@ -371,8 +354,7 @@ class BaseClient:
         #: (see the module docstring's determinism contract).
         self._batched_arrivals = not callable(difficulty)
 
-        if auto_register:
-            deployment.register_client(self)
+        deployment.register_client(self)
 
     # -- identity ----------------------------------------------------------------
 
@@ -399,7 +381,7 @@ class BaseClient:
     # -- batched arrival pregeneration ---------------------------------------------
 
     def _refill_arrivals(self) -> List[float]:
-        """Pregenerate accepted arrival times, up to ``arrival_batch`` of them.
+        """Pregenerate accepted arrival times, up to :data:`ARRIVAL_BATCH` of them.
 
         Draw order and float arithmetic replicate the legacy per-event
         scheduler exactly: each candidate time is ``previous + gap`` with
@@ -422,7 +404,7 @@ class BaseClient:
         horizon = self.engine.run_horizon
         t = self._gen_time
         if modulator is None:
-            batch = self.arrival_batch
+            batch = ARRIVAL_BATCH
             # Under a horizon, draw chunks of 1, 2, 4, then 8 gaps, so a
             # client whose first gap already crosses it draws only that one
             # (chained gaps already drawn stay valid arrival times for a
@@ -449,7 +431,7 @@ class BaseClient:
                 if bernoulli(multiplier):
                     pending.append(t)
                     accepted += 1
-                    if accepted >= self.arrival_batch:
+                    if accepted >= ARRIVAL_BATCH:
                         break
                 if horizon is not None and t > horizon:
                     break
@@ -494,7 +476,7 @@ class BaseClient:
             client_class=self.client_class,
             category=self.category,
             difficulty=self._draw_difficulty(),
-            size_bytes=self.request_bytes,
+            size_bytes=REQUEST_BYTES,
         )
         self.stats.issued += 1
         if self.outstanding < self.window and not self._shard_down:
@@ -677,7 +659,7 @@ class BaseClient:
 
     # -- backlog management --------------------------------------------------------------
     #
-    # Backlogged requests time out ``backlog_timeout`` seconds after they were
+    # Backlogged requests time out ``REQUEST_TIMEOUT`` seconds after they were
     # issued (the paper's 10-second service denial).  Rather than one timer per
     # request — bad clients would schedule a thousand timers a second — each
     # client keeps a single sweep event armed for the head of its backlog; the
@@ -689,7 +671,7 @@ class BaseClient:
         if not self.backlog:
             return
         head = self.backlog[0]
-        deadline = head.issued_at + self.backlog_timeout
+        deadline = head.issued_at + REQUEST_TIMEOUT
         delay = max(0.0, deadline - self.engine.now)
         self._sweep_event = self.engine.schedule_after(delay, self._sweep_backlog)
 
@@ -700,7 +682,7 @@ class BaseClient:
         # delay below (issued_at + timeout vs. now); mixing the algebraically
         # equivalent "now - issued_at >= timeout" can disagree with it in the
         # last floating-point bit and re-arm a zero-delay sweep forever.
-        while self.backlog and self.backlog[0].issued_at + self.backlog_timeout <= now:
+        while self.backlog and self.backlog[0].issued_at + REQUEST_TIMEOUT <= now:
             request = self.backlog.popleft()
             self._deny(request)
         self._ensure_sweep()
@@ -721,7 +703,7 @@ class BaseClient:
             return  # nothing to send to until the re-pin lands
         while self.backlog and self.outstanding < self.window:
             request = self.backlog.popleft()
-            if request.issued_at + self.backlog_timeout <= self.engine.now:
+            if request.issued_at + REQUEST_TIMEOUT <= self.engine.now:
                 self._deny(request)
                 continue
             self._issue(request)

@@ -8,7 +8,7 @@ objects so the experiment modules stay short and declarative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.constants import (
     BAD_CLIENT_RATE,
@@ -35,9 +35,6 @@ class PopulationSpec:
     category: Optional[str] = None
     difficulty: DifficultySpec = 1.0
     rate_modulator: Optional[RateModulator] = None
-    #: Cohort-level override for the clients' arrival pregeneration chunk
-    #: (``None`` keeps :data:`repro.clients.base.DEFAULT_ARRIVAL_BATCH`).
-    arrival_batch: Optional[int] = None
     #: Cohort-level retry discipline for dropped uploads (``None`` keeps the
     #: historical fire-and-forget behaviour, bit for bit).
     retry_policy: Optional[RetryPolicy] = None
@@ -57,13 +54,10 @@ def build_population(
     deployment: Deployment,
     hosts: Sequence[Host],
     specs: Sequence[PopulationSpec],
-    client_factory: Optional[Callable[..., BaseClient]] = None,
 ) -> List[BaseClient]:
     """Instantiate clients over ``hosts`` according to ``specs`` (in order).
 
-    The total count across specs must equal the number of hosts.  A custom
-    ``client_factory`` (e.g. a cheating strategy) replaces the default
-    good/bad classes for every spec.
+    The total count across specs must equal the number of hosts.
     """
     total = sum(spec.count for spec in specs)
     if total != len(hosts):
@@ -73,9 +67,7 @@ def build_population(
     clients: List[BaseClient] = []
     host_iter = iter(hosts)
     for spec in specs:
-        if client_factory is not None:
-            factory = client_factory
-        elif spec.client_class == "good":
+        if spec.client_class == "good":
             factory = GoodClient
         elif spec.client_class == "bad":
             factory = BadClient
@@ -86,15 +78,9 @@ def build_population(
             window=spec.resolved_window(),
             category=spec.category,
             difficulty=spec.difficulty,
+            rate_modulator=spec.rate_modulator,
+            retry_policy=spec.retry_policy,
         )
-        # Only pass the modulator / batch override when set so custom
-        # factories that predate the keywords keep working.
-        if spec.rate_modulator is not None:
-            kwargs["rate_modulator"] = spec.rate_modulator
-        if spec.arrival_batch is not None:
-            kwargs["arrival_batch"] = spec.arrival_batch
-        if spec.retry_policy is not None:
-            kwargs["retry_policy"] = spec.retry_policy
         for _ in range(spec.count):
             host = next(host_iter)
             clients.append(factory(deployment, host, **kwargs))

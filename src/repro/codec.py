@@ -100,9 +100,22 @@ def _encode(value: Any) -> Any:
     return value.to_dict()
 
 
+def dumps(data: Any, what: str, **options: Any) -> str:
+    """``json.dumps(data, **options)``, refusing NaN and Infinity.
+
+    Neither is valid JSON, so no writer puts one in a file: a non-finite
+    float fails with one :class:`~repro.errors.ExperimentError` line naming
+    ``what``, the record or class being written.
+    """
+    try:
+        return json.dumps(data, allow_nan=False, **options)
+    except ValueError as error:
+        raise ExperimentError(f"{what} cannot be written as JSON: {error}") from None
+
+
 def to_json(obj) -> str:
     """``obj.to_dict()`` as a JSON document with sorted keys."""
-    return json.dumps(obj.to_dict(), sort_keys=True)
+    return dumps(obj.to_dict(), type(obj).__name__, sort_keys=True)
 
 
 # -- reading -------------------------------------------------------------------

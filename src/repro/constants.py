@@ -1,10 +1,10 @@
-"""Shared constants and unit helpers used across the speak-up reproduction.
+"""Shared constants used across the speak-up reproduction.
 
 The paper mixes several unit systems: link capacities in Mbits/s, payments
 in bytes or KBytes, server capacity in requests per second, and latencies
 in milliseconds.  Everything internal to this package uses SI base units —
-bits per second, bytes, seconds — and the helpers here convert to and from
-the units the paper reports.
+bits per second, bytes, seconds — and the unit constants here scale the
+paper's figures into them.
 """
 
 from __future__ import annotations
@@ -25,45 +25,6 @@ MBYTE = 1_000_000
 MS = 1e-3
 
 
-def mbits_per_sec(value: float) -> float:
-    """Convert a value in Mbits/s to bits/s."""
-    return value * MBIT
-
-
-def kbits_per_sec(value: float) -> float:
-    """Convert a value in Kbits/s to bits/s."""
-    return value * KBIT
-
-
-def gbits_per_sec(value: float) -> float:
-    """Convert a value in Gbits/s to bits/s."""
-    return value * GBIT
-
-
-def to_mbits_per_sec(bits_per_sec: float) -> float:
-    """Convert bits/s to Mbits/s (the unit used in the paper's figures)."""
-    return bits_per_sec / MBIT
-
-
-def bytes_to_bits(num_bytes: float) -> float:
-    """Convert a byte count into bits."""
-    return num_bytes * BITS_PER_BYTE
-
-def bits_to_bytes(num_bits: float) -> float:
-    """Convert a bit count into bytes."""
-    return num_bits / BITS_PER_BYTE
-
-
-def kbytes(value: float) -> float:
-    """Convert KBytes to bytes."""
-    return value * KBYTE
-
-
-def to_kbytes(num_bytes: float) -> float:
-    """Convert bytes to KBytes (used on the y-axis of Figure 5)."""
-    return num_bytes / KBYTE
-
-
 def milliseconds(value: float) -> float:
     """Convert milliseconds to seconds."""
     return value * MS
@@ -75,6 +36,9 @@ def milliseconds(value: float) -> float:
 
 #: Size of one payment POST the JavaScript front-end constructs (section 6).
 DEFAULT_POST_BYTES = 1 * MBYTE
+
+#: Size of a request message on the wire.
+REQUEST_BYTES = 1500.0
 
 #: Paper's experiment length on Emulab (section 7.1).
 PAPER_EXPERIMENT_DURATION = 600.0

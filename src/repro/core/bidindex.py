@@ -215,11 +215,6 @@ class KineticBidIndex:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def group_count(self) -> int:
-        """Number of distinct bid slopes currently indexed."""
-        return len(self._groups)
-
     # -- trajectory bookkeeping ------------------------------------------------
 
     @staticmethod

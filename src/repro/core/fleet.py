@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro import codec
 from repro.core.routing import ShardRouter
-from repro.errors import ThinnerError
+from repro.errors import ThinnerError, check_non_negative, check_positive
 from repro.httpd.messages import Request
 from repro.httpd.server import EmulatedServer
 
@@ -233,16 +233,14 @@ class HealthProbeSpec:
     min_samples: int = 3
 
     def validate(self) -> None:
-        if self.interval_s <= 0:
-            raise ThinnerError(f"probe interval_s must be positive, got {self.interval_s}")
+        check_positive("health_probe.interval_s", self.interval_s, ThinnerError)
         if not 0.0 < self.alpha <= 1.0:
             raise ThinnerError(f"probe alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 < self.eject_fraction < 1.0:
             raise ThinnerError(
                 f"probe eject_fraction must be in (0, 1), got {self.eject_fraction}"
             )
-        if self.holddown_s < 0:
-            raise ThinnerError(f"probe holddown_s must be non-negative, got {self.holddown_s}")
+        check_non_negative("health_probe.holddown_s", self.holddown_s, ThinnerError)
         if self.min_samples < 1:
             raise ThinnerError(f"probe min_samples must be at least 1, got {self.min_samples}")
 

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.constants import DEFAULT_POST_BYTES, SERVICE_TIME_JITTER
 from repro.errors import DefenseError, ExperimentError, FaultError, ThinnerError
 from repro.core.fleet import ADMISSION_MODES, HealthProbeSpec, HealthProber, ServerMux
 from repro.core.routing import (
@@ -89,14 +88,8 @@ class DeploymentConfig:
     #: settings (the undefended baseline's drop policy, the quantum length)
     #: are kwargs of its spec.
     defense: Union[str, "DefenseSpec"] = "speakup"
-    #: Size of one payment POST (the prototype uses 1 MByte, §6).
-    post_bytes: float = DEFAULT_POST_BYTES
-    #: Size of a request message on the wire.
-    request_bytes: float = 1500.0
     #: Thinner-side processing/backlog delay added to each encouragement.
     encouragement_delay: float = 0.0
-    #: Service time jitter delta (service times are uniform in [(1±delta)/c]).
-    service_jitter: float = SERVICE_TIME_JITTER
     #: Root seed for every random stream in the deployment.
     seed: int = 0
     #: Bound on concurrent contenders (connection descriptors, §6); None = unbounded.
@@ -140,8 +133,6 @@ class DeploymentConfig:
     #: bounds the measurement footprint to O(buckets + reservoir) — the
     #: regime that makes >=500k-client runs fit in memory.
     telemetry: Optional[TelemetrySpec] = None
-    #: Model TCP slow start on payment POSTs (disable for speed in huge sweeps).
-    model_slow_start: bool = True
 
     def defense_spec(self) -> "DefenseSpec":
         """The configured defense as a normalised :class:`DefenseSpec`."""
@@ -165,16 +156,14 @@ class DeploymentConfig:
             defense = spec.create()
         except DefenseError as error:
             raise ExperimentError(str(error)) from None
-        if not 0 < self.post_bytes < math.inf:
-            raise ExperimentError(f"post_bytes must be positive and finite, got {self.post_bytes}")
-        if not 0 < self.request_bytes < math.inf:
-            raise ExperimentError(
-                f"request_bytes must be positive and finite, got {self.request_bytes}"
-            )
         if not 0 <= self.encouragement_delay < math.inf:
             raise ExperimentError(
                 "encouragement_delay must be non-negative and finite, "
                 f"got {self.encouragement_delay}"
+            )
+        if self.max_contenders is not None and self.max_contenders <= 0:
+            raise ExperimentError(
+                f"max_contenders must be positive or None, got {self.max_contenders}"
             )
         if self.thinner_shards < 1:
             raise ExperimentError("thinner_shards must be at least 1")
@@ -271,7 +260,7 @@ class Deployment:
         #: engagement metrics from it.
         self.timeline: List[Tuple[float, str, int]] = []
         self.network = FluidNetwork(self.engine, topology)
-        self.slow_start = SlowStartRamp(self.network) if self.config.model_slow_start else None
+        self.slow_start = SlowStartRamp(self.network)
 
         #: The rollup telemetry collector, or ``None`` in full mode.  Full
         #: mode (and an unset spec) is the byte-identity baseline: no
@@ -382,12 +371,7 @@ class Deployment:
         # Shard 0 keeps the historical "server" stream name so a one-shard
         # fleet draws the exact service times of a single-thinner run.
         name = "server" if shard == 0 else f"server:{shard}"
-        return EmulatedServer(
-            self.engine,
-            capacity_rps,
-            rng=self.streams.stream(name),
-            jitter=self.config.service_jitter,
-        )
+        return EmulatedServer(self.engine, capacity_rps, rng=self.streams.stream(name))
 
     # -- per-shard lookups (what Defense.build_thinner builds against) ------------
 
@@ -438,7 +422,6 @@ class Deployment:
             client_host=client_host,
             thinner_host=thinner_host if thinner_host is not None else self.thinner_host,
             request_id=request.request_id,
-            post_bytes=self.config.post_bytes,
             slow_start=self.slow_start,
         )
 

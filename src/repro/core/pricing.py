@@ -23,7 +23,6 @@ class PriceBook:
     def __init__(self) -> None:
         self._sums: Dict[str, float] = {}
         self._counts: Dict[str, int] = {}
-        self._last_price = 0.0
 
     def record(self, price_bytes: float, client_class: str) -> None:
         """Record the winning bid of one auction."""
@@ -31,15 +30,9 @@ class PriceBook:
             raise ValueError(f"price cannot be negative, got {price_bytes}")
         self._sums[client_class] = self._sums.get(client_class, 0.0) + price_bytes
         self._counts[client_class] = self._counts.get(client_class, 0) + 1
-        self._last_price = price_bytes
 
     def __len__(self) -> int:
         return sum(self._counts.values())
-
-    def going_rate(self) -> float:
-        """"The going rate for access is the winning bid from the most recent
-        auction" (§3.3).  Zero before any auction has completed."""
-        return self._last_price
 
     def average_by_class(self) -> Dict[str, float]:
         """Mean winning bid per client class (the two bars of Figure 5)."""

@@ -193,11 +193,6 @@ class ThinnerBase:
         channel.on_bid_change = self._channel_bid_changed
         self._bid_index.refresh(contender)
 
-    @property
-    def contending_count(self) -> int:
-        """Number of requests currently contending."""
-        return len(self._contenders)
-
     def contenders(self) -> list[Contender]:
         """The current contenders (a copy, in arrival order)."""
         return list(self._contenders.values())

@@ -114,10 +114,6 @@ class AdaptiveThinner:
         # Won or dropped while the registration was in flight.
         channel.close()
 
-    @property
-    def contending_count(self) -> int:
-        return self._passthrough.contending_count + self._engaged.contending_count
-
     def contenders(self):
         return self._passthrough.contenders() + self._engaged.contenders()
 

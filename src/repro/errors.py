@@ -1,6 +1,10 @@
-"""Exception hierarchy for the speak-up reproduction."""
+"""Exception hierarchy for the speak-up reproduction, and the range checks
+that spec validation shares."""
 
 from __future__ import annotations
+
+import math
+from typing import Type
 
 
 class ReproError(Exception):
@@ -53,3 +57,17 @@ class ExperimentError(ReproError):
 
 class AnalysisError(ReproError):
     """A closed-form analysis routine was called with invalid parameters."""
+
+
+def check_positive(path: str, value: float, error: Type[ReproError] = ExperimentError) -> None:
+    """Refuse a value outside ``(0, inf)``, NaN included, naming its field."""
+    if not 0 < value < math.inf:
+        raise error(f"{path} must be positive and finite, got {value}")
+
+
+def check_non_negative(
+    path: str, value: float, error: Type[ReproError] = ExperimentError
+) -> None:
+    """Refuse a value outside ``[0, inf)``, NaN included, naming its field."""
+    if not 0 <= value < math.inf:
+        raise error(f"{path} must be non-negative and finite, got {value}")

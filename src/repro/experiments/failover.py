@@ -67,13 +67,6 @@ class FailoverOutcome:
         return self.post_heal_rate_rps / self.pre_kill_rate_rps
 
     @property
-    def dip_ratio(self) -> float:
-        """Worst mid-outage service rate as a fraction of the pre-kill rate."""
-        if self.pre_kill_rate_rps == 0:
-            return 0.0
-        return self.dip_rate_rps / self.pre_kill_rate_rps
-
-    @property
     def recovered(self) -> bool:
         return self.recovery_ratio >= RECOVERY_TARGET
 

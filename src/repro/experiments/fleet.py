@@ -22,21 +22,14 @@ also spend time in request RTTs, POST quiescent gaps, and TCP slow start, so
 they deliver a high fraction — not 100% — of their bandwidth), which is
 exactly the shape Figure "provisioning" of §4.3 sketches: per-front-end
 capacity falls inversely with fleet size while the aggregate stays ``G + B``.
-
-:func:`fleet_provisioning_campaign` is the same experiment executed as a
-checkpointed out-of-core campaign (:mod:`repro.campaigns`): identical rows,
-but killable and resumable, with the records streamed from per-worker
-spools instead of held in memory.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.analysis.provisioning import payment_traffic_estimate
-from repro.errors import ExperimentError
 from repro.experiments.base import ExperimentScale
 from repro.metrics.tables import format_table
 from repro.scenarios.registry import build_scenario
@@ -153,50 +146,6 @@ def _row_from_record(record: SweepRecord) -> FleetProvisioningRow:
         observed_shard_mean_bps=observed_total / shards,
         observed_shard_max_bps=max(per_shard_bps) if per_shard_bps else 0.0,
     )
-
-
-def fleet_provisioning_campaign(
-    scale: ExperimentScale,
-    directory: str,
-    shard_counts: Sequence[int] = FLEET_SHARD_COUNTS,
-    shard_policy: str = "least-loaded",
-    admission_mode: str = "partitioned",
-    paper_capacity: float = 100.0,
-    jobs: int = 1,
-    workers: Optional[int] = None,
-    checkpoint_every: int = 8,
-) -> List[FleetProvisioningRow]:
-    """The same §4.3 curve, executed as a checkpointed campaign.
-
-    The demonstrator for the out-of-core runner: the identical sweep runs
-    through :class:`~repro.campaigns.runner.CampaignRunner` (per-worker
-    JSONL spools in ``directory``), the rows are rebuilt by streaming the
-    spools back through :class:`~repro.campaigns.store.CampaignStore`, and
-    because every point is a pure function of its spec the rows match
-    :func:`fleet_provisioning_curve` exactly.  Calling it again on a
-    half-finished directory resumes instead of starting over.
-    """
-    if not shard_counts:
-        return []
-    from repro.campaigns import CAMPAIGN_FILENAME, CampaignRunner, CampaignStore
-
-    runner = CampaignRunner(jobs=jobs)
-    if os.path.exists(os.path.join(directory, CAMPAIGN_FILENAME)):
-        status = runner.resume(directory)
-    else:
-        sweep = _provisioning_sweep(
-            scale, shard_counts, shard_policy, admission_mode, paper_capacity
-        )
-        status = runner.run(
-            sweep, directory, workers=workers, checkpoint_every=checkpoint_every
-        )
-    if not status.complete:
-        raise ExperimentError(
-            f"fleet provisioning campaign in {directory!r} is incomplete "
-            f"({status.done}/{status.points} points)"
-        )
-    store = CampaignStore(directory)
-    return [_row_from_record(record) for record in store.iter_records()]
 
 
 def format_fleet(rows: Sequence[FleetProvisioningRow]) -> str:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import codec
-from repro.errors import FaultError
+from repro.errors import FaultError, check_non_negative, check_positive
 
 #: Everything that can happen to a shard mid-run: the fail-stop pair plus
 #: the three gray-failure start/stop pairs.
@@ -80,9 +80,9 @@ class FaultEvent:
     factor: Optional[float] = field(default=None, metadata=codec.OMIT_DEFAULT)
     loss_p: Optional[float] = field(default=None, metadata=codec.OMIT_DEFAULT)
 
-    def validate(self, shards: Optional[int] = None) -> None:
-        if self.at_s < 0:
-            raise FaultError(f"fault event time must be non-negative, got {self.at_s}")
+    def validate(self, shards: Optional[int] = None, path: str = "event") -> None:
+        """Raise :class:`~repro.errors.FaultError` naming the field, as ``path.field``."""
+        check_non_negative(f"{path}.at_s", self.at_s, FaultError)
         if self.action not in FAULT_ACTIONS:
             raise FaultError(
                 f"unknown fault action {self.action!r}; expected one of {FAULT_ACTIONS}"
@@ -148,11 +148,6 @@ class FaultPlan:
         if not isinstance(self.events, tuple):
             object.__setattr__(self, "events", tuple(self.events))
 
-    @property
-    def is_empty(self) -> bool:
-        """True when the plan schedules nothing (the byte-identical no-op)."""
-        return not self.events
-
     def validate(
         self, shards: Optional[int] = None, horizon_s: Optional[float] = None
     ) -> None:
@@ -162,14 +157,10 @@ class FaultPlan:
         the horizon and stop events for shards that never started (a heal
         for a never-killed shard, ...) raise one error listing them all.
         """
-        if self.repin_ttl_s < 0:
-            raise FaultError(f"repin_ttl_s must be non-negative, got {self.repin_ttl_s}")
-        if self.sample_interval_s <= 0:
-            raise FaultError(
-                f"sample_interval_s must be positive, got {self.sample_interval_s}"
-            )
-        for event in self.events:
-            event.validate(shards)
+        check_non_negative("fault_plan.repin_ttl_s", self.repin_ttl_s, FaultError)
+        check_positive("fault_plan.sample_interval_s", self.sample_interval_s, FaultError)
+        for index, event in enumerate(self.events):
+            event.validate(shards, f"fault_plan.events.{index}")
         if horizon_s is not None:
             self._validate_strict(horizon_s)
 

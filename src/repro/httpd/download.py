@@ -59,13 +59,6 @@ class DownloadResult:
     request_retransmitted: bool
     ack_loss_rate: float
 
-    @property
-    def inflation_over(self) -> float:
-        """Ratio of effective to base RTT (a quick congestion indicator)."""
-        if self.base_rtt <= 0:
-            return 1.0
-        return self.effective_rtt / self.base_rtt
-
 
 class DownloadModel:
     """Estimates HTTP download latency for a victim host behind a shared cable."""

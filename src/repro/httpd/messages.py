@@ -72,16 +72,6 @@ class Request:
     # -- lifecycle helpers ----------------------------------------------------
 
     @property
-    def was_served(self) -> bool:
-        """True once the response has been delivered."""
-        return self.state == RequestState.SERVED
-
-    @property
-    def was_denied(self) -> bool:
-        """True if the request timed out or was dropped without service."""
-        return self.state in (RequestState.DENIED, RequestState.DROPPED)
-
-    @property
     def is_outstanding(self) -> bool:
         """True while the request occupies a slot in the client's window."""
         return self.state in (
@@ -106,12 +96,6 @@ class Request:
         if self.completed_at is None:
             return None
         return self.completed_at - self.issued_at
-
-    def waiting_time(self) -> Optional[float]:
-        """Time between arrival at the thinner and admission to the server."""
-        if self.arrived_at is None or self.admitted_at is None:
-            return None
-        return self.admitted_at - self.arrived_at
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

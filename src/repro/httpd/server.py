@@ -136,13 +136,6 @@ class EmulatedServer:
             raise ServerError("duration must be positive")
         return min(1.0, self.stats.busy_time / duration)
 
-    def remaining_work(self, request: Request) -> Optional[float]:
-        """Remaining service seconds for a suspended or in-progress request."""
-        if self.current is request and self._work_started_at is not None:
-            elapsed = self.engine.now - self._work_started_at
-            return max(0.0, self._remaining_work[request.request_id] - elapsed)
-        return self._remaining_work.get(request.request_id)
-
     # -- request lifecycle ----------------------------------------------------------
 
     def submit(self, request: Request) -> None:

@@ -39,10 +39,6 @@ class StageMetrics:
     screened: int = 0
     rejected: int = 0
 
-    @property
-    def passed(self) -> int:
-        return self.screened - self.rejected
-
     to_dict = codec.to_dict
     from_dict = classmethod(codec.from_dict)
 
@@ -61,27 +57,11 @@ class EngagementMetrics:
     transitions: List[List] = field(default_factory=list)
 
     @property
-    def engagements(self) -> int:
-        """How many times the inner defense was switched on."""
-        return sum(1 for _time, engaged in self.transitions if engaged)
-
-    @property
     def first_engaged_at(self) -> Optional[float]:
         for time, engaged in self.transitions:
             if engaged:
                 return time
         return None
-
-    @property
-    def last_disengaged_at(self) -> Optional[float]:
-        for time, engaged in reversed(self.transitions):
-            if not engaged:
-                return time
-        return None
-
-    @property
-    def engaged_at_end(self) -> bool:
-        return bool(self.transitions) and bool(self.transitions[-1][1])
 
     @property
     def time_engaged(self) -> float:
@@ -100,15 +80,6 @@ class EngagementMetrics:
     @property
     def engaged_fraction(self) -> float:
         return ratio(self.time_engaged, self.duration)
-
-    def engaged_at(self, time: float) -> bool:
-        """Whether the inner defense was on at simulated ``time``."""
-        engaged = False
-        for switch_time, switch_engaged in self.transitions:
-            if switch_time > time:
-                break
-            engaged = switch_engaged
-        return engaged
 
     to_dict = codec.to_dict
     from_dict = classmethod(codec.from_dict)
@@ -196,11 +167,6 @@ class ClassMetrics:
     def served_fraction(self) -> float:
         """Fraction of requests with an outcome that were served."""
         return ratio(self.served, self.finished)
-
-    @property
-    def demand_served_fraction(self) -> float:
-        """Fraction of *all issued* requests that were served (stricter)."""
-        return ratio(self.served, self.issued)
 
     to_dict = codec.to_dict
     from_dict = classmethod(codec.from_dict)

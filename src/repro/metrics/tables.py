@@ -52,13 +52,3 @@ def format_table(
         lines.append(format_row(row, widths, precision))
     return "\n".join(lines)
 
-
-def format_comparison(
-    label: str, paper_value: float, measured_value: float, unit: str = ""
-) -> str:
-    """One "paper=X measured=Y" comparison line for experiment reports."""
-    suffix = f" {unit}" if unit else ""
-    return (
-        f"{label}: paper={paper_value:.3f}{suffix} "
-        f"measured={measured_value:.3f}{suffix}"
-    )

@@ -15,15 +15,14 @@ state after ``w`` words depends on the seed and ``w`` alone: the next draw
 reseeds and calls ``getrandbits(32 * w)``, which consumes exactly ``w``
 words, so the state is restored bit for bit.  The count covers the draws of
 fixed size (one ``random()`` call, two words); a draw of variable length
-(``randint``, ``choice``, ``shuffle``, ``sample``, ``lognormal``) stops it,
-and that stream never parks again.  A population of clients that each draw
+(``randint``, ``choice``, ``sample``) stops it, and that stream never parks
+again.  A population of clients that each draw
 once and then idle past the run's end thus holds no generator while idle.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from typing import Iterable, Optional, Sequence
 
@@ -102,10 +101,6 @@ class RandomStream:
             raise IndexError("cannot choose from an empty sequence")
         return self._unparkable().choice(items)
 
-    def shuffle(self, items: list) -> None:
-        """Shuffle ``items`` in place."""
-        self._unparkable().shuffle(items)
-
     def sample(self, items: Sequence, k: int) -> list:
         """Sample ``k`` distinct elements from ``items``."""
         return self._unparkable().sample(items, k)
@@ -153,29 +148,6 @@ class RandomStream:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
         return self.random() < probability
 
-    def pareto(self, shape: float, scale: float) -> float:
-        """Pareto draw (used for synthetic heavy-tailed request difficulty)."""
-        if shape <= 0 or scale <= 0:
-            raise ValueError("shape and scale must be positive")
-        return scale * (1.0 / (1.0 - self.random())) ** (1.0 / shape)
-
-    def lognormal(self, mean: float, sigma: float) -> float:
-        """Log-normal draw (alternative request-difficulty model)."""
-        return self._unparkable().lognormvariate(mean, sigma)
-
-    def poisson_arrivals(self, rate: float, duration: float) -> list[float]:
-        """Materialise a Poisson arrival process on [0, duration)."""
-        if duration < 0:
-            raise ValueError("duration must be non-negative")
-        arrivals: list[float] = []
-        t = 0.0
-        while True:
-            t += self.exponential(rate)
-            if t >= duration:
-                break
-            arrivals.append(t)
-        return arrivals
-
 
 class StreamFactory:
     """Creates :class:`RandomStream` objects that all derive from one seed."""
@@ -200,55 +172,3 @@ class StreamFactory:
     def __len__(self) -> int:
         return len(self._streams)
 
-
-def deterministic_jitter(identity: str, spread: float) -> float:
-    """A deterministic pseudo-jitter in [0, spread) derived from ``identity``.
-
-    Useful when a component needs stable but distinct per-entity offsets
-    (e.g. staggering client start times) without consuming stream state.
-    """
-    if spread < 0:
-        raise ValueError("spread must be non-negative")
-    digest = hashlib.sha256(identity.encode("utf-8")).digest()
-    fraction = int.from_bytes(digest[:8], "big") / float(1 << 64)
-    return fraction * spread
-
-
-def halton(index: int, base: int = 2) -> float:
-    """Low-discrepancy Halton value, used to place heterogeneous categories."""
-    if index < 0:
-        raise ValueError("index must be non-negative")
-    if base < 2:
-        raise ValueError("base must be >= 2")
-    result = 0.0
-    f = 1.0
-    i = index + 1
-    while i > 0:
-        f /= base
-        result += f * (i % base)
-        i //= base
-    return result
-
-
-def spread_points(count: int, low: float, high: float) -> list[float]:
-    """Deterministically spread ``count`` points across [low, high]."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if count == 0:
-        return []
-    if count == 1:
-        return [(low + high) / 2.0]
-    step = (high - low) / (count - 1)
-    return [low + i * step for i in range(count)]
-
-
-def geometric_levels(count: int, low: float, high: float) -> list[float]:
-    """Deterministic geometric progression of ``count`` values in [low, high]."""
-    if count <= 0:
-        raise ValueError("count must be positive")
-    if low <= 0 or high <= 0:
-        raise ValueError("bounds must be positive")
-    if count == 1:
-        return [math.sqrt(low * high)]
-    ratio = (high / low) ** (1.0 / (count - 1))
-    return [low * ratio**i for i in range(count)]

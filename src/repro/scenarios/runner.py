@@ -250,7 +250,8 @@ def write_results(entries: Iterable[Dict[str, Any]], path: str) -> int:
         with open(tmp, "w", encoding="utf-8") as out:
             out.write('{\n  "records": [')
             for entry in entries:
-                text = json.dumps(entry, indent=2, sort_keys=True)
+                what = f"results record {entry.get('index', written)}"
+                text = codec.dumps(entry, what, indent=2, sort_keys=True)
                 indented = "\n".join("    " + line for line in text.splitlines())
                 out.write(("," if written else "") + "\n" + indented)
                 written += 1

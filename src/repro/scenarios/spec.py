@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import codec
 from repro.constants import DEFAULT_CLIENT_BANDWIDTH
-from repro.errors import ClientError, ExperimentError
+from repro.errors import ClientError, ExperimentError, check_non_negative, check_positive
 from repro.clients.base import RetryPolicy
 from repro.clients.population import PopulationSpec, build_population
 from repro.core.fleet import HealthProbeSpec
@@ -84,22 +84,25 @@ class ArrivalSpec:
     ramp_s: float = 0.0
     floor: float = 0.0
 
-    def validate(self) -> None:
+    def validate(self, path: str = "arrival") -> None:
+        """Raise :class:`ExperimentError` naming the field, as ``path.field``."""
         if self.kind not in ARRIVAL_KINDS:
             raise ExperimentError(
                 f"unknown arrival kind {self.kind!r}; expected one of {ARRIVAL_KINDS}"
             )
         if not 0.0 <= self.floor <= 1.0:
-            raise ExperimentError(f"arrival floor must be in [0, 1], got {self.floor}")
-        if self.kind == "onoff":
-            if self.period_s <= 0:
-                raise ExperimentError("onoff arrivals need a positive period_s")
-            if not 0 < self.on_s <= self.period_s:
-                raise ExperimentError("onoff arrivals need 0 < on_s <= period_s")
-        if self.kind == "diurnal" and self.period_s <= 0:
-            raise ExperimentError("diurnal arrivals need a positive period_s")
-        if self.kind == "flash" and (self.start_s < 0 or self.ramp_s < 0):
-            raise ExperimentError("flash arrivals need non-negative start_s and ramp_s")
+            raise ExperimentError(f"{path}.floor must be in [0, 1], got {self.floor}")
+        if not math.isfinite(self.phase_s):
+            raise ExperimentError(f"{path}.phase_s must be finite, got {self.phase_s}")
+        if self.kind in ("onoff", "diurnal"):
+            check_positive(f"{path}.period_s", self.period_s)
+        if self.kind == "onoff" and not 0 < self.on_s <= self.period_s:
+            raise ExperimentError(
+                f"{path}.on_s must be in (0, period_s], got {self.on_s}"
+            )
+        if self.kind == "flash":
+            check_non_negative(f"{path}.start_s", self.start_s)
+            check_non_negative(f"{path}.ramp_s", self.ramp_s)
 
     def modulator(self) -> Optional[Callable[[float], float]]:
         """The multiplier function, or None for a steady process."""
@@ -136,18 +139,6 @@ class ArrivalSpec:
     from_dict = classmethod(codec.from_dict)
 
 
-def _check_positive(path: str, value: float) -> None:
-    """Refuse a value outside ``(0, inf)``, NaN included, naming its field."""
-    if not 0 < value < math.inf:
-        raise ExperimentError(f"{path} must be positive and finite, got {value}")
-
-
-def _check_non_negative(path: str, value: float) -> None:
-    """Refuse a value outside ``[0, inf)``, NaN included, naming its field."""
-    if not 0 <= value < math.inf:
-        raise ExperimentError(f"{path} must be non-negative and finite, got {value}")
-
-
 # ---------------------------------------------------------------------------
 # Population groups
 # ---------------------------------------------------------------------------
@@ -182,16 +173,16 @@ class GroupSpec:
             raise ExperimentError(f"{path}.count must be non-negative, got {self.count}")
         if self.client_class not in ("good", "bad"):
             raise ExperimentError(f"unknown client class {self.client_class!r}")
-        _check_positive(f"{path}.bandwidth_bps", self.bandwidth_bps)
+        check_positive(f"{path}.bandwidth_bps", self.bandwidth_bps)
         if self.rate_rps is not None:
-            _check_positive(f"{path}.rate_rps", self.rate_rps)
+            check_positive(f"{path}.rate_rps", self.rate_rps)
         if self.window is not None and self.window < 1:
             raise ExperimentError(f"{path}.window must be at least 1 when given")
-        _check_non_negative(f"{path}.extra_delay_s", self.extra_delay_s)
-        self.arrival.validate()
+        check_non_negative(f"{path}.extra_delay_s", self.extra_delay_s)
+        self.arrival.validate(f"{path}.arrival")
         if self.retry_policy is not None:
             try:
-                self.retry_policy.validate()
+                self.retry_policy.validate(f"{path}.retry_policy")
             except ClientError as error:
                 raise ExperimentError(str(error)) from None
 
@@ -266,11 +257,11 @@ class TopologySpec:
                 f"unknown topology kind {self.kind!r}; expected one of {TOPOLOGY_KINDS}"
             )
         for name in ("lan_delay_s", "bottleneck_delay_s", "fabric_delay_s"):
-            _check_non_negative(f"topology.{name}", getattr(self, name))
+            check_non_negative(f"topology.{name}", getattr(self, name))
         for name in ("thinner_bandwidth_bps", "web_server_bandwidth_bps"):
-            _check_positive(f"topology.{name}", getattr(self, name))
+            check_positive(f"topology.{name}", getattr(self, name))
         if self.kind in ("bottleneck", "dumbbell"):
-            _check_positive("topology.bottleneck_bandwidth_bps", self.bottleneck_bandwidth_bps)
+            check_positive("topology.bottleneck_bandwidth_bps", self.bottleneck_bandwidth_bps)
         if self.kind == "fat-tree" and (self.fabric_k < 2 or self.fabric_k % 2 != 0):
             raise ExperimentError(
                 f"fat-tree topologies need an even fabric_k >= 2, got {self.fabric_k}"
@@ -280,12 +271,12 @@ class TopologySpec:
                 "leaf-spine topologies need at least one leaf and one spine"
             )
         if self.kind in FABRIC_KINDS:
-            _check_positive("topology.oversubscription", self.oversubscription)
+            check_positive("topology.oversubscription", self.oversubscription)
             if self.cross_traffic_pairs < 0:
                 raise ExperimentError(
                     f"cross_traffic_pairs must be non-negative, got {self.cross_traffic_pairs}"
                 )
-            _check_non_negative(
+            check_non_negative(
                 "topology.cross_traffic_bandwidth_bps", self.cross_traffic_bandwidth_bps
             )
         elif self.cross_traffic_pairs:
@@ -376,7 +367,7 @@ class ScenarioSpec:
         self.topology.validate()
         for index, group in enumerate(self.groups):
             group.validate(f"groups.{index}")
-        _check_positive("duration", self.duration)
+        check_positive("duration", self.duration)
         if self.thinner_shards > 1 and self.topology.kind not in ("lan",) + FABRIC_KINDS:
             raise ExperimentError(
                 "thinner fleets (thinner_shards > 1) need a 'lan' or fabric topology"

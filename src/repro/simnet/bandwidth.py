@@ -192,15 +192,3 @@ def max_min_fair_rates(flows: Sequence[Flow]) -> Dict[Flow, float]:
     caps = {flow: flow.effective_cap() for flow in flows}
     return waterfill(list(flows), links, caps)
 
-
-def link_utilisations(flows: Iterable[Flow]) -> Dict[Link, float]:
-    """Return the fraction of each link's capacity consumed by ``flows``.
-
-    Uses the flows' currently assigned ``rate_bps``; call after the network
-    has allocated rates.
-    """
-    usage: Dict[Link, float] = {}
-    for flow in flows:
-        for link in flow.path:
-            usage[link] = usage.get(link, 0.0) + flow.rate_bps
-    return {link: used / link.capacity_bps for link, used in usage.items()}

@@ -114,7 +114,6 @@ class Engine:
         self._queue: list = []
         self._seq = 0
         self._running = False
-        self._stopped = False
         self._events_processed = 0
         self._cancelled_in_queue = 0
         self._needs_flush = False
@@ -233,27 +232,6 @@ class Engine:
 
     # -- execution -------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Fire the next pending event.  Returns False if the queue is empty."""
-        if self._needs_flush:
-            self._flush()
-        queue = self._queue
-        while queue:
-            time, _seq, event = heapq.heappop(queue)
-            if event.cancelled:
-                self._cancelled_in_queue -= 1
-                continue
-            self._now = time
-            event.fired = True
-            self._events_processed += 1
-            kwargs = event.kwargs
-            if kwargs:
-                event.callback(*event.args, **kwargs)
-            else:
-                event.callback(*event.args)
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
 
@@ -266,7 +244,6 @@ class Engine:
         if until is not None and until != until:
             raise SchedulingError(f"cannot run until t={until}")
         self._running = True
-        self._stopped = False
         self.run_horizon = until
         fired = 0
         queue = self._queue
@@ -280,7 +257,7 @@ class Engine:
                     # advance could strand an event in the past.
                     self._flush()
                     continue
-                if not queue or self._stopped:
+                if not queue:
                     break
                 if max_events is not None and fired >= max_events:
                     break
@@ -308,17 +285,6 @@ class Engine:
         if until is not None and self._now < until:
             self._now = until
         return self._now
-
-    def stop(self) -> None:
-        """Stop the current :meth:`run` after the in-flight event returns."""
-        self._stopped = True
-
-    def drain(self) -> int:
-        """Run every remaining event; return how many fired."""
-        fired = 0
-        while self.step():
-            fired += 1
-        return fired
 
     # -- periodic helpers --------------------------------------------------------
 

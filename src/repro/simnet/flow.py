@@ -168,37 +168,6 @@ class Flow:
             self._sdelivered = value
 
     @property
-    def _last_integration(self) -> float:
-        fid = self._fid
-        if fid >= 0:
-            return self._soa.fm_last[fid]
-        return self._slast
-
-    @_last_integration.setter
-    def _last_integration(self, value: float) -> None:
-        fid = self._fid
-        if fid >= 0:
-            self._soa.fm_last[fid] = value
-        else:
-            self._slast = value
-
-    @property
-    def _bound(self) -> float:
-        """Static rate bound maintained by the owning network while active."""
-        fid = self._fid
-        if fid >= 0:
-            return self._soa.fm_bound[fid]
-        return self._sbound
-
-    @_bound.setter
-    def _bound(self, value: float) -> None:
-        fid = self._fid
-        if fid >= 0:
-            self._soa.fm_bound[fid] = value
-        else:
-            self._sbound = value
-
-    @property
     def rate_cap_bps(self) -> Optional[float]:
         """The flow's private rate ceiling (``None`` = uncapped)."""
         fid = self._fid

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.simnet.link import DuplexLink, Link, check_capacity, check_delay
+from repro.simnet.link import DuplexLink, check_capacity, check_delay
 
 
 class Host:
@@ -79,16 +79,6 @@ class Host:
         return access
 
     @property
-    def uplink(self) -> Link:
-        """Directed access link carrying traffic from this host into the network."""
-        return self.access.up
-
-    @property
-    def downlink(self) -> Link:
-        """Directed access link carrying traffic from the network to this host."""
-        return self.access.down
-
-    @property
     def upload_capacity_bps(self) -> float:
         """The host's upload bandwidth — its speak-up 'wealth'.
 
@@ -97,16 +87,6 @@ class Host:
         """
         access = self._access
         return float(self._upload_bps) if access is None else access.up.capacity_bps
-
-    @property
-    def download_capacity_bps(self) -> float:
-        """The host's download bandwidth."""
-        access = self._access
-        return float(self._download_bps) if access is None else access.down.capacity_bps
-
-    def one_way_delay_to_access(self) -> float:
-        """One-way delay from the host to the far end of its access link."""
-        return float(self._delay_s) + self.extra_delay_s
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

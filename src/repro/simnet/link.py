@@ -64,7 +64,6 @@ class Link:
         "delay_s",
         "buffer_bytes",
         "is_up",
-        "_flow_count",
         "_flows",
         "_entry_sums",
         "_lid",
@@ -96,7 +95,6 @@ class Link:
         #: access link down (and stops its flows); capacity is untouched so
         #: allocator bookkeeping never sees a zero-capacity link.
         self.is_up = True
-        self._flow_count = 0
         self._flows: Dict = {}
         self._entry_sums: Dict[int, float] = {}
         #: Dense id in the owning network's :class:`~repro.simnet.soa.SoAStore`
@@ -105,11 +103,6 @@ class Link:
         #: before a flow attaches, so a link carrying load is registered.
         self._lid = -1
         self._soa = None
-
-    @property
-    def flow_count(self) -> int:
-        """Number of active flows currently crossing this link."""
-        return self._flow_count
 
     def max_queueing_delay(self) -> float:
         """Worst-case drop-tail queueing delay (full buffer drained at capacity)."""
@@ -141,7 +134,6 @@ class Link:
     def _reset_runtime(self) -> None:
         """Forget all allocator state (a new network took over the topology)."""
         self.capacity_bps = self.base_capacity_bps
-        self._flow_count = 0
         self._flows = {}
         self._entry_sums = {}
         self._lid = -1

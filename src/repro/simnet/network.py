@@ -12,8 +12,7 @@ affected links in a dirty set (remembering which of them were already
 potentially saturated before the change) and arms the engine's flush hook.
 The actual recomputation runs at most once per batch of changes — immediately
 before the engine fires the next event, before an idle clock fast-forwards,
-or when a caller reads rates (:meth:`FluidNetwork.sync`,
-:meth:`aggregate_rate_bps`, ...).  Deferral is exact because the simulated
+or when a caller reads rates (:meth:`FluidNetwork.sync`, ...).  Deferral is exact because the simulated
 clock cannot advance past the change instant before the flush runs: the old
 rates remain valid for the zero simulated seconds they are still in effect.
 Batching collapses the common same-instant chains (a flow start immediately
@@ -189,10 +188,6 @@ class FluidNetwork:
     def active_flows(self) -> List[Flow]:
         """Flows currently being allocated bandwidth (a copy)."""
         return list(self._active)
-
-    def active_flow_count(self) -> int:
-        """Number of currently active flows."""
-        return len(self._active)
 
     def rtt(self, a: Host, b: Host) -> float:
         """Round-trip propagation delay between two hosts."""
@@ -451,12 +446,10 @@ class FluidNetwork:
         pot = soa.lm_pot
         entry = path[0]
         entry._flows[flow] = None
-        entry._flow_count += 1
         pot[lids[0]] += bound
         for i in range(1, len(path)):
             link = path[i]
             link._flows[flow] = None
-            link._flow_count += 1
             link._add_entry_load(entry, bound)
 
     def _detach(self, flow: Flow, final_state: FlowState) -> None:
@@ -470,7 +463,6 @@ class FluidNetwork:
         soa.fm_bound[fid] = 0.0
         entry = path[0]
         entry._flows.pop(flow, None)
-        entry._flow_count -= 1
         pot[lids[0]] -= bound
         if not entry._flows:
             pot[lids[0]] = 0.0
@@ -478,7 +470,6 @@ class FluidNetwork:
         for i in range(1, len(path)):
             link = path[i]
             link._flows.pop(flow, None)
-            link._flow_count -= 1
             link._add_entry_load(entry, -bound)
             if not link._flows:
                 pot[lids[i]] = 0.0
@@ -953,27 +944,6 @@ class FluidNetwork:
         self.completed_flows += 1
         if flow.on_complete is not None:
             flow.on_complete(flow)
-
-    # -- aggregate statistics ----------------------------------------------------------
-
-    def aggregate_rate_bps(self, predicate: Optional[Callable[[Flow], bool]] = None) -> float:
-        """Sum of current rates over active flows matching ``predicate``."""
-        self._flush_rates()
-        active = self._active
-        total = 0.0
-        if not active:
-            return total
-        n = len(active)
-        fids = np.fromiter((flow._fid for flow in active), dtype=np.int64, count=n)
-        rates = self.soa.f_rate[fids].tolist()
-        if predicate is None:
-            for rate in rates:
-                total += rate
-        else:
-            for flow, rate in zip(active, rates):
-                if predicate(flow):
-                    total += rate
-        return total
 
     def flows_on(self, link: Link) -> List[Flow]:
         """Active flows whose path crosses ``link``."""

@@ -166,10 +166,6 @@ class SoAStore:
 
     # -- links -----------------------------------------------------------------
 
-    @property
-    def link_count(self) -> int:
-        return len(self.l_views)
-
     def register_link(self, link) -> int:
         """Assign ``link`` a dense id, mirror its capacity, zero its load."""
         lid = len(self.l_views)

@@ -10,7 +10,6 @@ which the cap is removed and fair sharing alone governs the rate.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.constants import DEFAULT_MSS_BYTES
@@ -81,27 +80,6 @@ class SlowStartRamp:
             return
         self.network.set_rate_cap(flow, cap)
         self.engine.schedule_after(rtt, self._double, flow, rtt, ceiling_bps, cap)
-
-
-def slow_start_rounds(size_bytes: float, mss_bytes: float = DEFAULT_MSS_BYTES,
-                      initial_window_segments: int = INITIAL_WINDOW_SEGMENTS) -> int:
-    """Number of RTT rounds slow start needs to transfer ``size_bytes``.
-
-    Assumes the transfer never leaves slow start (no loss) and that the
-    bottleneck never binds — callers combine this with a bandwidth-limited
-    term to estimate full transfer latency.
-    """
-    if size_bytes <= 0:
-        return 0
-    segments = math.ceil(size_bytes / mss_bytes)
-    window = initial_window_segments
-    sent = 0
-    rounds = 0
-    while sent < segments:
-        sent += window
-        window *= 2
-        rounds += 1
-    return rounds
 
 
 def slow_start_transfer_time(

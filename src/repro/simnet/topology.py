@@ -82,11 +82,6 @@ class Topology:
         """All hosts, in insertion order."""
         return list(self._hosts.values())
 
-    @property
-    def shared_links(self) -> List[DuplexLink]:
-        """All shared cables, in insertion order."""
-        return list(self._shared.values())
-
     def built_links(self) -> Iterator[Link]:
         """Every directed link built so far: the access links of hosts that a
         path was routed through (host order), then both directions of every

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from repro import codec
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, check_positive
 
 TELEMETRY_MODES = ("full", "rollup")
 
@@ -56,8 +56,7 @@ class TelemetrySpec:
             )
         if self.reservoir < 1:
             raise ExperimentError(f"telemetry reservoir must be >= 1, got {self.reservoir}")
-        if self.bucket_s <= 0:
-            raise ExperimentError(f"telemetry bucket_s must be > 0, got {self.bucket_s}")
+        check_positive("telemetry.bucket_s", self.bucket_s)
         if self.max_buckets < 1:
             raise ExperimentError(f"telemetry max_buckets must be >= 1, got {self.max_buckets}")
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import MBIT
-from repro.simnet.bandwidth import link_utilisations, max_min_fair_rates, waterfill
+from repro.simnet.bandwidth import max_min_fair_rates, waterfill
 from repro.simnet.flow import Flow
 from repro.simnet.host import make_host
 from repro.simnet.link import Link
@@ -76,16 +76,6 @@ def test_waterfill_excluded_link_acts_as_cap():
     flow = _flow([uplink, downlink])
     rates = waterfill([flow], [downlink], {flow: uplink.capacity_bps})
     assert rates[flow] == pytest.approx(2 * MBIT)
-
-
-def test_link_utilisations_reflect_assigned_rates():
-    link = Link("l", 10 * MBIT)
-    flows = [_flow([link]) for _ in range(2)]
-    rates = max_min_fair_rates(flows)
-    for flow in flows:
-        flow.rate_bps = rates[flow]
-    utilisation = link_utilisations(flows)
-    assert utilisation[link] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

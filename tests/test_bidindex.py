@@ -184,7 +184,7 @@ def test_remove_discards_entry_and_empty_groups_are_dropped():
     assert len(index) == 1
     assert index.best(1.0) is contenders[4]
     # Queries prune groups left empty by removals.
-    assert index.group_count == 1
+    assert len(index._groups) == 1
 
 
 def test_compaction_keeps_heaps_bounded():
@@ -314,7 +314,7 @@ def test_sub_linear_scanning_at_scale():
         deployment = spec.build()
         deployment.run(spec.duration)
         counters = deployment.network.counters
-        contenders = deployment.thinner.contending_count
+        contenders = len(deployment.thinner.contenders())
         assert counters.auctions_held > 20
         return counters.contenders_scanned / counters.auctions_held, contenders
 

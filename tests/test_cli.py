@@ -292,6 +292,47 @@ def test_a_non_finite_duration_exits_2_and_writes_nothing(value, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "scenario, args, path",
+    [
+        ("lan-baseline", ["groups.0.arrival.kind=diurnal", "groups.0.arrival.period_s=nan"],
+         "groups.0.arrival.period_s"),
+        ("lan-baseline", ["groups.0.arrival.kind=diurnal", "groups.0.arrival.period_s=inf"],
+         "groups.0.arrival.period_s"),
+        ("lan-baseline", ["groups.0.arrival.kind=flash", "groups.0.arrival.start_s=nan"],
+         "groups.0.arrival.start_s"),
+        ("lan-baseline", ["groups.0.arrival.kind=flash", "groups.0.arrival.start_s=inf"],
+         "groups.0.arrival.start_s"),
+        ("lan-baseline", ["groups.0.arrival.kind=flash", "groups.0.arrival.ramp_s=nan"],
+         "groups.0.arrival.ramp_s"),
+        ("rollup-mega", ["telemetry.bucket_s=nan"], "telemetry.bucket_s"),
+        ("rollup-mega", ["telemetry.bucket_s=inf"], "telemetry.bucket_s"),
+        ("fleet-failover", ["fault_plan.repin_ttl_s=nan"], "fault_plan.repin_ttl_s"),
+        ("fleet-failover", ["fault_plan.repin_ttl_s=inf"], "fault_plan.repin_ttl_s"),
+        ("fleet-failover", ["fault_plan.events.0.at_s=nan"], "fault_plan.events.0.at_s"),
+        ("fleet-failover", ["fault_plan.sample_interval_s=nan"], "fault_plan.sample_interval_s"),
+        ("fleet-brownout", ["health_probe=true", "health_probe.interval_s=nan"],
+         "health_probe.interval_s"),
+    ],
+    ids=["period-nan", "period-inf", "start-nan", "start-inf", "ramp-nan", "bucket-nan",
+         "bucket-inf", "repin-nan", "repin-inf", "event-at-nan", "sample-nan",
+         "probe-interval-nan"],
+)
+def test_a_non_finite_sub_spec_value_exits_2_and_writes_nothing(
+    scenario, args, path, tmp_path, capsys
+):
+    out = tmp_path / "out.json"
+    grids = [flag for arg in args for flag in ("--grid" if "." in arg else "--set", arg)]
+    exit_code = main(["sweep", "--scenario", scenario,
+                      "--set", "good_clients=4", "--set", "bad_clients=4",
+                      "--set", "duration=2", *grids, "--out", str(out)])
+    assert exit_code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{path} must be " in err and "finite" in err
+    assert not out.exists()
+
+
 def test_a_campaign_with_a_non_finite_group_value_fails_its_pre_flight(tmp_path, capsys):
     """The pre-flight names the field and leaves no campaign behind, rather
     than failing at the first build with the host's name."""

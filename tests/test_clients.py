@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clients.bad import BadClient
-from repro.clients.base import _NO_ENTRIES, _NO_ITEMS, ArrivalPark
+from repro.clients.base import _NO_ENTRIES, _NO_ITEMS, ARRIVAL_BATCH, ArrivalPark
 from repro.clients.cheats import FocusedCheater, LurkingCheater
 from repro.clients.good import GoodClient
 from repro.clients.population import PopulationSpec, build_mixed_population, build_population
@@ -33,8 +33,6 @@ def test_client_parameter_validation():
         GoodClient(deployment, hosts[0], rate_rps=0.0)
     with pytest.raises(ClientError):
         GoodClient(deployment, hosts[1], window=0)
-    with pytest.raises(ClientError):
-        GoodClient(deployment, hosts[2], backlog_timeout=0.0)
 
 
 def test_default_rates_and_windows_match_the_paper():
@@ -166,12 +164,6 @@ def test_cheaters_cannot_beat_proportional_share_by_much():
 # ---------------------------------------------------------------------------
 
 
-def test_arrival_batch_validation():
-    deployment, hosts = build_empty_deployment()
-    with pytest.raises(ClientError):
-        GoodClient(deployment, hosts[0], arrival_batch=0)
-
-
 def test_batched_arrivals_match_legacy_scheduler_exactly():
     """The pregenerated path must consume the client stream in the legacy
     order.  A trivially-callable difficulty forces the legacy per-event
@@ -267,21 +259,12 @@ def test_the_first_refill_draws_only_what_the_horizon_needs():
 def test_a_refill_under_a_horizon_stops_at_its_batch():
     """Chunks of 1, 2, 4 and 8 gaps are capped at what is left of the
     batch, so a refill that stays inside the horizon holds exactly
-    ``arrival_batch`` arrivals."""
+    :data:`ARRIVAL_BATCH` arrivals."""
     deployment, hosts = build_empty_deployment(clients=1, capacity=10.0, seed=0)
-    client = GoodClient(deployment, hosts[0], rate_rps=1000.0, arrival_batch=10)
+    client = GoodClient(deployment, hosts[0], rate_rps=1000.0)
     deployment.engine.run_horizon = 10.0
     client.start()
-    assert len(client._pending_arrivals) == 10 - 1  # one is already scheduled
-
-
-def test_population_spec_threads_arrival_batch():
-    deployment, hosts = build_empty_deployment(clients=2)
-    clients = build_population(
-        deployment, hosts,
-        [PopulationSpec(count=2, client_class="good", arrival_batch=7)],
-    )
-    assert all(client.arrival_batch == 7 for client in clients)
+    assert len(client._pending_arrivals) == ARRIVAL_BATCH - 1  # one is already scheduled
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +462,7 @@ def test_only_hosts_that_carried_a_flow_build_an_access_link():
     }
     registered = [link.name for link in network.soa.l_views]
     assert sorted(registered) == sorted(
-        [host.uplink.name for host in senders] + [thinner.downlink.name]
+        [host.access.up.name for host in senders] + [thinner.access.down.name]
     )
 
 

@@ -5,18 +5,9 @@ import pytest
 from repro import constants
 
 
-def test_bandwidth_conversions_round_trip():
-    assert constants.mbits_per_sec(2) == 2_000_000
-    assert constants.kbits_per_sec(100) == 100_000
-    assert constants.gbits_per_sec(1.5) == 1_500_000_000
-    assert constants.to_mbits_per_sec(constants.mbits_per_sec(7.5)) == pytest.approx(7.5)
-
-
 def test_byte_conversions():
-    assert constants.bytes_to_bits(1) == 8
-    assert constants.bits_to_bytes(8) == 1
-    assert constants.kbytes(125) == 125_000
-    assert constants.to_kbytes(125_000) == pytest.approx(125)
+    assert constants.BITS_PER_BYTE == 8
+    assert constants.MBYTE == 1_000 * constants.KBYTE == 1_000_000
     assert constants.milliseconds(250) == pytest.approx(0.25)
 
 
@@ -27,5 +18,6 @@ def test_paper_defaults_match_section_6_and_7():
     assert (constants.GOOD_CLIENT_RATE, constants.GOOD_CLIENT_WINDOW) == (2.0, 1)
     assert (constants.BAD_CLIENT_RATE, constants.BAD_CLIENT_WINDOW) == (40.0, 20)
     assert constants.REQUEST_TIMEOUT == 10.0
+    assert constants.REQUEST_BYTES == 1500.0
     assert constants.SERVICE_TIME_JITTER == 0.1
     assert constants.POST_QUIESCENT_RTTS == 2.0

@@ -78,7 +78,7 @@ def test_evict_on_arrival_keeps_bound_and_drops_lowest_bidder(bounded_thinner):
     for client in clients[:3]:
         requests.append(arrive(deployment, thinner, client))
         engine.run(until=engine.now + 0.01)
-    assert thinner.contending_count == 3
+    assert len(thinner.contenders()) == 3
 
     # Let the encouragement round-trips complete and some payment flow.
     engine.run(until=engine.now + 0.5)
@@ -92,7 +92,7 @@ def test_evict_on_arrival_keeps_bound_and_drops_lowest_bidder(bounded_thinner):
         thinner.contenders(), key=lambda c: (c.peek_bid(engine.now), -c.arrived_at)
     )
     fourth = arrive(deployment, thinner, clients[3])
-    assert thinner.contending_count == 3
+    assert len(thinner.contenders()) == 3
     after = {cont.request.request_id for cont in thinner.contenders()}
     assert fourth.request_id in after
     assert before - after == {lowest.request.request_id}
@@ -132,7 +132,7 @@ def test_simultaneous_arrivals_evict_by_insertion_order(bounded_thinner):
     # historical scan's first-wins `min()`: the *earliest inserted* of the
     # non-exempt contenders is the victim on fully identical keys.
     requests = [arrive(deployment, thinner, client) for client in clients[:4]]
-    assert thinner.contending_count == 3
+    assert len(thinner.contenders()) == 3
     remaining = {cont.request.request_id for cont in thinner.contenders()}
     assert remaining == {requests[1].request_id, requests[2].request_id,
                          requests[3].request_id}
@@ -154,11 +154,11 @@ def test_eviction_keeps_bid_index_consistent_end_to_end():
     deployment.run(12.0)
 
     thinner = deployment.thinner
-    assert thinner.contending_count <= 4
+    assert len(thinner.contenders()) <= 4
     assert thinner.stats.requests_dropped > 0
     dropped = sum(client.stats.dropped for client in deployment.clients)
     assert dropped == thinner.stats.requests_dropped
     # Index and contender map agree after the churn.
-    assert len(thinner._bid_index) == thinner.contending_count
+    assert len(thinner._bid_index) == len(thinner.contenders())
     result = deployment.results()
     assert result.total_served > 0

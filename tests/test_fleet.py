@@ -387,21 +387,6 @@ def test_format_fleet_renders_a_table():
     assert "predicted/shard" in table
 
 
-def test_fleet_provisioning_campaign_matches_direct_curve(tmp_path):
-    from repro.experiments.fleet import fleet_provisioning_campaign
-
-    scale = ExperimentScale.test()
-    direct = fleet_provisioning_curve(scale, shard_counts=(1, 2))
-    directory = str(tmp_path / "campaign")
-    via_campaign = fleet_provisioning_campaign(
-        scale, directory, shard_counts=(1, 2), jobs=2
-    )
-    assert via_campaign == direct
-    # A second call resumes the finished campaign (a no-op) and re-streams
-    # the same rows from the spools.
-    assert fleet_provisioning_campaign(scale, directory, shard_counts=(1, 2)) == direct
-
-
 # ---------------------------------------------------------------------------
 # Health prober: gray-failure ejection and probation readmission
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.constants import MBIT
+from repro.constants import DEFAULT_POST_BYTES, MBIT
 from repro.core.admission import NoDefenseThinner
 from repro.core.auction import VirtualAuctionThinner
 from repro.core.frontend import Deployment, DeploymentConfig
@@ -25,9 +25,7 @@ def test_config_validation():
     with pytest.raises(ExperimentError):
         DeploymentConfig(defense="bogus").validate()
     with pytest.raises(ExperimentError):
-        DeploymentConfig(post_bytes=0).validate()
-    with pytest.raises(ExperimentError):
-        DeploymentConfig(request_bytes=-1).validate()
+        DeploymentConfig(max_contenders=0).validate()
     with pytest.raises(ExperimentError):
         DeploymentConfig(encouragement_delay=-1).validate()
     DeploymentConfig().validate()
@@ -89,12 +87,12 @@ def test_run_advances_clock_and_accumulates_duration():
     assert deployment.duration == pytest.approx(5.0)
 
 
-def test_payment_channel_uses_config_post_size():
-    deployment, hosts = build(config=DeploymentConfig(post_bytes=123_456))
+def test_payment_channel_posts_the_prototype_size():
+    deployment, hosts = build()
     from repro.httpd.messages import new_request
 
     channel = deployment.payment_channel(hosts[0], new_request("c", issued_at=0.0))
-    assert channel.post_bytes == 123_456
+    assert channel.post_bytes == DEFAULT_POST_BYTES
     assert channel.thinner_host is deployment.thinner_host
 
 

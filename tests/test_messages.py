@@ -37,28 +37,22 @@ def test_requests_compare_by_identity():
 
 def test_lifecycle_predicates():
     request = new_request("c", issued_at=1.0)
-    assert not request.was_served
-    assert not request.was_denied
     assert not request.is_outstanding
     request.state = RequestState.CONTENDING
     assert request.is_outstanding
     request.state = RequestState.SERVED
-    assert request.was_served
-    request.state = RequestState.DROPPED
-    assert request.was_denied
+    assert not request.is_outstanding
 
 
 def test_timing_helpers():
     request = new_request("c", issued_at=1.0)
     assert request.payment_time() is None
     assert request.response_time() is None
-    assert request.waiting_time() is None
     request.arrived_at = 1.2
     request.encouraged_at = 1.3
     request.admitted_at = 4.3
     request.completed_at = 4.5
     assert request.payment_time() == pytest.approx(3.0)
-    assert request.waiting_time() == pytest.approx(3.1)
     assert request.response_time() == pytest.approx(3.5)
 
 

@@ -118,7 +118,7 @@ def test_pending_completions_are_one_engine_event_but_count_per_flow():
     for index, host in enumerate(hosts):
         network.send(host, thinner, size_bytes=1_000_000 + index)
     network.sync()
-    assert network.active_flow_count() == 50
+    assert len(network.active_flows) == 50
     assert engine.pending_events == 1
     # The next flush samples the live-event peak as if each flow had its own event.
     network.send(hosts[0], thinner)
@@ -172,11 +172,10 @@ def test_link_load_and_utilisation_queries():
     engine, network, hosts, thinner = make_network()
     flow = network.send(hosts[0], thinner)
     engine.run(until=1)
-    uplink = hosts[0].uplink
+    uplink = hosts[0].access.up
     assert network.link_load_bps(uplink) == pytest.approx(2 * MBIT)
     assert network.link_utilisation(uplink) == pytest.approx(1.0)
     assert network.flows_on(uplink) == [flow]
-    assert network.aggregate_rate_bps() == pytest.approx(2 * MBIT)
 
 
 def test_a_second_network_starts_with_the_links_the_first_built_reset():
@@ -184,9 +183,9 @@ def test_a_second_network_starts_with_the_links_the_first_built_reset():
     engine = Engine()
     first = FluidNetwork(engine, topology)
     first.send(hosts[0], thinner)
-    hosts[0].uplink.set_capacity_factor(0.5, network=first)
+    hosts[0].access.up.set_capacity_factor(0.5, network=first)
     engine.run(until=1)
-    uplink = hosts[0].uplink
+    uplink = hosts[0].access.up
     assert uplink._flows and uplink.capacity_bps == 1 * MBIT
 
     engine = Engine()
@@ -292,7 +291,7 @@ def test_incremental_matches_global_on_200_flow_topologies(seed):
         network.send(rng.choice(hosts), thinner, rate_cap_bps=rng.choice(caps))
         for _ in range(200)
     ]
-    assert network.active_flow_count() == 200
+    assert len(network.active_flows) == 200
 
     clock = 0.0
     for step in range(150):

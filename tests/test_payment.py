@@ -77,7 +77,7 @@ def test_close_commits_in_flight_bytes_and_stops_future_posts():
     # Nothing more accrues after close.
     engine.run(until=5)
     assert channel.total_paid() == pytest.approx(250_000)
-    assert network.active_flow_count() == 0
+    assert network.active_flows == []
     # Closing twice is harmless.
     assert channel.close() == pytest.approx(250_000)
 

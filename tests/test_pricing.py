@@ -11,7 +11,6 @@ SMALL = dict(good_clients=6, bad_clients=6, capacity_rps=30.0)
 def test_empty_book_defaults():
     book = PriceBook()
     assert len(book) == 0
-    assert book.going_rate() == 0.0
     assert book.average_by_class() == {}
 
 
@@ -21,7 +20,6 @@ def test_record_and_averages_by_class():
     book.record(300.0, "good")
     book.record(500.0, "bad")
     assert len(book) == 3
-    assert book.going_rate() == 500.0
     assert book.average_by_class() == {"good": 200.0, "bad": 500.0}
 
 

@@ -104,7 +104,7 @@ def test_spec_json_round_trip():
         defense="retry",
         duration=30.0,
         seed=11,
-        config_overrides=(("model_slow_start", False),),
+        config_overrides=(("max_contenders", 8),),
     )
     assert ScenarioSpec.from_json(spec.to_json()) == spec
 
@@ -162,9 +162,9 @@ def test_retry_policy_fields_are_sweepable():
 def test_spec_from_dict_accepts_mapping_overrides():
     spec = ScenarioSpec.from_dict({
         "groups": [{"count": 1}],
-        "config_overrides": {"model_slow_start": False},
+        "config_overrides": {"max_contenders": 8},
     })
-    assert spec.config_overrides == (("model_slow_start", False),)
+    assert spec.config_overrides == (("max_contenders", 8),)
     assert spec.groups[0] == GroupSpec(count=1)
 
 
@@ -303,10 +303,9 @@ def test_spec_validation_rejects_nonsense():
             ),
             "fault injection",
         ),
-        (dict(config_overrides=freeze_overrides({"post_bytes": 0.0})), "post_bytes"),
-        (dict(config_overrides=freeze_overrides({"request_bytes": -1.0})), "request_bytes"),
+        (dict(config_overrides=freeze_overrides({"max_contenders": 0})), "max_contenders"),
     ],
-    ids=["quantum-pooled", "quantum-faults", "post-bytes", "request-bytes"],
+    ids=["quantum-pooled", "quantum-faults", "max-contenders"],
 )
 def test_validate_rejects_every_deployment_setting_build_rejects(changes, message):
     """validate() runs the deployment's own checks, so a spec that passes it
@@ -377,6 +376,58 @@ def test_a_non_finite_spec_value_fails_validate_and_build_with_one_line(path, va
     for call in (spec.validate, spec.build):
         with pytest.raises(ExperimentError, match=f"{path} must be .* and finite") as error:
             call()
+        assert "\n" not in str(error.value)
+
+
+def _spec_with_every_sub_spec() -> ScenarioSpec:
+    """A small fleet spec with a fault plan, probe, retry policy and telemetry."""
+    from repro.clients.base import RetryPolicy
+    from repro.core.fleet import HealthProbeSpec
+    from repro.telemetry import TelemetrySpec
+
+    spec = build_scenario("fleet-failover", good_clients=4, bad_clients=4, duration=2.0)
+    return replace(spec, health_probe=HealthProbeSpec(), retry_policy=RetryPolicy(),
+                   telemetry=TelemetrySpec())
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"groups.0.arrival.kind": "diurnal", "groups.0.arrival.period_s": math.nan},
+        {"groups.0.arrival.kind": "diurnal", "groups.0.arrival.period_s": math.inf},
+        {"groups.0.arrival.kind": "flash", "groups.0.arrival.start_s": math.nan},
+        {"groups.0.arrival.kind": "flash", "groups.0.arrival.start_s": math.inf},
+        {"groups.0.arrival.kind": "flash", "groups.0.arrival.ramp_s": math.nan},
+        {"groups.0.arrival.phase_s": math.inf},
+        {"telemetry.bucket_s": math.nan},
+        {"telemetry.bucket_s": math.inf},
+        {"fault_plan.repin_ttl_s": math.nan},
+        {"fault_plan.repin_ttl_s": math.inf},
+        {"fault_plan.sample_interval_s": math.nan},
+        {"fault_plan.events.0.at_s": math.nan},
+        {"health_probe.interval_s": math.nan},
+        {"health_probe.holddown_s": math.inf},
+        {"retry_policy.base_backoff_s": math.nan},
+    ],
+    ids=["period-nan", "period-inf", "start-nan", "start-inf", "ramp-nan", "phase-inf",
+         "bucket-nan", "bucket-inf", "repin-nan", "repin-inf", "sample-nan", "event-at-nan",
+         "probe-interval-nan", "holddown-inf", "backoff-nan"],
+)
+def test_a_non_finite_sub_spec_value_fails_from_dict_with_one_line(changes):
+    """Arrival, telemetry, fault-plan, probe and retry timings read from JSON
+    are refused with one line naming the field: NaN and infinity used to run
+    silently or fail inside the engine."""
+    document = _spec_with_every_sub_spec().to_dict()
+    ScenarioSpec.from_dict(document).validate()
+    for path, value in changes.items():
+        target = document
+        *parents, key = path.split(".")
+        for part in parents:
+            target = target[int(part)] if isinstance(target, list) else target[part]
+        target[key] = value
+    for call in ("validate", "build"):
+        with pytest.raises(ExperimentError, match=f"^{path} must be .*finite") as error:
+            getattr(ScenarioSpec.from_dict(document), call)()
         assert "\n" not in str(error.value)
 
 

@@ -1,7 +1,9 @@
 """The sweep runner: grid expansion, determinism, and the results store."""
 
 import json
+import math
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -173,6 +175,20 @@ def test_failed_save_leaves_the_previous_results_file_intact(tmp_path):
         save_results([records[0], Unserialisable()], str(path))
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_non_finite_value_is_refused_by_every_json_writer(tmp_path):
+    """NaN and Infinity are not JSON, so no writer puts one in a file: the
+    results writer names the record and leaves nothing behind, and a spec's
+    ``to_json`` names the class."""
+    record = SweepRunner().run(Sweep(_base_spec()))[0]
+    broken = replace(record, result=replace(record.result, duration=math.inf))
+    path = tmp_path / "results.json"
+    with pytest.raises(ExperimentError, match="^results record 0 cannot be written as JSON"):
+        save_results([broken], str(path))
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ExperimentError, match="^ScenarioSpec cannot be written as JSON"):
+        replace(_base_spec(), capacity_rps=math.nan).to_json()
 
 
 def test_results_file_with_a_retired_spec_key_fails_with_one_line(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from repro.constants import MBIT
 from repro.simnet.engine import Engine
 from repro.simnet.network import FluidNetwork
-from repro.simnet.tcp import SlowStartRamp, slow_start_rounds, slow_start_transfer_time
+from repro.simnet.tcp import SlowStartRamp, slow_start_transfer_time
 from repro.simnet.topology import build_lan, uniform_bandwidths
 
 
@@ -56,13 +56,6 @@ def test_ramp_slows_initial_delivery():
     ramp.attach(flow, rtt=0.3)
     engine.run(until=1.0)
     assert network.delivered_bytes(flow) < 2 * MBIT * 1.0 / 8
-
-
-def test_slow_start_rounds():
-    assert slow_start_rounds(0) == 0
-    assert slow_start_rounds(1) == 1
-    # 2 + 4 + 8 segments cover 10 segments worth of data in 3 rounds.
-    assert slow_start_rounds(10 * 1460) == 3
 
 
 def test_transfer_time_monotone_in_size_and_rtt():

@@ -83,7 +83,7 @@ def test_payment_channels_of_winners_are_closed():
 def test_max_contenders_evicts_and_notifies_clients():
     deployment, result = make_deployment(good=2, bad=2, capacity=8.0, duration=10.0,
                                          max_contenders=5)
-    assert deployment.thinner.contending_count <= 5
+    assert len(deployment.thinner.contenders()) <= 5
     dropped = sum(client.stats.dropped for client in deployment.clients)
     assert dropped > 0
     assert deployment.thinner.stats.requests_dropped == dropped

@@ -61,8 +61,8 @@ def test_host_properties():
     host = make_host("h", upload_bps=2 * MBIT, download_bps=8 * MBIT, delay_s=0.005,
                      extra_delay_s=0.05)
     assert host.upload_capacity_bps == 2 * MBIT
-    assert host.download_capacity_bps == 8 * MBIT
-    assert host.one_way_delay_to_access() == pytest.approx(0.055)
+    assert host.access.down.capacity_bps == 8 * MBIT
+    assert host.access.delay_s + host.extra_delay_s == pytest.approx(0.055)
 
 
 def test_host_readings_are_the_same_before_and_after_its_link_exists():
@@ -70,12 +70,8 @@ def test_host_readings_are_the_same_before_and_after_its_link_exists():
                      extra_delay_s=0.05)
 
     def readings():
-        values = (
-            host.upload_capacity_bps,
-            host.download_capacity_bps,
-            host.one_way_delay_to_access(),
-        )
-        return values, tuple(type(value) for value in values)
+        value = host.upload_capacity_bps
+        return value, type(value)
 
     before = readings()
     access = host.access
@@ -110,7 +106,7 @@ def test_a_host_builds_its_access_link_at_the_first_path_through_it():
     topology, clients, thinner = build_lan(uniform_bandwidths(3, 2 * MBIT))
     assert list(topology.built_links()) == []
     path = topology.path(clients[0], thinner)
-    assert path == [clients[0].uplink, thinner.downlink]
+    assert path == [clients[0].access.up, thinner.access.down]
     # Host order: build_lan adds the thinner first.
     assert list(topology.built_links()) == [
         thinner.access.up, thinner.access.down, clients[0].access.up, clients[0].access.down,
@@ -120,8 +116,8 @@ def test_a_host_builds_its_access_link_at_the_first_path_through_it():
 def test_topology_path_and_rtt():
     topology, clients, thinner = build_lan(uniform_bandwidths(2, 2 * MBIT))
     path = topology.path(clients[0], thinner)
-    assert path[0] is clients[0].uplink
-    assert path[-1] is thinner.downlink
+    assert path[0] is clients[0].access.up
+    assert path[-1] is thinner.access.down
     # Symmetric LAN: RTT is twice the sum of the two access delays.
     assert topology.rtt(clients[0], thinner) == pytest.approx(
         2 * (clients[0].access.delay_s + thinner.access.delay_s)
@@ -253,14 +249,14 @@ def test_leaf_spine_structure_and_paths(seed):
 
     # One shared cable per (leaf, spine) pair, each sized so the mesh is
     # nonblocking for the aggregate client upload at 1:1 oversubscription.
+    # Before any path is routed, the built links are just those cables.
     leaves, spines = kwargs["leaves"], kwargs["spines"]
-    uplinks = topology.shared_links
-    assert len(uplinks) == leaves * spines
+    cable_links = list(topology.built_links())
+    assert len(cable_links) == 2 * leaves * spines
     aggregate = sum(kwargs["client_bandwidths_bps"])
     expected_capacity = aggregate / (leaves * spines * kwargs["oversubscription"])
-    for cable in uplinks:
-        assert cable.up.capacity_bps == pytest.approx(expected_capacity)
-        assert cable.down.capacity_bps == pytest.approx(expected_capacity)
+    for link in cable_links:
+        assert link.capacity_bps == pytest.approx(expected_capacity)
 
     # Every client reaches every thinner (and back) over a valid path:
     # 2 links when they share a leaf, 4 links across the fabric.
@@ -268,8 +264,8 @@ def test_leaf_spine_structure_and_paths(seed):
         for thinner in thinners:
             for src, dst in ((client, thinner), (thinner, client)):
                 path = topology.path(src, dst)
-                assert path[0] is src.uplink
-                assert path[-1] is dst.downlink
+                assert path[0] is src.access.up
+                assert path[-1] is dst.access.down
                 assert path_min_capacity(path) > 0
                 same_leaf = topology.edge_of(client) == topology.edge_of(thinner)
                 assert len(path) == (2 if same_leaf else 4)
@@ -292,8 +288,9 @@ def test_fat_tree_structure_and_paths(seed):
     )
     assert len(topology.hosts) == expected_hosts
 
-    # k pods x half x half edge-agg cables plus k pods x half^2 core cables.
-    assert len(topology.shared_links) == 2 * k * half * half
+    # k pods x half x half edge-agg cables plus k pods x half^2 core cables,
+    # two directed links each; no path has built an access link yet.
+    assert len(list(topology.built_links())) == 2 * (2 * k * half * half)
     aggregate = sum(kwargs["client_bandwidths_bps"])
     edge_capacity = aggregate / (k * half * half)
     core_capacity = edge_capacity / kwargs["oversubscription"]
@@ -311,8 +308,8 @@ def test_fat_tree_structure_and_paths(seed):
     for client in clients:
         for thinner in thinners:
             path = topology.path(client, thinner)
-            assert path[0] is client.uplink
-            assert path[-1] is thinner.downlink
+            assert path[0] is client.access.up
+            assert path[-1] is thinner.access.down
             assert path_min_capacity(path) > 0
             src_pod = topology.edge_of(client) // half
             dst_pod = topology.edge_of(thinner) // half
