@@ -11,7 +11,7 @@ from repro.clients.bad import BadClient
 from repro.clients.good import GoodClient
 from repro.constants import MBIT
 from repro.core.frontend import Deployment, DeploymentConfig
-from repro.defenses import registry
+from repro.defenses import DefenseSpec
 from repro.metrics.tables import format_table
 from repro.simnet.topology import build_lan, uniform_bandwidths
 
@@ -34,11 +34,10 @@ def _run(defense_name, scale):
     bad = total - good
     capacity = 1.5 * total  # under-provisioned against the combined demand
     topology, hosts, thinner_host = build_lan(uniform_bandwidths(total, 2 * MBIT))
-    defense = registry.create(defense_name, **DEFENSE_SETTINGS[defense_name])
+    defense = DefenseSpec.make(defense_name, **DEFENSE_SETTINGS[defense_name])
     deployment = Deployment(
         topology, thinner_host,
-        DeploymentConfig(server_capacity_rps=capacity, seed=scale.seed),
-        thinner_factory=defense.build_thinner,
+        DeploymentConfig(server_capacity_rps=capacity, defense=defense, seed=scale.seed),
     )
     for host in hosts[:good]:
         GoodClient(deployment, host)

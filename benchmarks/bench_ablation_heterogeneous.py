@@ -7,7 +7,8 @@ server time.
 """
 
 from benchmarks.conftest import run_once
-from repro.clients.population import PopulationSpec, build_population
+from repro.clients.bad import BadClient
+from repro.clients.good import GoodClient
 from repro.constants import MBIT
 from repro.core.frontend import Deployment, DeploymentConfig
 from repro.metrics.tables import format_table
@@ -26,12 +27,10 @@ def _run(defense, scale):
         topology, thinner_host,
         DeploymentConfig(server_capacity_rps=capacity, defense=defense, seed=scale.seed),
     )
-    specs = [
-        PopulationSpec(count=good, client_class="good", difficulty=1.0),
-        PopulationSpec(count=bad, client_class="bad", rate_rps=8.0, window=8,
-                       difficulty=HARD_CHUNKS),
-    ]
-    build_population(deployment, hosts, specs)
+    for host in hosts[:good]:
+        GoodClient(deployment, host)
+    for host in hosts[good:]:
+        BadClient(deployment, host, rate_rps=8.0, window=8, difficulty=HARD_CHUNKS)
     deployment.run(scale.duration)
     return deployment.results()
 

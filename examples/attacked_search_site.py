@@ -16,10 +16,11 @@ compare three front-ends:
 Run:  python examples/attacked_search_site.py
 """
 
-from repro.clients.population import build_mixed_population
+from repro.clients.bad import BadClient
+from repro.clients.good import GoodClient
 from repro.constants import MBIT
 from repro.core.frontend import Deployment, DeploymentConfig
-from repro.defenses.ratelimit import RateLimitDefense
+from repro.defenses import DefenseSpec
 from repro.metrics.tables import format_table
 from repro.simnet.topology import build_lan, uniform_bandwidths
 
@@ -41,30 +42,20 @@ def run_site(defense_label: str):
     topology, hosts, thinner_host = build_lan(
         uniform_bandwidths(GOOD_CLIENTS + BAD_CLIENTS, CLIENT_BANDWIDTH)
     )
-    if defense_label == "ratelimit":
-        config = DeploymentConfig(server_capacity_rps=CAPACITY_RPS, defense="none", seed=SEED)
-        deployment = Deployment(
-            topology,
-            thinner_host,
-            config,
-            thinner_factory=RateLimitDefense(allowed_rps=RATE_LIMIT_RPS).build_thinner,
-        )
-    else:
-        config = DeploymentConfig(
-            server_capacity_rps=CAPACITY_RPS, defense=defense_label, seed=SEED
-        )
-        deployment = Deployment(topology, thinner_host, config)
+    defense = (
+        DefenseSpec.make("ratelimit", allowed_rps=RATE_LIMIT_RPS)
+        if defense_label == "ratelimit"
+        else defense_label
+    )
+    config = DeploymentConfig(server_capacity_rps=CAPACITY_RPS, defense=defense, seed=SEED)
+    deployment = Deployment(topology, thinner_host, config)
 
+    for host in hosts[:GOOD_CLIENTS]:
+        GoodClient(deployment, host)
     # Smart bots: below the rate limit, but still far more active than the
     # legitimate clientele, and they spend their bandwidth when asked.
-    build_mixed_population(
-        deployment,
-        hosts,
-        good_count=GOOD_CLIENTS,
-        bad_count=BAD_CLIENTS,
-        bad_rate=SMART_BOT_RATE,
-        bad_window=SMART_BOT_WINDOW,
-    )
+    for host in hosts[GOOD_CLIENTS:]:
+        BadClient(deployment, host, rate_rps=SMART_BOT_RATE, window=SMART_BOT_WINDOW)
     deployment.run(DURATION)
     return deployment.results()
 

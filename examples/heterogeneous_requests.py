@@ -17,7 +17,6 @@ Run:  python examples/heterogeneous_requests.py
 
 from repro.clients.bad import BadClient
 from repro.clients.good import GoodClient
-from repro.clients.population import build_population, PopulationSpec
 from repro.constants import MBIT
 from repro.core.frontend import Deployment, DeploymentConfig
 from repro.metrics.tables import format_table
@@ -37,14 +36,12 @@ def run_with(defense: str):
     )
     config = DeploymentConfig(server_capacity_rps=CAPACITY_RPS, defense=defense, seed=SEED)
     deployment = Deployment(topology, thinner_host, config)
-    specs = [
-        PopulationSpec(count=GOOD_CLIENTS, client_class="good", difficulty=1.0),
-        # Attackers know which requests are hard and send only those, at a
-        # lower rate so their *request* load looks unremarkable.
-        PopulationSpec(count=BAD_CLIENTS, client_class="bad", rate_rps=8.0, window=8,
-                       difficulty=HARD_REQUEST_CHUNKS),
-    ]
-    build_population(deployment, hosts, specs)
+    for host in hosts[:GOOD_CLIENTS]:
+        GoodClient(deployment, host, difficulty=1.0)
+    # Attackers know which requests are hard and send only those, at a
+    # lower rate so their *request* load looks unremarkable.
+    for host in hosts[GOOD_CLIENTS:]:
+        BadClient(deployment, host, rate_rps=8.0, window=8, difficulty=HARD_REQUEST_CHUNKS)
     deployment.run(DURATION)
     return deployment.results()
 

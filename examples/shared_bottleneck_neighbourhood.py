@@ -16,7 +16,8 @@ that reach the thinner directly.
 Run:  python examples/shared_bottleneck_neighbourhood.py
 """
 
-from repro.clients.population import build_mixed_population
+from repro.clients.bad import BadClient
+from repro.clients.good import GoodClient
 from repro.constants import MBIT
 from repro.core.frontend import Deployment, DeploymentConfig
 from repro.metrics.tables import format_table
@@ -32,7 +33,6 @@ SEED = 5
 
 
 def run_split(good_behind: int):
-    bad_behind = BEHIND_BOTTLENECK - good_behind
     topology, bottlenecked, direct, thinner_host, _link = build_bottleneck(
         bottlenecked_bandwidths_bps=uniform_bandwidths(BEHIND_BOTTLENECK, 2 * MBIT),
         direct_bandwidths_bps=uniform_bandwidths(DIRECT_GOOD + DIRECT_BAD, 2 * MBIT),
@@ -40,14 +40,14 @@ def run_split(good_behind: int):
     )
     config = DeploymentConfig(server_capacity_rps=CAPACITY_RPS, defense="speakup", seed=SEED)
     deployment = Deployment(topology, thinner_host, config)
-    build_mixed_population(
-        deployment, bottlenecked, good_count=good_behind, bad_count=bad_behind,
-        good_category="behind-good", bad_category="behind-bad",
-    )
-    build_mixed_population(
-        deployment, direct, good_count=DIRECT_GOOD, bad_count=DIRECT_BAD,
-        good_category="direct-good", bad_category="direct-bad",
-    )
+    for hosts, good, place in (
+        (bottlenecked, good_behind, "behind"),
+        (direct, DIRECT_GOOD, "direct"),
+    ):
+        for host in hosts[:good]:
+            GoodClient(deployment, host, category=f"{place}-good")
+        for host in hosts[good:]:
+            BadClient(deployment, host, category=f"{place}-bad")
     deployment.run(DURATION)
     return deployment.results()
 

@@ -68,20 +68,17 @@ def quick_demo(
 
     This is the two-minute tour: a handful of good and bad clients on a LAN,
     an under-provisioned server, and the defense of your choice in front of
-    it.  See :mod:`repro.experiments` for the paper's actual experiments.
+    it — the ``lan-baseline`` scenario at a small scale.  See
+    :mod:`repro.experiments` for the paper's actual experiments.
     """
-    from repro.clients.population import build_mixed_population
-    from repro.constants import DEFAULT_CLIENT_BANDWIDTH
-    from repro.simnet.topology import build_lan, uniform_bandwidths
+    from repro.scenarios.registry import build_scenario
 
-    topology, hosts, thinner_host = build_lan(
-        uniform_bandwidths(good_clients + bad_clients, DEFAULT_CLIENT_BANDWIDTH)
-    )
-    deployment = Deployment(
-        topology,
-        thinner_host,
-        DeploymentConfig(server_capacity_rps=capacity_rps, defense=defense, seed=seed),
-    )
-    build_mixed_population(deployment, hosts, good_clients, bad_clients)
-    deployment.run(duration)
-    return deployment.results()
+    return build_scenario(
+        "lan-baseline",
+        good_clients=good_clients,
+        bad_clients=bad_clients,
+        capacity_rps=capacity_rps,
+        defense=defense,
+        duration=duration,
+        seed=seed,
+    ).run()

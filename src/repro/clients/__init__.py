@@ -16,11 +16,6 @@ from repro.clients.base import BaseClient, ClientStats
 from repro.clients.good import GoodClient
 from repro.clients.bad import BadClient
 from repro.clients.cheats import FocusedCheater, LurkingCheater
-from repro.clients.population import (
-    PopulationSpec,
-    build_mixed_population,
-    build_population,
-)
 
 __all__ = [
     "BaseClient",
@@ -29,7 +24,4 @@ __all__ = [
     "BadClient",
     "FocusedCheater",
     "LurkingCheater",
-    "PopulationSpec",
-    "build_population",
-    "build_mixed_population",
 ]

@@ -31,7 +31,7 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import DefenseError, ExperimentError, FaultError, ThinnerError
 from repro.core.fleet import ADMISSION_MODES, HealthProbeSpec, HealthProber, ServerMux
@@ -226,7 +226,6 @@ class Deployment:
         topology: Topology,
         thinner_host: Union[Host, Sequence[Host]],
         config: Optional[DeploymentConfig] = None,
-        thinner_factory: Optional[Callable[["Deployment"], ThinnerBase]] = None,
     ) -> None:
         self.config = config or DeploymentConfig()
         self.config.validate()
@@ -240,11 +239,6 @@ class Deployment:
                 f"thinner_shards={shards} needs exactly {shards} thinner "
                 f"host(s), got {len(hosts)} (build the topology with "
                 f"repro.simnet.topology.build_fleet)"
-            )
-        if thinner_factory is not None and shards > 1:
-            raise ExperimentError(
-                "custom thinner factories support a single shard; "
-                "use thinner_shards=1"
             )
         #: One thinner host per shard; ``thinner_host`` stays shard 0 for
         #: the (overwhelmingly common) single-thinner deployments.
@@ -308,20 +302,14 @@ class Deployment:
             self._shard_servers = list(self.servers)
 
         #: The admission policy, instantiated from the normalised spec via
-        #: the defense registry (None when a custom ``thinner_factory`` is
-        #: in charge).
-        self.defense_spec: Optional["DefenseSpec"] = None
-        self.defense: Optional["Defense"] = None
+        #: the defense registry.
+        self.defense_spec: "DefenseSpec" = self.config.defense_spec()
+        self.defense: "Defense" = self.defense_spec.create()
 
         #: One independent thinner per shard; ``thinner`` stays shard 0.
-        self.thinners: List[ThinnerBase] = []
-        if thinner_factory is not None:
-            self.thinners.append(thinner_factory(self))
-        else:
-            self.defense_spec = self.config.defense_spec()
-            self.defense = self.defense_spec.create()
-            for shard in range(shards):
-                self.thinners.append(self.defense.build_thinner(self, shard))
+        self.thinners: List[ThinnerBase] = [
+            self.defense.build_thinner(self, shard) for shard in range(shards)
+        ]
         self.thinner = self.thinners[0]
 
         router_spec = as_router_spec(self.config.shard_policy)

@@ -30,11 +30,7 @@ Attach a defense to a deployment declaratively::
 
     DeploymentConfig(defense=DefenseSpec.make("ratelimit", allowed_rps=4.0))
 
-or with the historical string sugar (``defense="speakup"``), or — for
-hand-built setups — via the factory hook::
-
-    Deployment(topology, thinner_host, config,
-               thinner_factory=RateLimitDefense(allowed_rps=4.0).build_thinner)
+or with the historical string sugar (``defense="speakup"``).
 """
 
 from repro.defenses.base import (

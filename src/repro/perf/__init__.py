@@ -11,40 +11,10 @@ Two halves:
   ``BENCH_speakup.json`` so the repo carries its performance trajectory.
 
 The bench half sits at the *top* of the layering (it imports the scenario
-registry, which imports everything), while the counters half sits at the
-bottom, so the bench names are re-exported lazily: importing ``repro.perf``
-from inside :mod:`repro.simnet` must not drag the whole package in.
+registry, which imports everything), so this package imports only the
+counters; import the bench as :mod:`repro.perf.bench`.
 """
 
 from repro.perf.counters import SimCounters
 
-#: Names served lazily from :mod:`repro.perf.bench` (PEP 562).
-_BENCH_EXPORTS = frozenset(
-    {
-        "BENCH_CASES",
-        "BENCH_FILENAME",
-        "BENCH_VERSION",
-        "DEFAULT_TOLERANCE",
-        "BenchCase",
-        "BenchMeasurement",
-        "append_entry",
-        "check_regression",
-        "format_measurements",
-        "latest_entry",
-        "load_document",
-        "make_entry",
-        "run_bench",
-        "run_case",
-        "save_document",
-    }
-)
-
-__all__ = ["SimCounters"] + sorted(_BENCH_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name in _BENCH_EXPORTS:
-        from repro.perf import bench
-
-        return getattr(bench, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["SimCounters"]

@@ -94,6 +94,11 @@ def _factory(name: str) -> Callable[..., ScenarioSpec]:
         ) from None
 
 
+def _group(count: int, client_class: str, **fields) -> Tuple[GroupSpec, ...]:
+    """One group of ``count`` clients to add to ``groups``, or ``()`` when 0."""
+    return (GroupSpec(count=count, client_class=client_class, **fields),) if count else ()
+
+
 # ---------------------------------------------------------------------------
 # The generated scenario gallery (docs/SCENARIOS.md)
 # ---------------------------------------------------------------------------
@@ -234,27 +239,19 @@ def lan_baseline(
     config_overrides: Optional[dict] = None,
 ) -> ScenarioSpec:
     """Good and bad clients on one LAN (the §7.2-§7.4 workhorse)."""
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (
-            GroupSpec(
-                count=good_clients,
-                client_class="good",
-                bandwidth_bps=client_bandwidth_bps,
-                rate_rps=good_rate,
-                window=good_window,
-            ),
-        )
-    if bad_clients:
-        groups += (
-            GroupSpec(
-                count=bad_clients,
-                client_class="bad",
-                bandwidth_bps=client_bandwidth_bps,
-                rate_rps=bad_rate,
-                window=bad_window,
-            ),
-        )
+    groups = _group(
+        good_clients,
+        "good",
+        bandwidth_bps=client_bandwidth_bps,
+        rate_rps=good_rate,
+        window=good_window,
+    ) + _group(
+        bad_clients,
+        "bad",
+        bandwidth_bps=client_bandwidth_bps,
+        rate_rps=bad_rate,
+        window=bad_window,
+    )
     return ScenarioSpec(
         name="lan-baseline",
         topology=TopologySpec(kind="lan"),
@@ -279,15 +276,14 @@ def bandwidth_tiers(
     seed: int = 0,
 ) -> ScenarioSpec:
     """Figure 6: bandwidth category ``i`` uploads at ``i`` x the base rate."""
-    groups = tuple(
-        GroupSpec(
-            count=clients_per_category,
-            client_class=client_class,
+    groups: Tuple[GroupSpec, ...] = ()
+    for index in range(categories):
+        groups += _group(
+            clients_per_category,
+            client_class,
             bandwidth_bps=base_bandwidth_bps * (index + 1),
             category=f"cat-{index + 1}",
         )
-        for index in range(categories)
-    )
     return ScenarioSpec(
         name="bandwidth-tiers",
         topology=TopologySpec(kind="lan"),
@@ -310,17 +306,16 @@ def rtt_tiers(
     seed: int = 0,
 ) -> ScenarioSpec:
     """Figure 7: RTT category ``i`` sits ``i * rtt_step_ms`` ms from the thinner."""
-    groups = tuple(
-        GroupSpec(
-            count=clients_per_category,
-            client_class=client_class,
+    groups: Tuple[GroupSpec, ...] = ()
+    for index in range(categories):
+        groups += _group(
+            clients_per_category,
+            client_class,
             bandwidth_bps=client_bandwidth_bps,
             category=f"cat-{index + 1}",
             # Host-attributed one-way delay supplies half the RTT contribution.
             extra_delay_s=milliseconds(rtt_step_ms * (index + 1)) / 2.0,
         )
-        for index in range(categories)
-    )
     return ScenarioSpec(
         name="rtt-tiers",
         topology=TopologySpec(kind="lan"),
@@ -351,16 +346,13 @@ def shared_bottleneck(
         (direct_good, "good", "direct-good", False),
         (direct_bad, "bad", "direct-bad", False),
     ):
-        if count:
-            groups += (
-                GroupSpec(
-                    count=count,
-                    client_class=client_class,
-                    bandwidth_bps=client_bandwidth_bps,
-                    category=category,
-                    behind_bottleneck=behind,
-                ),
-            )
+        groups += _group(
+            count,
+            client_class,
+            bandwidth_bps=client_bandwidth_bps,
+            category=category,
+            behind_bottleneck=behind,
+        )
     return ScenarioSpec(
         name="shared-bottleneck",
         topology=TopologySpec(
@@ -384,15 +376,7 @@ def cross_traffic(
     seed: int = 0,
 ) -> ScenarioSpec:
     """Figure 9: speak-up clients share dumbbell cable ``m`` with bystander ``H``."""
-    groups: Tuple[GroupSpec, ...] = ()
-    if speakup_clients:
-        groups += (
-            GroupSpec(
-                count=speakup_clients,
-                client_class="good",
-                bandwidth_bps=client_bandwidth_bps,
-            ),
-        )
+    groups = _group(speakup_clients, "good", bandwidth_bps=client_bandwidth_bps)
     return ScenarioSpec(
         name="cross-traffic",
         topology=TopologySpec(
@@ -433,19 +417,11 @@ def flash_crowd(
     """
     start = duration / 3.0 if flash_start_s is None else flash_start_s
     ramp = duration / 10.0 if flash_ramp_s is None else flash_ramp_s
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (
-            GroupSpec(
-                count=good_clients,
-                client_class="good",
-                arrival=ArrivalSpec(
-                    kind="flash", start_s=start, ramp_s=ramp, floor=baseline_fraction
-                ),
-            ),
-        )
-    if bad_clients:
-        groups += (GroupSpec(count=bad_clients, client_class="bad"),)
+    groups = _group(
+        good_clients,
+        "good",
+        arrival=ArrivalSpec(kind="flash", start_s=start, ramp_s=ramp, floor=baseline_fraction),
+    ) + _group(bad_clients, "bad")
     return ScenarioSpec(
         name="flash-crowd",
         topology=TopologySpec(kind="lan"),
@@ -474,22 +450,13 @@ def pulsed_attack(
     Models the classic pulsed/shrew-style attacker that alternates between
     silence and full-rate request floods while good demand stays steady.
     """
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (GroupSpec(count=good_clients, client_class="good"),)
-    if bad_clients:
-        groups += (
-            GroupSpec(
-                count=bad_clients,
-                client_class="bad",
-                arrival=ArrivalSpec(
-                    kind="onoff",
-                    period_s=pulse_period_s,
-                    on_s=pulse_on_s,
-                    floor=pulse_floor,
-                ),
-            ),
-        )
+    groups = _group(good_clients, "good") + _group(
+        bad_clients,
+        "bad",
+        arrival=ArrivalSpec(
+            kind="onoff", period_s=pulse_period_s, on_s=pulse_on_s, floor=pulse_floor
+        ),
+    )
     return ScenarioSpec(
         name="pulsed-attack",
         topology=TopologySpec(kind="lan"),
@@ -518,17 +485,11 @@ def diurnal_demand(
     trough cycle with the demand peak mid-run.
     """
     day = duration if day_length_s is None else day_length_s
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (
-            GroupSpec(
-                count=good_clients,
-                client_class="good",
-                arrival=ArrivalSpec(kind="diurnal", period_s=day, floor=trough_fraction),
-            ),
-        )
-    if bad_clients:
-        groups += (GroupSpec(count=bad_clients, client_class="bad"),)
+    groups = _group(
+        good_clients,
+        "good",
+        arrival=ArrivalSpec(kind="diurnal", period_s=day, floor=trough_fraction),
+    ) + _group(bad_clients, "bad")
     return ScenarioSpec(
         name="diurnal-demand",
         topology=TopologySpec(kind="lan"),
@@ -558,29 +519,12 @@ def uplink_tiers(
     """
     if not 0.0 <= bad_fraction <= 1.0:
         raise ExperimentError(f"bad_fraction must be in [0, 1], got {bad_fraction}")
+    bad = round(clients_per_tier * bad_fraction)
+    good = clients_per_tier - bad
     groups: Tuple[GroupSpec, ...] = ()
     for index, mbit in enumerate(tier_bandwidths_mbit):
-        bad = round(clients_per_tier * bad_fraction)
-        good = clients_per_tier - bad
-        label = f"tier-{index + 1}"
-        if good:
-            groups += (
-                GroupSpec(
-                    count=good,
-                    client_class="good",
-                    bandwidth_bps=mbit * MBIT,
-                    category=label,
-                ),
-            )
-        if bad:
-            groups += (
-                GroupSpec(
-                    count=bad,
-                    client_class="bad",
-                    bandwidth_bps=mbit * MBIT,
-                    category=label,
-                ),
-            )
+        tier = dict(bandwidth_bps=mbit * MBIT, category=f"tier-{index + 1}")
+        groups += _group(good, "good", **tier) + _group(bad, "bad", **tier)
     return ScenarioSpec(
         name="uplink-tiers",
         topology=TopologySpec(kind="lan"),
@@ -626,27 +570,17 @@ def adaptive_pulse(
         raise ExperimentError(f"pulse_start_s must be within the run, got {start}")
     if not 0.0 < length <= duration:
         raise ExperimentError(f"pulse_length_s must be positive, got {length}")
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (GroupSpec(count=good_clients, client_class="good"),)
-    if bad_clients:
-        groups += (
-            GroupSpec(
-                count=bad_clients,
-                client_class="bad",
-                rate_rps=bad_rate,
-                window=bad_window,
-                # One on-window per run: the period is the whole duration
-                # and the phase lines the window's start up with the pulse.
-                arrival=ArrivalSpec(
-                    kind="onoff",
-                    period_s=duration,
-                    on_s=length,
-                    phase_s=duration - start,
-                    floor=0.0,
-                ),
-            ),
-        )
+    groups = _group(good_clients, "good") + _group(
+        bad_clients,
+        "bad",
+        rate_rps=bad_rate,
+        window=bad_window,
+        # One on-window per run: the period is the whole duration and the
+        # phase lines the window's start up with the pulse.
+        arrival=ArrivalSpec(
+            kind="onoff", period_s=duration, on_s=length, phase_s=duration - start, floor=0.0
+        ),
+    )
     return ScenarioSpec(
         name="adaptive-pulse",
         topology=TopologySpec(kind="lan"),
@@ -683,11 +617,7 @@ def layered_lan(
     while the auction prices whatever stays under the radar.  Per-stage
     drop attribution lands in ``RunResult.stages``.
     """
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (GroupSpec(count=good_clients, client_class="good"),)
-    if bad_clients:
-        groups += (GroupSpec(count=bad_clients, client_class="bad"),)
+    groups = _group(good_clients, "good") + _group(bad_clients, "bad")
     return ScenarioSpec(
         name="layered-lan",
         topology=TopologySpec(kind="lan"),
@@ -729,24 +659,9 @@ def fleet_lan(
     shards share the server's slots — the two knobs §4.3's scale-out sketch
     leaves open.
     """
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (
-            GroupSpec(
-                count=good_clients,
-                client_class="good",
-                bandwidth_bps=client_bandwidth_bps,
-            ),
-        )
-    if bad_clients:
-        groups += (
-            GroupSpec(
-                count=bad_clients,
-                client_class="bad",
-                bandwidth_bps=client_bandwidth_bps,
-                window=bad_window,
-            ),
-        )
+    groups = _group(good_clients, "good", bandwidth_bps=client_bandwidth_bps) + _group(
+        bad_clients, "bad", bandwidth_bps=client_bandwidth_bps, window=bad_window
+    )
     return ScenarioSpec(
         name="fleet-lan",
         topology=TopologySpec(kind="lan", thinner_bandwidth_bps=fleet_bandwidth_bps),
@@ -796,23 +711,9 @@ def fleet_failover(
     """
     from repro.faults.spec import kill_heal_pulse
 
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (
-            GroupSpec(
-                count=good_clients,
-                client_class="good",
-                bandwidth_bps=client_bandwidth_bps,
-            ),
-        )
-    if bad_clients:
-        groups += (
-            GroupSpec(
-                count=bad_clients,
-                client_class="bad",
-                bandwidth_bps=client_bandwidth_bps,
-            ),
-        )
+    groups = _group(good_clients, "good", bandwidth_bps=client_bandwidth_bps) + _group(
+        bad_clients, "bad", bandwidth_bps=client_bandwidth_bps
+    )
     return ScenarioSpec(
         name="fleet-failover",
         topology=TopologySpec(kind="lan", thinner_bandwidth_bps=fleet_bandwidth_bps),
@@ -923,23 +824,9 @@ def fleet_brownout(
     }[retry]
     total = good_clients + bad_clients
     fleet_bandwidth = total * client_bandwidth_bps * provisioning_headroom
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (
-            GroupSpec(
-                count=good_clients,
-                client_class="good",
-                bandwidth_bps=client_bandwidth_bps,
-            ),
-        )
-    if bad_clients:
-        groups += (
-            GroupSpec(
-                count=bad_clients,
-                client_class="bad",
-                bandwidth_bps=client_bandwidth_bps,
-            ),
-        )
+    groups = _group(good_clients, "good", bandwidth_bps=client_bandwidth_bps) + _group(
+        bad_clients, "bad", bandwidth_bps=client_bandwidth_bps
+    )
     return ScenarioSpec(
         name="fleet-brownout",
         topology=TopologySpec(kind="lan", thinner_bandwidth_bps=fleet_bandwidth),
@@ -998,26 +885,15 @@ def fleet_mega(
     fleet_bandwidth = max(
         DEFAULT_THINNER_BANDWIDTH, total * client_bandwidth_bps * provisioning_headroom
     )
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (
-            GroupSpec(
-                count=good_clients,
-                client_class="good",
-                bandwidth_bps=client_bandwidth_bps,
-                rate_rps=good_rate,
-            ),
-        )
-    if bad_clients:
-        groups += (
-            GroupSpec(
-                count=bad_clients,
-                client_class="bad",
-                bandwidth_bps=client_bandwidth_bps,
-                rate_rps=bad_rate,
-                window=bad_window,
-            ),
-        )
+    groups = _group(
+        good_clients, "good", bandwidth_bps=client_bandwidth_bps, rate_rps=good_rate
+    ) + _group(
+        bad_clients,
+        "bad",
+        bandwidth_bps=client_bandwidth_bps,
+        rate_rps=bad_rate,
+        window=bad_window,
+    )
     return ScenarioSpec(
         name="fleet-mega",
         topology=TopologySpec(kind="lan", thinner_bandwidth_bps=fleet_bandwidth),
@@ -1099,26 +975,15 @@ def fabric_mega(
             oversubscription=oversubscription,
             cross_traffic_pairs=cross_traffic_pairs,
         )
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (
-            GroupSpec(
-                count=good_clients,
-                client_class="good",
-                bandwidth_bps=client_bandwidth_bps,
-                rate_rps=good_rate,
-            ),
-        )
-    if bad_clients:
-        groups += (
-            GroupSpec(
-                count=bad_clients,
-                client_class="bad",
-                bandwidth_bps=client_bandwidth_bps,
-                rate_rps=bad_rate,
-                window=bad_window,
-            ),
-        )
+    groups = _group(
+        good_clients, "good", bandwidth_bps=client_bandwidth_bps, rate_rps=good_rate
+    ) + _group(
+        bad_clients,
+        "bad",
+        bandwidth_bps=client_bandwidth_bps,
+        rate_rps=bad_rate,
+        window=bad_window,
+    )
     return ScenarioSpec(
         name="fabric-mega",
         topology=topology,
@@ -1161,24 +1026,9 @@ def stress_mega(
     bandwidth, the regime where naive potential-load accounting collapses
     every rate update into a global recomputation.
     """
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (
-            GroupSpec(
-                count=good_clients,
-                client_class="good",
-                bandwidth_bps=client_bandwidth_bps,
-            ),
-        )
-    if bad_clients:
-        groups += (
-            GroupSpec(
-                count=bad_clients,
-                client_class="bad",
-                bandwidth_bps=client_bandwidth_bps,
-                window=bad_window,
-            ),
-        )
+    groups = _group(good_clients, "good", bandwidth_bps=client_bandwidth_bps) + _group(
+        bad_clients, "bad", bandwidth_bps=client_bandwidth_bps, window=bad_window
+    )
     return ScenarioSpec(
         name="stress-mega",
         topology=TopologySpec(kind="lan"),
@@ -1229,41 +1079,25 @@ def thinner_mega(
     thinner_bandwidth = max(
         DEFAULT_THINNER_BANDWIDTH, total * client_bandwidth_bps * provisioning_headroom
     )
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (
-            GroupSpec(
-                count=good_clients,
-                client_class="good",
-                bandwidth_bps=client_bandwidth_bps,
-                rate_rps=good_rate,
+    groups = (
+        _group(good_clients, "good", bandwidth_bps=client_bandwidth_bps, rate_rps=good_rate)
+        + _group(
+            flash_clients,
+            "good",
+            bandwidth_bps=client_bandwidth_bps,
+            category="flash",
+            arrival=ArrivalSpec(
+                kind="flash", start_s=flash_start_s, ramp_s=flash_ramp_s, floor=flash_floor
             ),
         )
-    if flash_clients:
-        groups += (
-            GroupSpec(
-                count=flash_clients,
-                client_class="good",
-                bandwidth_bps=client_bandwidth_bps,
-                category="flash",
-                arrival=ArrivalSpec(
-                    kind="flash",
-                    start_s=flash_start_s,
-                    ramp_s=flash_ramp_s,
-                    floor=flash_floor,
-                ),
-            ),
+        + _group(
+            bad_clients,
+            "bad",
+            bandwidth_bps=client_bandwidth_bps,
+            rate_rps=bad_rate,
+            window=bad_window,
         )
-    if bad_clients:
-        groups += (
-            GroupSpec(
-                count=bad_clients,
-                client_class="bad",
-                bandwidth_bps=client_bandwidth_bps,
-                rate_rps=bad_rate,
-                window=bad_window,
-            ),
-        )
+    )
     return ScenarioSpec(
         name="thinner-mega",
         topology=TopologySpec(kind="lan", thinner_bandwidth_bps=thinner_bandwidth),
@@ -1308,26 +1142,15 @@ def soa_mega(
     arrivals; starting that many mostly-idle clients also pins the batched
     arrival-pregeneration cost at the 200k scale.
     """
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (
-            GroupSpec(
-                count=good_clients,
-                client_class="good",
-                bandwidth_bps=client_bandwidth_bps,
-                rate_rps=good_rate,
-            ),
-        )
-    if bad_clients:
-        groups += (
-            GroupSpec(
-                count=bad_clients,
-                client_class="bad",
-                bandwidth_bps=client_bandwidth_bps,
-                rate_rps=bad_rate,
-                window=bad_window,
-            ),
-        )
+    groups = _group(
+        good_clients, "good", bandwidth_bps=client_bandwidth_bps, rate_rps=good_rate
+    ) + _group(
+        bad_clients,
+        "bad",
+        bandwidth_bps=client_bandwidth_bps,
+        rate_rps=bad_rate,
+        window=bad_window,
+    )
     return ScenarioSpec(
         name="soa-mega",
         topology=TopologySpec(kind="lan", thinner_bandwidth_bps=thinner_bandwidth_bps),
@@ -1370,26 +1193,15 @@ def rollup_mega(
     to the historical exact collector, which is how the bench's peak-RSS
     and ``records_emitted`` gauges demonstrate the footprint difference.
     """
-    groups: Tuple[GroupSpec, ...] = ()
-    if good_clients:
-        groups += (
-            GroupSpec(
-                count=good_clients,
-                client_class="good",
-                bandwidth_bps=client_bandwidth_bps,
-                rate_rps=good_rate,
-            ),
-        )
-    if bad_clients:
-        groups += (
-            GroupSpec(
-                count=bad_clients,
-                client_class="bad",
-                bandwidth_bps=client_bandwidth_bps,
-                rate_rps=bad_rate,
-                window=bad_window,
-            ),
-        )
+    groups = _group(
+        good_clients, "good", bandwidth_bps=client_bandwidth_bps, rate_rps=good_rate
+    ) + _group(
+        bad_clients,
+        "bad",
+        bandwidth_bps=client_bandwidth_bps,
+        rate_rps=bad_rate,
+        window=bad_window,
+    )
     return ScenarioSpec(
         name="rollup-mega",
         topology=TopologySpec(kind="lan", thinner_bandwidth_bps=thinner_bandwidth_bps),

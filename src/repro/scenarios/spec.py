@@ -17,13 +17,15 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from itertools import islice
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import codec
 from repro.constants import DEFAULT_CLIENT_BANDWIDTH
 from repro.errors import ClientError, ExperimentError, check_non_negative, check_positive
+from repro.clients.bad import BadClient
 from repro.clients.base import RetryPolicy
-from repro.clients.population import PopulationSpec, build_population
+from repro.clients.good import GoodClient
 from repro.core.fleet import HealthProbeSpec
 from repro.core.frontend import CrossTrafficDriver, Deployment, DeploymentConfig
 from repro.core.routing import RouterSpec
@@ -185,21 +187,6 @@ class GroupSpec:
                 self.retry_policy.validate(f"{path}.retry_policy")
             except ClientError as error:
                 raise ExperimentError(str(error)) from None
-
-    def population_spec(
-        self, default_retry_policy: Optional[RetryPolicy] = None
-    ) -> PopulationSpec:
-        """The runtime population entry this group expands to."""
-        policy = self.retry_policy if self.retry_policy is not None else default_retry_policy
-        return PopulationSpec(
-            count=self.count,
-            client_class=self.client_class,
-            rate_rps=self.rate_rps,
-            window=self.window,
-            category=self.category,
-            rate_modulator=self.arrival.modulator(),
-            retry_policy=policy,
-        )
 
     to_dict = codec.to_dict
     from_dict = classmethod(codec.from_dict)
@@ -551,11 +538,23 @@ class ScenarioSpec:
             # Cross-traffic generators ride as auxiliaries: their unbounded
             # flows occupy fabric links but never enter client metrics.
             CrossTrafficDriver(deployment, cross_src, cross_dst)
-        build_population(
-            deployment,
-            hosts,
-            [group.population_spec(self.retry_policy) for group in ordered],
-        )
+        host_iter = iter(hosts)
+        for group in ordered:
+            client_class = GoodClient if group.client_class == "good" else BadClient
+            # Unset rate and window keep the class's §7.1 defaults.
+            options = dict(
+                category=group.category,
+                rate_modulator=group.arrival.modulator(),
+                retry_policy=(
+                    self.retry_policy if group.retry_policy is None else group.retry_policy
+                ),
+            )
+            if group.rate_rps is not None:
+                options["rate_rps"] = group.rate_rps
+            if group.window is not None:
+                options["window"] = group.window
+            for host in islice(host_iter, group.count):
+                client_class(deployment, host, **options)
         return deployment
 
     def run(self) -> RunResult:

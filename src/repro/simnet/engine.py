@@ -232,8 +232,8 @@ class Engine:
 
     # -- execution -------------------------------------------------------------
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run until the queue drains or ``until`` is reached.
 
         Returns the simulated time at which the run stopped.  When ``until``
         is given, the clock is advanced to exactly ``until`` even if the last
@@ -245,7 +245,6 @@ class Engine:
             raise SchedulingError(f"cannot run until t={until}")
         self._running = True
         self.run_horizon = until
-        fired = 0
         queue = self._queue
         try:
             while True:
@@ -258,8 +257,6 @@ class Engine:
                     self._flush()
                     continue
                 if not queue:
-                    break
-                if max_events is not None and fired >= max_events:
                     break
                 entry = queue[0]
                 event = entry[2]
@@ -279,7 +276,6 @@ class Engine:
                     event.callback(*event.args, **kwargs)
                 else:
                     event.callback(*event.args)
-                fired += 1
         finally:
             self._running = False
         if until is not None and self._now < until:
@@ -289,19 +285,13 @@ class Engine:
     # -- periodic helpers --------------------------------------------------------
 
     def schedule_every(
-        self,
-        interval: float,
-        callback: Callable,
-        *args,
-        start_after: Optional[float] = None,
-        **kwargs,
+        self, interval: float, callback: Callable, *args, **kwargs
     ) -> "PeriodicTask":
         """Run ``callback`` every ``interval`` seconds until cancelled."""
         if not interval > 0:
             raise SchedulingError(f"interval must be positive, got {interval}")
         task = PeriodicTask(self, interval, callback, args, kwargs)
-        first = interval if start_after is None else start_after
-        task._arm(first)
+        task._arm(interval)
         return task
 
 

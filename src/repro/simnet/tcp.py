@@ -10,8 +10,6 @@ which the cap is removed and fair sharing alone governs the rate.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.constants import DEFAULT_MSS_BYTES
 from repro.errors import FlowError
 from repro.simnet.engine import Engine
@@ -51,15 +49,14 @@ class SlowStartRamp:
             return float("inf")
         return self.initial_window_segments * self.mss_bytes * 8.0 / rtt
 
-    def attach(self, flow: Flow, rtt: float, ceiling_bps: Optional[float] = None) -> None:
+    def attach(self, flow: Flow, rtt: float) -> None:
         """Cap ``flow`` at the slow-start rate and schedule doublings.
 
-        ``ceiling_bps`` defaults to the narrowest link on the flow's path;
-        when the ramp reaches the ceiling the cap is removed entirely so the
-        flow competes with its full fair share.
+        The ceiling is the narrowest link on the flow's path; when the ramp
+        reaches it the cap is removed entirely so the flow competes with its
+        full fair share.
         """
-        if ceiling_bps is None:
-            ceiling_bps = path_min_capacity(flow.path)
+        ceiling_bps = path_min_capacity(flow.path)
         if rtt <= 0:
             # Effectively a zero-delay LAN: slow start is instantaneous.
             self.network.set_rate_cap(flow, None)

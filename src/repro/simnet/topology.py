@@ -311,7 +311,6 @@ def build_fleet(
     thinner_shards: int,
     client_delays_s: Optional[Sequence[float]] = None,
     fleet_bandwidth_bps: float = DEFAULT_THINNER_BANDWIDTH,
-    shard_bandwidth_bps: Optional[float] = None,
     lan_delay_s: float = DEFAULT_LAN_DELAY,
     name: str = "fleet",
 ) -> Tuple[Topology, List[Host], List[Host]]:
@@ -319,11 +318,10 @@ def build_fleet(
 
     A star of stars: every client and every shard hangs off the core switch,
     and each shard has its *own* access link — the per-shard provisioning
-    the paper's scale-out sketch requires.  By default the fleet splits
+    the paper's scale-out sketch requires.  The fleet splits
     ``fleet_bandwidth_bps`` evenly (each shard gets ``fleet / shards``), so
     adding shards models adding identically-provisioned front-end boxes
-    whose aggregate absorbs the attack; pass ``shard_bandwidth_bps`` to
-    size each shard's link explicitly instead.
+    whose aggregate absorbs the attack.
 
     Shard hosts are named ``thinner-00``, ``thinner-01``, ...  Returns
     ``(topology, client_hosts, thinner_hosts)``.  With ``thinner_shards=1``
@@ -342,13 +340,7 @@ def build_fleet(
         )
     if client_delays_s is not None and len(client_delays_s) != count:
         raise TopologyError("client_delays_s must match client_bandwidths_bps in length")
-    per_shard = (
-        shard_bandwidth_bps
-        if shard_bandwidth_bps is not None
-        else fleet_bandwidth_bps / thinner_shards
-    )
-    if per_shard <= 0:
-        raise TopologyError("per-shard bandwidth must be positive")
+    per_shard = _shard_bandwidth(thinner_shards, fleet_bandwidth_bps)
 
     topology = Topology(name)
     thinners: List[Host] = []
@@ -572,16 +564,8 @@ def _validate_fabric_population(
     return aggregate
 
 
-def _shard_bandwidth(
-    thinner_shards: int,
-    fleet_bandwidth_bps: float,
-    shard_bandwidth_bps: Optional[float],
-) -> float:
-    per_shard = (
-        shard_bandwidth_bps
-        if shard_bandwidth_bps is not None
-        else fleet_bandwidth_bps / thinner_shards
-    )
+def _shard_bandwidth(thinner_shards: int, fleet_bandwidth_bps: float) -> float:
+    per_shard = fleet_bandwidth_bps / thinner_shards
     if per_shard <= 0:
         raise TopologyError("per-shard bandwidth must be positive")
     return per_shard
@@ -643,7 +627,6 @@ def build_leaf_spine(
     spines: int = 2,
     oversubscription: float = 1.0,
     fleet_bandwidth_bps: float = DEFAULT_THINNER_BANDWIDTH,
-    shard_bandwidth_bps: Optional[float] = None,
     lan_delay_s: float = DEFAULT_LAN_DELAY,
     fabric_delay_s: float = DEFAULT_LAN_DELAY,
     cross_traffic_pairs: int = 0,
@@ -672,7 +655,7 @@ def build_leaf_spine(
     aggregate = _validate_fabric_population(
         client_bandwidths_bps, thinner_shards, cross_traffic_pairs
     )
-    per_shard = _shard_bandwidth(thinner_shards, fleet_bandwidth_bps, shard_bandwidth_bps)
+    per_shard = _shard_bandwidth(thinner_shards, fleet_bandwidth_bps)
     uplink_capacity = aggregate / (leaves * spines * oversubscription)
     topology = LeafSpineTopology(
         name,
@@ -702,7 +685,6 @@ def build_fat_tree(
     k: int = 4,
     oversubscription: float = 1.0,
     fleet_bandwidth_bps: float = DEFAULT_THINNER_BANDWIDTH,
-    shard_bandwidth_bps: Optional[float] = None,
     lan_delay_s: float = DEFAULT_LAN_DELAY,
     fabric_delay_s: float = DEFAULT_LAN_DELAY,
     cross_traffic_pairs: int = 0,
@@ -727,7 +709,7 @@ def build_fat_tree(
     aggregate = _validate_fabric_population(
         client_bandwidths_bps, thinner_shards, cross_traffic_pairs
     )
-    per_shard = _shard_bandwidth(thinner_shards, fleet_bandwidth_bps, shard_bandwidth_bps)
+    per_shard = _shard_bandwidth(thinner_shards, fleet_bandwidth_bps)
     half = k // 2
     edge_capacity = aggregate / (k * half * half)
     core_capacity = edge_capacity / oversubscription

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.clients.population import build_mixed_population
+from repro.clients.bad import BadClient
+from repro.clients.good import GoodClient
 from repro.constants import MBIT
 from repro.core.frontend import Deployment, DeploymentConfig
 from repro.simnet.engine import Engine
@@ -44,6 +45,14 @@ def network(engine, small_lan) -> FluidNetwork:
     return FluidNetwork(engine, topology)
 
 
+def add_clients(deployment, hosts, good, bad, **options):
+    """``good`` good clients on the first hosts, then ``bad`` bad ones."""
+    for host in hosts[:good]:
+        GoodClient(deployment, host, **options)
+    for host in hosts[good:good + bad]:
+        BadClient(deployment, host, **options)
+
+
 def make_deployment(
     good: int = 3,
     bad: int = 3,
@@ -62,7 +71,7 @@ def make_deployment(
         server_capacity_rps=capacity, defense=defense, seed=seed, **config_kwargs
     )
     deployment = Deployment(topology, thinner_host, config)
-    build_mixed_population(deployment, hosts, good, bad)
+    add_clients(deployment, hosts, good, bad)
     deployment.run(duration)
     return deployment, deployment.results()
 

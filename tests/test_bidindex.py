@@ -12,10 +12,10 @@ from repro.constants import MBIT
 from repro.core.auction import VirtualAuctionThinner
 from repro.core.bidindex import COMPACT_MIN_HEAP, KineticBidIndex
 from repro.core.frontend import Deployment, DeploymentConfig
-from repro.clients.population import build_mixed_population
 from repro.perf.counters import SimCounters
 from repro.rng import RandomStream
 from repro.simnet.topology import build_lan, uniform_bandwidths
+from tests.conftest import add_clients
 
 
 # ---------------------------------------------------------------------------
@@ -256,37 +256,24 @@ def test_randomized_equivalence_with_reference_scan():
 # ---------------------------------------------------------------------------
 
 
-class CheckedAuctionThinner(VirtualAuctionThinner):
-    """Asserts each indexed winner equals the historical linear scan's."""
+def test_real_run_winners_match_linear_scan(monkeypatch):
+    """Each indexed winner equals the historical linear scan's."""
+    picks = []
+    pick_winner = VirtualAuctionThinner._pick_winner
 
-    picks_checked = 0
-
-    def _pick_winner(self):
-        winner = super()._pick_winner()
-        expected = reference_best(self._contenders.values(), self.engine.now)
-        assert winner is expected
-        type(self).picks_checked += 1
+    def checked_pick_winner(thinner):
+        winner = pick_winner(thinner)
+        assert winner is reference_best(thinner._contenders.values(), thinner.engine.now)
+        picks.append(winner)
         return winner
 
-
-def test_real_run_winners_match_linear_scan():
-    CheckedAuctionThinner.picks_checked = 0
+    monkeypatch.setattr(VirtualAuctionThinner, "_pick_winner", checked_pick_winner)
     topology, hosts, thinner_host = build_lan(uniform_bandwidths(8, 2 * MBIT))
     config = DeploymentConfig(server_capacity_rps=15.0, seed=7)
-    deployment = Deployment(
-        topology,
-        thinner_host,
-        config,
-        thinner_factory=lambda dep: CheckedAuctionThinner(
-            engine=dep.engine,
-            network=dep.network,
-            server=dep.server,
-            host=dep.thinner_host,
-        ),
-    )
-    build_mixed_population(deployment, hosts, 4, 4)
+    deployment = Deployment(topology, thinner_host, config)
+    add_clients(deployment, hosts, 4, 4)
     deployment.run(12.0)
-    assert CheckedAuctionThinner.picks_checked > 50
+    assert len(picks) > 50
     # The whole point: selection cost per auction is far below O(n) — in
     # this steady state the index touches a handful of slope groups.
     counters = deployment.network.counters

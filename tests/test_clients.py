@@ -10,10 +10,9 @@ from repro.clients.bad import BadClient
 from repro.clients.base import _NO_ENTRIES, _NO_ITEMS, ARRIVAL_BATCH, ArrivalPark
 from repro.clients.cheats import FocusedCheater, LurkingCheater
 from repro.clients.good import GoodClient
-from repro.clients.population import PopulationSpec, build_mixed_population, build_population
 from repro.constants import MBIT
 from repro.core.frontend import Deployment, DeploymentConfig
-from repro.errors import ClientError
+from repro.errors import ClientError, ExperimentError
 from repro.rng import RandomStream
 from repro.scenarios.registry import build_scenario
 from repro.simnet.engine import Engine
@@ -90,27 +89,27 @@ def test_difficulty_callable_draws_per_request():
 
 
 def test_population_builder_counts_and_classes():
-    deployment, hosts = build_empty_deployment(clients=6)
-    clients = build_mixed_population(deployment, hosts, good_count=4, bad_count=2)
-    assert len(clients) == 6
+    spec = build_scenario(
+        "lan-baseline", good_clients=4, bad_clients=2, client_bandwidth_bps=2 * MBIT
+    )
+    deployment = spec.build()
+    assert len(deployment.clients) == 6
     assert len(deployment.good_clients) == 4
     assert len(deployment.bad_clients) == 2
     assert deployment.aggregate_bandwidth_bps("good") == pytest.approx(4 * 2 * MBIT)
 
 
-def test_population_builder_rejects_count_mismatch_and_bad_class():
-    deployment, hosts = build_empty_deployment(clients=3)
-    with pytest.raises(ClientError):
-        build_mixed_population(deployment, hosts, good_count=1, bad_count=1)
-    with pytest.raises(ClientError):
-        build_population(deployment, hosts, [PopulationSpec(count=3, client_class="weird")])
+def test_a_group_of_an_unknown_class_fails_to_build():
+    spec = build_scenario("lan-baseline", good_clients=3, bad_clients=0)
+    with pytest.raises(ExperimentError, match="unknown client class 'weird'"):
+        spec.with_value("groups.0.client_class", "weird").build()
 
 
 def test_population_spec_defaults_follow_class():
-    good_spec = PopulationSpec(count=1, client_class="good")
-    bad_spec = PopulationSpec(count=1, client_class="bad")
-    assert (good_spec.resolved_rate(), good_spec.resolved_window()) == (2.0, 1)
-    assert (bad_spec.resolved_rate(), bad_spec.resolved_window()) == (40.0, 20)
+    deployment = build_scenario("lan-baseline", good_clients=1, bad_clients=1).build()
+    good, bad = deployment.clients
+    assert (good.client_class, good.rate_rps, good.window) == ("good", 2.0, 1)
+    assert (bad.client_class, bad.rate_rps, bad.window) == ("bad", 40.0, 20)
 
 
 def test_focused_cheater_uses_one_channel_at_a_time():
@@ -136,7 +135,6 @@ def test_lurking_cheater_delays_payment():
 def test_cheaters_cannot_beat_proportional_share_by_much():
     """Theorem 3.1 in action: timing games cannot grossly exceed the
     bandwidth-proportional share."""
-    from repro.clients.population import build_population
 
     def run(factory):
         topology, hosts, thinner_host = build_lan(uniform_bandwidths(4, 2 * MBIT))

@@ -17,7 +17,7 @@ from repro.clients.bad import BadClient
 from repro.clients.good import GoodClient
 from repro.constants import MBIT
 from repro.core.frontend import Deployment, DeploymentConfig
-from repro.defenses import registry
+from repro.defenses import DefenseSpec, registry
 from repro.defenses.captcha import CaptchaDefense
 from repro.defenses.none import NoDefense
 from repro.defenses.pow import ProofOfWorkDefense
@@ -44,9 +44,8 @@ def run_pinned(scenario, defense):
 def run_with_defense(defense, good=2, bad=2, capacity=8.0, duration=10.0, seed=0,
                      bad_rate=40.0, bad_window=20):
     topology, hosts, thinner_host = build_lan(uniform_bandwidths(good + bad, 2 * MBIT))
-    config = DeploymentConfig(server_capacity_rps=capacity, seed=seed)
-    deployment = Deployment(topology, thinner_host, config,
-                            thinner_factory=defense.build_thinner)
+    config = DeploymentConfig(server_capacity_rps=capacity, defense=defense, seed=seed)
+    deployment = Deployment(topology, thinner_host, config)
     for host in hosts[:good]:
         GoodClient(deployment, host)
     for host in hosts[good:]:
@@ -90,7 +89,9 @@ def test_token_bucket_refills_and_limits():
 
 
 def test_rate_limit_blocks_aggressive_senders():
-    deployment, result = run_with_defense(RateLimitDefense(allowed_rps=4.0), duration=12.0)
+    deployment, result = run_with_defense(
+        DefenseSpec.make("ratelimit", allowed_rps=4.0), duration=12.0
+    )
     assert deployment.thinner.stage.rejected > 0
     # Good clients (2 req/s) stay under the limit while each bad client is
     # capped at 4 req/s.  The bad clients still hold many more requests in
@@ -102,36 +103,40 @@ def test_rate_limit_blocks_aggressive_senders():
 
 def test_rate_limit_defeated_by_smart_bots_speakup_is_not():
     smart = dict(bad_rate=3.5, bad_window=4, capacity=6.0, duration=15.0)
-    _dep1, ratelimited = run_with_defense(RateLimitDefense(allowed_rps=4.0), **smart)
-    _dep2, speakup = run_with_defense(SpeakUpDefense(), **smart)
+    _dep1, ratelimited = run_with_defense(DefenseSpec.make("ratelimit", allowed_rps=4.0), **smart)
+    _dep2, speakup = run_with_defense("speakup", **smart)
     # Bots below the limit are indistinguishable to the rate limiter, so the
     # good share under speak-up should be at least as large.
     assert speakup.good_allocation >= ratelimited.good_allocation - 0.05
 
 
 def test_profiling_enforces_learned_baseline():
-    defense = ProfilingDefense(default_allowed_rps=4.0, slack_factor=1.0)
+    defense = DefenseSpec.make("profiling", default_allowed_rps=4.0, slack_factor=1.0)
     deployment, result = run_with_defense(defense, duration=12.0)
     assert deployment.thinner.stage.rejected > 0
     assert result.good_allocation > 0.08
 
 
 def test_profiling_with_explicit_profile_and_learning_period():
-    defense = ProfilingDefense(
-        baseline_profile={"client-000": 2.0}, learning_period=2.0, default_allowed_rps=3.0
+    defense = DefenseSpec.make(
+        "profiling",
+        baseline_profile={"client-000": 2.0},
+        learning_period=2.0,
+        default_allowed_rps=3.0,
     )
     deployment, _result = run_with_defense(defense, duration=10.0)
     thinner = deployment.thinner
-    assert thinner.stage.allowed_rate("client-000") == pytest.approx(2.0 * defense.slack_factor)
+    slack_factor = deployment.defense.slack_factor
+    assert thinner.stage.allowed_rate("client-000") == pytest.approx(2.0 * slack_factor)
     assert thinner.stage.allowed_rate("never-seen") == pytest.approx(3.0)
 
 
 def test_pow_allocates_by_cpu_power():
-    defense = ProofOfWorkDefense(puzzle_cost=1.0)
+    defense = DefenseSpec.make("pow", puzzle_cost=1.0)
     topology, hosts, thinner_host = build_lan(uniform_bandwidths(4, 2 * MBIT))
     deployment = Deployment(
-        topology, thinner_host, DeploymentConfig(server_capacity_rps=8.0, seed=1),
-        thinner_factory=defense.build_thinner,
+        topology, thinner_host,
+        DeploymentConfig(server_capacity_rps=8.0, defense=defense, seed=1),
     )
     strong = GoodClient(deployment, hosts[0])
     strong.cpu_power = 4.0
@@ -145,7 +150,7 @@ def test_pow_allocates_by_cpu_power():
 
 
 def test_captcha_blocks_most_bots_but_also_good_bots():
-    defense = CaptchaDefense(solve_probabilities={"good": 0.8, "bad": 0.05})
+    defense = DefenseSpec.make("captcha", solve_probabilities={"good": 0.8, "bad": 0.05})
     deployment, result = run_with_defense(defense, duration=12.0)
     assert deployment.thinner.stage.rejected > 0
     # Most bot requests never reach the server; most good requests do.
@@ -157,7 +162,9 @@ def test_captcha_blocks_most_bots_but_also_good_bots():
 
 def test_captcha_probability_validation():
     with pytest.raises(DefenseError):
-        run_with_defense(CaptchaDefense(solve_probabilities={"good": 1.5}), duration=1.0)
+        run_with_defense(
+            DefenseSpec.make("captcha", solve_probabilities={"good": 1.5}), duration=1.0
+        )
 
 
 @pytest.mark.parametrize("key", sorted(DEFENSE_PINS["pins"]))

@@ -105,7 +105,7 @@ def test_a_nan_run_horizon_is_refused():
     engine = Engine()
     engine.schedule_every(1.0, lambda: None)
     with pytest.raises(SchedulingError, match="nan"):
-        engine.run(until=float("nan"), max_events=100)
+        engine.run(until=float("nan"))
     assert engine.now == 0.0 and engine.events_processed == 0
 
 
@@ -159,15 +159,6 @@ def test_call_soon_runs_at_current_time():
     assert times == [3.0]
 
 
-def test_max_events_limit():
-    engine = Engine()
-    fired = []
-    for i in range(5):
-        engine.schedule_at(float(i + 1), fired.append, i)
-    engine.run(max_events=3)
-    assert fired == [0, 1, 2]
-
-
 def test_periodic_task_fires_until_cancelled():
     engine = Engine()
     ticks = []
@@ -179,14 +170,6 @@ def test_periodic_task_fires_until_cancelled():
     engine.run(until=10.0)
     assert ticks == [1.0, 2.0, 3.0, 4.0]
     assert task.fire_count == 4
-
-
-def test_periodic_task_custom_start():
-    engine = Engine()
-    ticks = []
-    engine.schedule_every(2.0, lambda: ticks.append(engine.now), start_after=0.5)
-    engine.run(until=5.0)
-    assert ticks == [0.5, 2.5, 4.5]
 
 
 def test_periodic_task_rejects_nonpositive_interval():

@@ -14,9 +14,9 @@ import pytest
 from repro.constants import MBIT
 from repro.core.auction import VirtualAuctionThinner
 from repro.core.frontend import Deployment, DeploymentConfig
-from repro.clients.population import build_mixed_population
 from repro.httpd.messages import new_request
 from repro.simnet.topology import build_lan, uniform_bandwidths
+from tests.conftest import add_clients
 
 
 class StubClient:
@@ -150,7 +150,7 @@ def test_eviction_keeps_bid_index_consistent_end_to_end():
     topology, hosts, thinner_host = build_lan(uniform_bandwidths(8, 2 * MBIT))
     config = DeploymentConfig(server_capacity_rps=8.0, max_contenders=4, seed=11)
     deployment = Deployment(topology, thinner_host, config)
-    build_mixed_population(deployment, hosts, 4, 4)
+    add_clients(deployment, hosts, 4, 4)
     deployment.run(12.0)
 
     thinner = deployment.thinner

@@ -29,11 +29,6 @@ from pathlib import Path
 import pytest
 
 from repro.clients.base import RetryPolicy
-from repro.clients.population import (
-    PopulationSpec,
-    build_mixed_population,
-    build_population,
-)
 from repro.constants import MBIT, REQUEST_TIMEOUT
 from repro.core.fleet import ServerMux
 from repro.core.frontend import Deployment, DeploymentConfig
@@ -43,6 +38,7 @@ from repro.faults.spec import gray_pulse, kill_heal_pulse
 from repro.httpd.messages import RequestState
 from repro.scenarios.registry import build_scenario
 from repro.simnet.topology import build_fleet, uniform_bandwidths
+from tests.conftest import add_clients
 
 PINS_PATH = Path(__file__).parent / "data" / "failover_pins.json"
 PINS = json.loads(PINS_PATH.read_text())
@@ -238,7 +234,7 @@ def run_faulted_fleet(
         **config_kwargs,
     )
     deployment = Deployment(topology, thinner_hosts, config)
-    build_mixed_population(deployment, hosts, good, bad)
+    add_clients(deployment, hosts, good, bad)
     deployment.run(duration)
     return deployment, deployment.results()
 
@@ -399,11 +395,7 @@ def _build_faulted_fleet(plan, good=6, bad=6, shards=3, retry_policy=None, **kwa
         server_capacity_rps=18.0, seed=0, thinner_shards=shards, fault_plan=plan
     )
     deployment = Deployment(topology, thinner_hosts, config)
-    specs = [
-        PopulationSpec(count=good, client_class="good", retry_policy=retry_policy),
-        PopulationSpec(count=bad, client_class="bad", retry_policy=retry_policy),
-    ]
-    build_population(deployment, hosts, specs)
+    add_clients(deployment, hosts, good, bad, retry_policy=retry_policy)
     return deployment
 
 
@@ -437,7 +429,7 @@ def test_a_kill_before_any_flow_takes_the_link_down_and_the_heal_restores_it():
 
 def test_degrade_scales_the_access_link_and_restores():
     plan = gray_pulse((1,), 3.0, 8.0, factor=0.25)
-    deployment = _build_faulted_fleet(plan, shard_bandwidth_bps=12 * MBIT)
+    deployment = _build_faulted_fleet(plan, fleet_bandwidth_bps=36 * MBIT)
     host = deployment.thinner_hosts[1]
     base_up = host.access.up.capacity_bps
     base_down = host.access.down.capacity_bps
@@ -837,7 +829,7 @@ def test_random_schedule_counters_are_monotone(seed):
         server_capacity_rps=18.0, seed=0, thinner_shards=3, fault_plan=plan
     )
     deployment = Deployment(topology, thinner_hosts, config)
-    build_mixed_population(deployment, hosts, 6, 6)
+    add_clients(deployment, hosts, 6, 6)
 
     counters = ("repinned_clients", "orphaned_requests")
     snapshots = []
@@ -951,15 +943,7 @@ def test_random_gray_schedules_with_retries_preserve_accounting(seed):
         server_capacity_rps=18.0, seed=0, thinner_shards=3, fault_plan=plan
     )
     deployment = Deployment(topology, thinner_hosts, config)
-    policy = RetryPolicy.budgeted()
-    build_population(
-        deployment,
-        hosts,
-        [
-            PopulationSpec(count=6, client_class="good", retry_policy=policy),
-            PopulationSpec(count=6, client_class="bad", retry_policy=policy),
-        ],
-    )
+    add_clients(deployment, hosts, 6, 6, retry_policy=RetryPolicy.budgeted())
     deployment.run(10.0)
     injector = deployment.fault_injector
     _assert_invariants(deployment)

@@ -9,7 +9,6 @@ indistinguishable from the historical single-thinner path.
 import pytest
 
 from repro.analysis.provisioning import payment_traffic_estimate
-from repro.clients.population import build_mixed_population
 from repro.constants import MBIT
 from repro.core.fleet import HealthProbeSpec, ServerMux
 from repro.core.frontend import Deployment, DeploymentConfig
@@ -21,6 +20,7 @@ from repro.metrics.collector import ShardMetrics
 from repro.rng import StreamFactory
 from repro.scenarios.registry import build_scenario
 from repro.simnet.topology import build_fleet, uniform_bandwidths
+from tests.conftest import add_clients
 
 
 def make_fleet_deployment(
@@ -39,7 +39,7 @@ def make_fleet_deployment(
         server_capacity_rps=capacity, seed=0, thinner_shards=shards, **config_kwargs
     )
     deployment = Deployment(topology, thinner_hosts, config)
-    build_mixed_population(deployment, hosts, good, bad)
+    add_clients(deployment, hosts, good, bad)
     deployment.run(duration)
     return deployment, deployment.results()
 
@@ -239,17 +239,6 @@ def test_deployment_needs_one_host_per_shard():
         Deployment(topology, thinner_hosts[0], DeploymentConfig(thinner_shards=2))
     with pytest.raises(ExperimentError, match="thinner_shards"):
         Deployment(topology, thinner_hosts, DeploymentConfig())
-
-
-def test_thinner_factory_is_single_shard_only():
-    topology, _hosts, thinner_hosts = build_fleet(uniform_bandwidths(4, 2 * MBIT), 2)
-    with pytest.raises(ExperimentError, match="factories"):
-        Deployment(
-            topology,
-            thinner_hosts,
-            DeploymentConfig(thinner_shards=2),
-            thinner_factory=lambda deployment: None,
-        )
 
 
 def test_pooled_admission_rejects_double_submit():

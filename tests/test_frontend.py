@@ -45,24 +45,6 @@ def test_defense_selects_thinner_class(defense, thinner_type):
     assert isinstance(deployment.thinner, thinner_type)
 
 
-def test_custom_thinner_factory_wins():
-    sentinel = {}
-
-    def factory(deployment):
-        thinner = VirtualAuctionThinner(
-            engine=deployment.engine,
-            network=deployment.network,
-            server=deployment.server,
-            host=deployment.thinner_host,
-        )
-        sentinel["thinner"] = thinner
-        return thinner
-
-    topology, hosts, thinner_host = build_lan(uniform_bandwidths(2, 2 * MBIT))
-    deployment = Deployment(topology, thinner_host, DeploymentConfig(), thinner_factory=factory)
-    assert deployment.thinner is sentinel["thinner"]
-
-
 def test_run_requires_positive_duration_and_results_require_run():
     deployment, _hosts = build()
     with pytest.raises(ExperimentError):

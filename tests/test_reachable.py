@@ -1,14 +1,16 @@
 """Every definition in ``src/repro`` is reached by code that runs.
 
 A module-level ``def`` or ``class``, or a method that is not a dunder, is
-reached when its name appears outside its own definition in a ``.py`` file
-under ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/``: as a
-name, an attribute, an import alias, or a string literal equal to the
-identifier (which covers ``getattr`` and perfbench's ``BOUNDARIES``).
-Tests do not count.  A definition under a registering decorator (any
-decorator but the descriptor, dataclass and cache ones) is reached too,
-because registry factories register themselves.  A property's setter is
-part of its property.
+reached when its name appears in a ``.py`` file under ``src/``,
+``benchmarks/``, ``examples/`` or ``perfbench/``, outside every definition
+of that name: as a name, an attribute, an import alias, or a string
+literal equal to the identifier (which covers ``getattr`` and perfbench's
+``BOUNDARIES``).  So a method that only a same-named override calls, or
+that only calls itself, is not reached by that call.  Tests do not count.
+A definition under a registering decorator (any decorator but the
+descriptor, dataclass and cache ones) is reached too, because registry
+factories register themselves.  A property's setter is part of its
+property.
 
 What only tests reach is deleted, or stays on :data:`ALLOWED` with a
 one-line reason.  An entry that is reached again, or gone, is stale and
@@ -107,6 +109,11 @@ def _occurrences(tree):
                 yield node.value, node.lineno
 
 
+def _span(node):
+    """First and last line of a definition, its decorators included."""
+    return min([node.lineno] + [d.lineno for d in node.decorator_list]), node.end_lineno
+
+
 def unreached(root):
     """``path:qualname`` of each ``root/src/repro`` definition nothing reaches."""
     source = root / "src" / "repro"
@@ -115,10 +122,18 @@ def unreached(root):
         for tree_root in REACHING
         for path in sorted((root / tree_root).rglob("*.py"))
     }
-    seen = {}
+    spans = {}
+    for path, tree in trees.items():
+        for _qualname, node in _definitions(tree):
+            spans.setdefault(node.name, []).append((path, *_span(node)))
+    reached = set()
     for path, tree in trees.items():
         for name, line in _occurrences(tree):
-            seen.setdefault(name, []).append((path, line))
+            if not any(
+                where == path and first <= line <= last
+                for where, first, last in spans.get(name, ())
+            ):
+                reached.add(name)
     found = []
     for path, tree in trees.items():
         if source not in path.parents:
@@ -126,11 +141,7 @@ def unreached(root):
         for qualname, node in _definitions(tree):
             if any(_decorator_name(d) not in _PLAIN for d in node.decorator_list):
                 continue
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            if not any(
-                where != path or not first <= line <= node.end_lineno
-                for where, line in seen.get(node.name, ())
-            ):
+            if node.name not in reached:
                 found.append(f"{path.relative_to(source).as_posix()}:{qualname}")
     return found
 
@@ -175,21 +186,35 @@ def test_the_scan_flags_test_only_definitions_and_stale_entries(tmp_path):
         "        return 'label'\n"
         "    @label.setter\n"
         "    def label(self, value):\n"
-        "        pass\n",
+        "        pass\n"
+        "class Base:\n"
+        "    def count(self):\n"
+        "        return 1\n"
+        "class Child(Base):\n"
+        "    def count(self):\n"
+        "        return super().count() + 1\n",
     )
-    _write(tmp_path / "benchmarks" / "bench.py", "from repro.mod import Kind\nKind().size\n")
+    _write(
+        tmp_path / "benchmarks" / "bench.py",
+        "from repro.mod import Child, Kind\nKind().size\n",
+    )
     _write(tmp_path / "examples" / "run.py", "import repro.mod\n")
     _write(tmp_path / "perfbench" / "tracer.py", "BOUNDARIES = ('register',)\n")
     _write(
         tmp_path / "tests" / "test_mod.py",
-        "from repro.mod import Kind, only_tested\nonly_tested()\nKind().label\n",
+        "from repro.mod import Child, Kind, only_tested\n"
+        "only_tested()\nKind().label\nChild().count()\n",
     )
-    # Reached by a test alone, or by nothing but its own body or setter:
-    # flagged.  Reached by a decorator, a string or another body: not.
-    assert audit(tmp_path, {}) == (["mod.py:Kind.label", "mod.py:only_tested"], [])
+    # Reached by a test alone, or by nothing but its own body, its setter or
+    # a same-named override that only a test calls: flagged.  Reached by a
+    # decorator, a string or another body: not.
+    flagged = [
+        "mod.py:Base.count",
+        "mod.py:Child.count",
+        "mod.py:Kind.label",
+        "mod.py:only_tested",
+    ]
+    assert audit(tmp_path, {}) == (flagged, [])
     allowed = {"mod.py:only_tested": "a reason", "mod.py:used": "reached now"}
-    assert audit(tmp_path, allowed) == (["mod.py:Kind.label"], ["mod.py:used"])
-    assert audit(tmp_path, {"mod.py:gone": "deleted"}) == (
-        ["mod.py:Kind.label", "mod.py:only_tested"],
-        ["mod.py:gone"],
-    )
+    assert audit(tmp_path, allowed) == (flagged[:3], ["mod.py:used"])
+    assert audit(tmp_path, {"mod.py:gone": "deleted"}) == (flagged, ["mod.py:gone"])

@@ -1,8 +1,18 @@
-"""The declarative scenario subsystem: specs, registry, and arrival shapes."""
+"""The declarative scenario subsystem: specs, registry, and arrival shapes.
 
+``tests/data/registry_pins.json`` holds the sha256 of ``to_json()`` for
+specs the registry builds: every factory at its defaults, each factory
+with one of its client counts at 0 (and ``uplink-tiers`` at
+``bad_fraction`` 0 and 1), and the four perfbench workloads' arguments at
+seed 0.  They were captured before the factories built their groups
+through one helper; the replay test must reproduce them byte for byte.
+"""
+
+import hashlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +28,10 @@ from repro.scenarios import (
     scenario_description,
     scenario_names,
 )
+
+REGISTRY_PINS = json.loads(
+    (Path(__file__).parent / "data" / "registry_pins.json").read_text()
+)["cases"]
 
 #: Small-scale factory arguments so every registry scenario runs in a test.
 SMALL_SCENARIO_KWARGS = {
@@ -481,6 +495,19 @@ def test_registry_scenario_builds_and_runs(name):
     result = spec.run()
     assert result.duration == spec.duration
     assert result.total_served >= 0
+
+
+def test_registry_specs_match_their_pins():
+    assert set(scenario_names()) <= set(REGISTRY_PINS)
+    moved = [
+        case
+        for case, pin in sorted(REGISTRY_PINS.items())
+        if hashlib.sha256(
+            build_scenario(pin["scenario"], **pin["kwargs"]).to_json().encode("utf-8")
+        ).hexdigest()
+        != pin["sha256"]
+    ]
+    assert moved == []
 
 
 def test_registry_rejects_unknown_names_and_arguments():

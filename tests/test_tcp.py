@@ -29,7 +29,7 @@ def test_ramp_caps_then_doubles_then_releases():
     ramp = SlowStartRamp(network)
     flow = network.send(client, thinner)
     rtt = 0.1
-    ramp.attach(flow, rtt=rtt, ceiling_bps=100 * MBIT)
+    ramp.attach(flow, rtt=rtt)
     initial = ramp.initial_rate(rtt)
     assert flow.rate_cap_bps == pytest.approx(initial)
     engine.run(until=0.15)

@@ -101,7 +101,8 @@ def test_quantum_thinner_serves_and_charges_continuously():
 def test_quantum_thinner_resists_hard_request_attack():
     """Attackers sending only hard requests gain less server time under the
     per-quantum auction than under the flat admission auction (§5)."""
-    from repro.clients.population import PopulationSpec, build_population
+    from repro.clients.bad import BadClient
+    from repro.clients.good import GoodClient
     from repro.core.frontend import Deployment, DeploymentConfig
     from repro.simnet.topology import build_lan, uniform_bandwidths
 
@@ -109,11 +110,10 @@ def test_quantum_thinner_resists_hard_request_attack():
         topology, hosts, thinner_host = build_lan(uniform_bandwidths(6, 2 * MBIT))
         config = DeploymentConfig(server_capacity_rps=15.0, defense=defense, seed=2)
         deployment = Deployment(topology, thinner_host, config)
-        specs = [
-            PopulationSpec(count=3, client_class="good", difficulty=1.0),
-            PopulationSpec(count=3, client_class="bad", rate_rps=10.0, window=6, difficulty=4.0),
-        ]
-        build_population(deployment, hosts, specs)
+        for host in hosts[:3]:
+            GoodClient(deployment, host)
+        for host in hosts[3:]:
+            BadClient(deployment, host, rate_rps=10.0, window=6, difficulty=4.0)
         deployment.run(20.0)
         return deployment.results()
 
