@@ -647,7 +647,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "defenses":
-        from repro.defenses import registry as defense_registry
+        from repro.defenses import DefenseSpec, registry as defense_registry
 
         def _format_parameters(name: str) -> str:
             pairs = defense_registry.parameters(name)
@@ -660,7 +660,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         print(format_table(
             headers=["defense", "description", "parameters (DefenseSpec kwargs)"],
             rows=[
-                (name, defense_registry.create(name).describe(), _format_parameters(name))
+                (name, DefenseSpec(name).create().describe(), _format_parameters(name))
                 for name in defense_registry.names()
             ],
             title=(

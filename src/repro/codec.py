@@ -21,6 +21,10 @@ its field:
   a field out while it equals its default (results written before the field
   existed stay byte-identical), and ``key("min")`` writes a field under
   another key.
+* :func:`read_field` reads one value as one named field of a class, by the
+  same rules, so a setting that is not a spec field of its own (a defense
+  setting in :class:`~repro.defenses.spec.DefenseSpec`) is checked as
+  ``from_dict`` would check it.
 
 The methods are bound per class rather than inherited from a base class, so
 instrumentation that wraps one class's ``to_dict`` (the benchmark tracer
@@ -148,6 +152,19 @@ def from_json(cls, document: str):
     return cls.from_dict(json.loads(document))
 
 
+def read_field(cls, name: str, value: Any) -> Any:
+    """Read ``value`` as the field ``name`` of ``cls``, as :func:`from_dict` would.
+
+    ``value`` is the field's JSON form or a Python value that encodes to it
+    (a nested spec, a tuple), so a value built in Python passes the same
+    check as one read from a file.
+    """
+    for attribute, json_key, annotation, _omit, _default in _schema(cls):
+        if attribute == name:
+            return _decode(annotation, _encode(value), cls, json_key)
+    raise ExperimentError(f"{cls.__name__} has no field {name!r}")
+
+
 def _scalar_fits(annotation: type, value: Any) -> bool:
     if isinstance(value, bool):
         return annotation is bool
@@ -172,7 +189,7 @@ def _decode(annotation: Any, value: Any, cls: type, json_key: str) -> Any:
                 if arm in _SCALARS:
                     if _scalar_fits(arm, value):
                         return value
-                elif arm is not _NONE and isinstance(value, dict):
+                elif arm is not _NONE and isinstance(value, _json_shape(arm)):
                     return _decode(arm, value, cls, json_key)
         elif origin in (list, tuple):
             if isinstance(value, (list, tuple)):
@@ -185,7 +202,22 @@ def _decode(annotation: Any, value: Any, cls: type, json_key: str) -> Any:
                 return {name: _decode(item, entry, cls, json_key) for name, entry in value.items()}
         elif isinstance(value, dict):
             return annotation.from_dict(value)
-    expected = getattr(annotation, "__name__", None) or str(annotation).replace("typing.", "")
     raise ExperimentError(
-        f"{cls.__name__}.{json_key}: expected {expected}, got {value!r:.80}"
+        f"{cls.__name__}.{json_key}: expected {_type_name(annotation)}, got {value!r:.80}"
     )
+
+
+def _json_shape(annotation: Any) -> Tuple[type, ...]:
+    """The JSON containers a non-scalar annotation is read from."""
+    if typing.get_origin(annotation) in (list, tuple):
+        return (list, tuple)
+    return (dict,)
+
+
+def _type_name(annotation: Any) -> str:
+    """``float or None`` for ``Optional[float]``; a class or generic's own name."""
+    if typing.get_origin(annotation) is Union:
+        return " or ".join(_type_name(arm) for arm in typing.get_args(annotation))
+    if annotation is _NONE:
+        return "None"
+    return getattr(annotation, "__name__", None) or str(annotation).replace("typing.", "")

@@ -18,7 +18,8 @@ from repro.core.thinner import ClientProtocol, Contender, ThinnerBase
 from repro.httpd.messages import Request
 from repro.rng import RandomStream
 
-#: Admission policies the undefended baseline supports.
+#: Admission policies the undefended baseline supports; the ``none``
+#: defense checks its ``policy`` setting against them.
 POLICIES = ("random", "fifo")
 
 
@@ -34,8 +35,6 @@ class NoDefenseThinner(ThinnerBase):
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        if policy not in POLICIES:
-            raise ThinnerError(f"unknown admission policy {policy!r}; expected one of {POLICIES}")
         if pending_limit is not None and pending_limit <= 0:
             raise ThinnerError("pending_limit must be positive or None")
         self.rng = rng

@@ -8,7 +8,7 @@ all talk to this object rather than wiring the parts by hand.
 Which admission policy fronts the server is data, not code:
 ``DeploymentConfig.defense`` takes either a
 :class:`~repro.defenses.spec.DefenseSpec` (a registered defense name plus
-typed factory kwargs, arbitrarily composable — pipelines of screening
+the settings given for it, arbitrarily composable — pipelines of screening
 stages, the adaptive engagement controller) or, as sugar, one of the
 historical strings (``"speakup"``, ``"retry"``, ``"quantum"``, ``"none"``,
 any registered defense name, or the ``"filter>admission"`` pipeline
@@ -86,7 +86,7 @@ class DeploymentConfig:
     #: ``"retry"``, ``"quantum"``, ``"none"``, any registered defense name, or
     #: the ``"filter>admission"`` pipeline shorthand.  A defense's own
     #: settings (the undefended baseline's drop policy, the quantum length)
-    #: are kwargs of its spec.
+    #: are the spec's ``kwargs``.
     defense: Union[str, "DefenseSpec"] = "speakup"
     #: Thinner-side processing/backlog delay added to each encouragement.
     encouragement_delay: float = 0.0
@@ -161,9 +161,12 @@ class DeploymentConfig:
                 "encouragement_delay must be non-negative and finite, "
                 f"got {self.encouragement_delay}"
             )
-        if self.max_contenders is not None and self.max_contenders <= 0:
+        contenders = self.max_contenders
+        if contenders is not None and (
+            isinstance(contenders, bool) or not isinstance(contenders, int) or contenders <= 0
+        ):
             raise ExperimentError(
-                f"max_contenders must be positive or None, got {self.max_contenders}"
+                f"max_contenders must be a positive int or None, got {contenders!r}"
             )
         if self.thinner_shards < 1:
             raise ExperimentError("thinner_shards must be at least 1")

@@ -10,8 +10,9 @@ compare them against speak-up under the threat model the paper assumes
 (spoofing, smart bots, unequal requests).
 
 Defense selection is data: a frozen :class:`~repro.defenses.spec.DefenseSpec`
-names a registered defense plus its factory kwargs, and two composites build
-bigger policies out of smaller ones —
+names a registered defense plus the settings given for it (each defense is a
+dataclass of its settings), and two composites build bigger policies out of
+smaller ones —
 
 * :class:`~repro.defenses.pipeline.PipelineDefense` layers screening stages
   (ratelimit/profiling/captcha) in front of an admission defense

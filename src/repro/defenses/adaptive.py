@@ -29,20 +29,16 @@ shard's :class:`~repro.metrics.collector.EngagementMetrics`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Union
 
-from repro.errors import DefenseError
+from repro.errors import DefenseError, check_positive
 from repro.core.admission import NoDefenseThinner
 from repro.core.fleet import ServerMux
 from repro.core.thinner import ClientProtocol, ThinnerBase, ThinnerStats
 from repro.defenses.base import Defense, registry
-from repro.defenses.spec import DefenseSpec, normalise_defense
+from repro.defenses.spec import DefenseSpec, nested_defense
 from repro.httpd.messages import Request
-
-#: Default hysteresis band and sampling cadence of the load watcher.
-DEFAULT_ENGAGE_THRESHOLD = 0.9
-DEFAULT_DISENGAGE_THRESHOLD = 0.6
-DEFAULT_CHECK_INTERVAL = 1.0
 
 
 class AdaptiveThinner:
@@ -51,27 +47,20 @@ class AdaptiveThinner:
     A proxy over two fully-built thinners — the undefended baseline and the
     inner defense's — of which exactly one is *active* (receives new
     requests and freed server slots).  The load watcher runs on the engine
-    every ``check_interval`` seconds and compares the interval's server
-    utilisation against the hysteresis band.
+    every ``check_interval`` seconds of the :class:`AdaptiveDefense`
+    settings and compares the interval's server utilisation against their
+    hysteresis band.
     """
 
-    def __init__(
-        self,
-        deployment,
-        shard: int,
-        inner_defense: Defense,
-        engage_threshold: float = DEFAULT_ENGAGE_THRESHOLD,
-        disengage_threshold: float = DEFAULT_DISENGAGE_THRESHOLD,
-        check_interval: float = DEFAULT_CHECK_INTERVAL,
-        server=None,
-    ) -> None:
+    def __init__(self, deployment, shard: int, settings: "AdaptiveDefense", server=None) -> None:
         self.engine = deployment.engine
         self.shard = shard
         #: The deployment's timeline, where every switch is recorded.
         self._timeline = deployment.timeline
-        self.engage_threshold = engage_threshold
-        self.disengage_threshold = disengage_threshold
-        self.check_interval = check_interval
+        self.engage_threshold = settings.engage_threshold
+        self.disengage_threshold = settings.disengage_threshold
+        self.check_interval = settings.check_interval
+        inner_defense = settings.inner_defense
 
         real_server = server if server is not None else deployment.shard_server(shard)
         # View 0 is the passthrough side, view 1 the engaged side.  A freed
@@ -91,7 +80,7 @@ class AdaptiveThinner:
         self.prices = deployment.prices
         self.counters = self._passthrough.counters
         self._busy_mark = real_server.stats.busy_time
-        self._watcher = self.engine.schedule_every(check_interval, self._check_load)
+        self._watcher = self.engine.schedule_every(self.check_interval, self._check_load)
 
     # -- the active/idle pair -------------------------------------------------------
 
@@ -233,50 +222,43 @@ class AdaptiveThinner:
             target._handle_arrival(request, client)
 
 
+@dataclass
 class AdaptiveDefense(Defense):
-    """Engage an inner defense only while the server is under attack."""
+    """Engage an inner defense only while the server is under attack.
+
+    The watcher engages ``inner`` once an interval's utilisation reaches
+    ``engage_threshold`` and disengages it once one falls to
+    ``disengage_threshold``, sampling every ``check_interval`` seconds.
+    """
 
     name = "adaptive"
 
-    def __init__(
-        self,
-        inner: Union[str, dict, DefenseSpec] = "speakup",
-        engage_threshold: float = DEFAULT_ENGAGE_THRESHOLD,
-        disengage_threshold: float = DEFAULT_DISENGAGE_THRESHOLD,
-        check_interval: float = DEFAULT_CHECK_INTERVAL,
-    ) -> None:
-        self.inner_spec = normalise_defense(inner)
+    inner: Union[str, DefenseSpec] = "speakup"
+    engage_threshold: float = 0.9
+    disengage_threshold: float = 0.6
+    check_interval: float = 1.0
+
+    def __post_init__(self) -> None:
+        self.inner_spec, self.inner_defense = nested_defense(self.inner, "inner")
         if self.inner_spec.name == self.name:
-            raise DefenseError("adaptive defenses do not nest")
-        self.inner = self.inner_spec.create()
-        self.engage_threshold = engage_threshold
-        self.disengage_threshold = disengage_threshold
-        self.check_interval = check_interval
-        # Fail on a bad band at spec-validation time, not mid-deployment.
-        if not 0.0 < disengage_threshold < engage_threshold <= 1.0:
+            raise DefenseError("inner is adaptive; adaptive defenses do not nest")
+        if not 0.0 < self.engage_threshold <= 1.0:
+            raise DefenseError(f"engage_threshold must be in (0, 1], got {self.engage_threshold}")
+        if not 0.0 < self.disengage_threshold < self.engage_threshold:
             raise DefenseError(
-                "adaptive engagement needs 0 < disengage_threshold < "
-                f"engage_threshold <= 1, got ({disengage_threshold}, {engage_threshold})"
+                "disengage_threshold must be in (0, engage_threshold = "
+                f"{self.engage_threshold}), got {self.disengage_threshold}"
             )
-        if check_interval <= 0:
-            raise DefenseError("check_interval must be positive")
+        check_positive("check_interval", self.check_interval, DefenseError)
 
     def build_thinner(self, deployment, shard: int = 0, server=None) -> AdaptiveThinner:
-        return AdaptiveThinner(
-            deployment,
-            shard,
-            inner_defense=self.inner,
-            engage_threshold=self.engage_threshold,
-            disengage_threshold=self.disengage_threshold,
-            check_interval=self.check_interval,
-            server=server,
-        )
+        return AdaptiveThinner(deployment, shard, self, server=server)
 
     def supports_pooled_admission(self) -> bool:
-        return self.inner.supports_pooled_admission()
+        return self.inner_defense.supports_pooled_admission()
 
     def supports_fault_injection(self) -> bool:
-        return self.inner.supports_fault_injection()
+        return self.inner_defense.supports_fault_injection()
 
     def describe(self) -> str:
         return (

@@ -4,9 +4,14 @@ A :class:`Defense` is a named factory that builds a thinner for a
 deployment.  The registry lets experiments and the CLI select defenses by
 name ("speakup", "ratelimit", "pow", ...) without importing each module.
 
-Since the admission-policy redesign a defense is instantiated from a
-:class:`~repro.defenses.spec.DefenseSpec` (name + typed kwargs) and builds
-one thinner *per front-end shard*: :meth:`Defense.build_thinner` takes the
+Each registered defense is a dataclass whose fields are its settings, each
+declared once with its default; its ``__post_init__`` holds the range
+checks, raising one :class:`~repro.errors.DefenseError` line that starts
+with the setting's name.  A :class:`~repro.defenses.spec.DefenseSpec`
+(name + the settings given) reads each setting against its field's
+annotation, and :meth:`~repro.defenses.spec.DefenseSpec.create` is the one
+checked way to build a defense.  A defense builds one thinner *per
+front-end shard*: :meth:`Defense.build_thinner` takes the
 shard index so a §4.3 fleet gets independent per-shard policy state (own
 token buckets, own engagement controller, own bid index), with the shard's
 host, server, and stream-name suffix looked up through the deployment's
@@ -21,8 +26,8 @@ for its front stages, and standalone the same stage runs inside a
 from __future__ import annotations
 
 import difflib
-import inspect
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import fields
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import DefenseError
 from repro.core.thinner import ClientProtocol, Contender, ThinnerBase
@@ -170,9 +175,6 @@ class Defense:
         """One-line human description (shown in benchmark output)."""
         return self.name
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(name={self.name!r})"
-
 
 def _close_matches_note(name: str, candidates) -> str:
     """A ``did you mean`` suffix for one-line errors (empty if nothing close)."""
@@ -184,80 +186,45 @@ def _close_matches_note(name: str, candidates) -> str:
 
 
 class DefenseRegistry:
-    """Name-to-factory registry of available defenses."""
+    """Name-to-class registry of available defenses."""
 
     def __init__(self) -> None:
-        self._factories: Dict[str, Callable[..., Defense]] = {}
+        self._classes: Dict[str, type] = {}
 
-    def register(self, name: str, factory: Callable[..., Defense]) -> None:
-        """Register a defense factory under ``name``."""
-        if name in self._factories:
+    def register(self, name: str, defense_class: type) -> None:
+        """Register a defense class under ``name``."""
+        if name in self._classes:
             raise DefenseError(f"defense {name!r} is already registered")
-        self._factories[name] = factory
+        self._classes[name] = defense_class
 
-    def create(self, name: str, **kwargs) -> Defense:
-        """Instantiate the defense registered under ``name``.
+    def lookup(self, name: str) -> type:
+        """The defense class registered under ``name``.
 
-        Unknown names and unknown factory keyword arguments both raise a
-        one-line :class:`~repro.errors.DefenseError` listing the valid
-        choices, with ``difflib`` close-match suggestions.
+        An unknown name raises a one-line :class:`~repro.errors.DefenseError`
+        listing the valid choices, with ``difflib`` close-match suggestions.
         """
         try:
-            factory = self._factories[name]
+            return self._classes[name]
         except KeyError:
             known = self.names()
             raise DefenseError(
                 f"unknown defense {name!r}; expected one of {known}"
                 + _close_matches_note(name, known)
             ) from None
-        self._check_kwargs(name, factory, kwargs)
-        return factory(**kwargs)
-
-    @staticmethod
-    def _check_kwargs(name: str, factory: Callable[..., Defense], kwargs: dict) -> None:
-        parameters = inspect.signature(factory).parameters
-        if any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters.values()
-        ):
-            return
-        accepted = sorted(p for p in parameters if p != "self")
-        for key in kwargs:
-            if key not in parameters:
-                raise DefenseError(
-                    f"unknown parameter {key!r} for defense {name!r}; "
-                    f"expected one of {accepted}"
-                    + _close_matches_note(key, accepted)
-                )
 
     def parameters(self, name: str) -> List[Tuple[str, object]]:
-        """The factory's (parameter, default) pairs, in signature order."""
-        try:
-            factory = self._factories[name]
-        except KeyError:
-            raise DefenseError(
-                f"unknown defense {name!r}; expected one of {self.names()}"
-            ) from None
-        return [
-            (
-                parameter.name,
-                None
-                if parameter.default is inspect.Parameter.empty
-                else parameter.default,
-            )
-            for parameter in inspect.signature(factory).parameters.values()
-            if parameter.name != "self"
-        ]
+        """The defense's (setting, default) pairs, in field order."""
+        return [(item.name, item.default) for item in fields(self.lookup(name))]
 
     def names(self) -> list[str]:
         """All registered defense names, sorted."""
-        return sorted(self._factories)
+        return sorted(self._classes)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._factories
+        return name in self._classes
 
     def __iter__(self) -> Iterator[str]:
-        return iter(sorted(self._factories))
+        return iter(sorted(self._classes))
 
 
 #: The process-wide registry; defense modules register themselves on import.

@@ -18,6 +18,7 @@ bandwidth-proportional pricing for whoever passes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import DefenseError
@@ -30,29 +31,15 @@ from repro.rng import RandomStream
 DEFAULT_SOLVE_PROBABILITIES = {"good": 0.95, "bad": 0.05}
 
 
-def _merged_probabilities(overrides: Optional[Dict[str, float]]) -> Dict[str, float]:
-    probabilities = dict(DEFAULT_SOLVE_PROBABILITIES)
-    if overrides:
-        probabilities.update(overrides)
-    for cls, probability in probabilities.items():
-        if not 0.0 <= probability <= 1.0:
-            raise DefenseError(f"solve probability for {cls!r} must be in [0, 1]")
-    return probabilities
-
-
 class CaptchaFilter(FilterStage):
     """Screen requests by a per-class challenge-solve probability."""
 
     name = "captcha"
 
-    def __init__(
-        self,
-        rng: RandomStream,
-        solve_probabilities: Optional[Dict[str, float]] = None,
-    ) -> None:
+    def __init__(self, rng: RandomStream, solve_probabilities: Dict[str, float]) -> None:
         super().__init__()
         self.rng = rng
-        self.solve_probabilities = _merged_probabilities(solve_probabilities)
+        self.solve_probabilities = solve_probabilities
 
     def screen(
         self, request: Request, client: ClientProtocol, now: float
@@ -63,18 +50,31 @@ class CaptchaFilter(FilterStage):
         return "captcha-failed"
 
 
+@dataclass
 class CaptchaDefense(Defense):
-    """Factory for :class:`CaptchaFilter` (standalone or pipeline stage)."""
+    """Factory for :class:`CaptchaFilter` (standalone or pipeline stage).
+
+    ``solve_probabilities`` overrides :data:`DEFAULT_SOLVE_PROBABILITIES`
+    per client class; a class in neither always solves.
+    """
 
     name = "captcha"
 
-    def __init__(self, solve_probabilities: Optional[Dict[str, float]] = None) -> None:
-        self.solve_probabilities = solve_probabilities
+    solve_probabilities: Optional[Dict[str, float]] = None
+
+    def __post_init__(self) -> None:
+        for cls, probability in (self.solve_probabilities or {}).items():
+            if not 0.0 <= probability <= 1.0:
+                raise DefenseError(
+                    f"solve_probabilities[{cls!r}] must be in [0, 1], got {probability}"
+                )
 
     def build_filter(self, deployment, shard: int = 0) -> CaptchaFilter:
         return CaptchaFilter(
             rng=deployment.shard_stream("captcha", shard),
-            solve_probabilities=self.solve_probabilities,
+            solve_probabilities={
+                **DEFAULT_SOLVE_PROBABILITIES, **(self.solve_probabilities or {})
+            },
         )
 
     def describe(self) -> str:

@@ -7,11 +7,15 @@ plain ``"none"`` string means the default random drop.
 
 from __future__ import annotations
 
-from repro.core.admission import NoDefenseThinner
+from dataclasses import dataclass
+
+from repro.core.admission import POLICIES, NoDefenseThinner
 from repro.core.thinner import ThinnerBase
 from repro.defenses.base import Defense, registry
+from repro.errors import DefenseError
 
 
+@dataclass
 class NoDefense(Defense):
     """The undefended baseline (the paper's "without speak-up" runs).
 
@@ -21,8 +25,11 @@ class NoDefense(Defense):
 
     name = "none"
 
-    def __init__(self, policy: str = "random") -> None:
-        self.policy = policy
+    policy: str = "random"
+
+    def __post_init__(self) -> None:
+        if self.policy not in POLICIES:
+            raise DefenseError(f"policy must be one of {POLICIES}, got {self.policy!r}")
 
     def build_thinner(self, deployment, shard: int = 0, server=None) -> ThinnerBase:
         return NoDefenseThinner(

@@ -6,10 +6,10 @@ the clients it can identify, while the auction prices whatever slips
 through (§1's taxonomy, §8.1).  :class:`PipelineDefense` makes that layering
 a first-class, declarative policy::
 
-    DefenseSpec("pipeline", kwargs=(("stages", (
-        DefenseSpec("ratelimit", (("allowed_rps", 8.0),)),
-        DefenseSpec("speakup"),
-    )),))
+    DefenseSpec.make("pipeline", stages=(
+        DefenseSpec.make("ratelimit", allowed_rps=8.0),
+        "speakup",
+    ))
 
 or, as CLI/scenario sugar, just ``defense="ratelimit>speakup"``.  Every
 stage but the last must be a screening defense (one that implements
@@ -25,12 +25,13 @@ counts (surfaced per shard as
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import DefenseError
 from repro.core.thinner import ClientProtocol, ThinnerBase
 from repro.defenses.base import Defense, FilterStage, registry
-from repro.defenses.spec import DefenseSpec, normalise_defense
+from repro.defenses.spec import DefenseSpec, nested_defense
 from repro.httpd.messages import Request, RequestState
 
 
@@ -91,37 +92,42 @@ class PipelineThinner:
         return getattr(self.inner, item)
 
 
-StageSpec = Union[str, dict, DefenseSpec]
+#: The stages a pipeline with no ``stages`` setting runs.
+DEFAULT_STAGES = ("ratelimit", "speakup")
 
 
+@dataclass
 class PipelineDefense(Defense):
-    """Compose screening defenses in front of an admission defense."""
+    """Compose screening defenses in front of an admission defense.
+
+    ``stages`` names each stage as a defense name or spec; unset, it is
+    :data:`DEFAULT_STAGES`.
+    """
 
     name = "pipeline"
 
-    def __init__(self, stages: Optional[Sequence[StageSpec]] = None) -> None:
-        if stages is None:
-            stages = (DefenseSpec("ratelimit"), DefenseSpec("speakup"))
-        self.stages: Tuple[DefenseSpec, ...] = tuple(
-            normalise_defense(stage) for stage in stages
-        )
-        if not self.stages:
-            raise DefenseError("a pipeline defense needs at least one stage")
-        for spec in self.stages:
+    stages: Optional[Tuple[Union[str, DefenseSpec], ...]] = None
+
+    def __post_init__(self) -> None:
+        stages = DEFAULT_STAGES if self.stages is None else self.stages
+        if not stages:
+            raise DefenseError("stages must hold at least one stage")
+        built = [nested_defense(stage, f"stages.{index}") for index, stage in enumerate(stages)]
+        for index, (spec, defense) in enumerate(built):
             if spec.name == self.name:
-                raise DefenseError("pipelines do not nest; flatten the stages")
-        self._admission = self.stages[-1].create()
-        # Instantiating the front defenses here makes a non-screening stage
-        # (one that does not override Defense.build_filter) fail at spec
-        # validation time, not mid-deployment-construction.
-        self._front_defenses = [spec.create() for spec in self.stages[:-1]]
-        for front in self._front_defenses:
-            if type(front).build_filter is Defense.build_filter:
                 raise DefenseError(
-                    f"defense {front.name!r} cannot run as a pipeline filter "
+                    f"stages.{index} is a pipeline; pipelines do not nest, so flatten the stages"
+                )
+            # A non-screening front stage (one that does not override
+            # Defense.build_filter) fails here, not mid-deployment.
+            if index < len(built) - 1 and type(defense).build_filter is Defense.build_filter:
+                raise DefenseError(
+                    f"stages.{index} ({spec.name!r}) cannot run as a pipeline filter "
                     f"stage; only screening defenses (ratelimit, profiling, "
                     f"captcha) can front a pipeline"
                 )
+        self.stage_specs: Tuple[DefenseSpec, ...] = tuple(spec for spec, _defense in built)
+        *self._front_defenses, self._admission = [defense for _spec, defense in built]
 
     def build_thinner(self, deployment, shard: int = 0, server=None):
         inner = self._admission.build_thinner(deployment, shard, server=server)
@@ -139,7 +145,7 @@ class PipelineDefense(Defense):
         return self._admission.supports_fault_injection()
 
     def describe(self) -> str:
-        return "pipeline (" + " > ".join(spec.label() for spec in self.stages) + ")"
+        return "pipeline (" + " > ".join(spec.label() for spec in self.stage_specs) + ")"
 
 
 registry.register(PipelineDefense.name, PipelineDefense)

@@ -16,9 +16,10 @@ must have enough currency").
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict
 
-from repro.errors import DefenseError
+from repro.errors import DefenseError, check_positive
 from repro.core.thinner import ClientProtocol, Contender, ThinnerBase
 from repro.defenses.base import Defense, registry
 from repro.httpd.messages import Request
@@ -27,10 +28,8 @@ from repro.httpd.messages import Request
 class ProofOfWorkThinner(ThinnerBase):
     """Admit the contender with the most solved puzzles."""
 
-    def __init__(self, *args, puzzle_cost: float = 1.0, **kwargs) -> None:
+    def __init__(self, *args, puzzle_cost: float, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if puzzle_cost <= 0:
-            raise DefenseError("puzzle_cost must be positive")
         #: Work units per puzzle; higher cost means slower accrual for everyone.
         self.puzzle_cost = puzzle_cost
         self._paying_since: Dict[int, float] = {}
@@ -83,13 +82,16 @@ class ProofOfWorkThinner(ThinnerBase):
         self._admit(winner, price_bytes=price)
 
 
+@dataclass
 class ProofOfWorkDefense(Defense):
     """Factory for :class:`ProofOfWorkThinner`."""
 
     name = "pow"
 
-    def __init__(self, puzzle_cost: float = 1.0) -> None:
-        self.puzzle_cost = puzzle_cost
+    puzzle_cost: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_positive("puzzle_cost", self.puzzle_cost, DefenseError)
 
     def build_thinner(self, deployment, shard: int = 0, server=None) -> ProofOfWorkThinner:
         return ProofOfWorkThinner(

@@ -19,9 +19,11 @@ runs in a :class:`~repro.defenses.base.ScreeningThinner` (FIFO admission).
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.errors import DefenseError
+from repro.errors import DefenseError, check_non_negative, check_positive
 from repro.core.thinner import ClientProtocol
 from repro.defenses.base import Defense, FilterStage, registry
 from repro.defenses.ratelimit import TokenBucket, observed_identity
@@ -33,39 +35,28 @@ class ProfilingFilter(FilterStage):
 
     name = "profiling"
 
-    def __init__(
-        self,
-        baseline_profile: Optional[Dict[str, float]] = None,
-        default_allowed_rps: float = 4.0,
-        learning_period: float = 0.0,
-        slack_factor: float = 1.5,
-    ) -> None:
+    def __init__(self, settings: "ProfilingDefense") -> None:
         super().__init__()
-        if default_allowed_rps <= 0:
-            raise DefenseError("default_allowed_rps must be positive")
-        if slack_factor < 1.0:
-            raise DefenseError("slack_factor must be at least 1.0")
-        self.baseline_profile = dict(baseline_profile or {})
-        self.default_allowed_rps = default_allowed_rps
-        self.learning_period = learning_period
-        self.slack_factor = slack_factor
+        self.settings = settings
         self._observed: Dict[str, int] = {}
         self._buckets: Dict[str, TokenBucket] = {}
 
     def allowed_rate(self, identity: str) -> float:
         """The request rate the profile permits for ``identity``."""
-        if identity in self.baseline_profile:
-            return self.baseline_profile[identity] * self.slack_factor
-        if self.learning_period > 0 and identity in self._observed:
-            learned = self._observed[identity] / self.learning_period
-            return max(learned, 0.1) * self.slack_factor
-        return self.default_allowed_rps
+        settings = self.settings
+        baseline = settings.baseline_profile or {}
+        if identity in baseline:
+            return baseline[identity] * settings.slack_factor
+        if settings.learning_period > 0 and identity in self._observed:
+            learned = self._observed[identity] / settings.learning_period
+            return max(learned, 0.1) * settings.slack_factor
+        return settings.default_allowed_rps
 
     def screen(
         self, request: Request, client: ClientProtocol, now: float
     ) -> Optional[str]:
         identity = observed_identity(request)
-        if now < self.learning_period:
+        if now < self.settings.learning_period:
             # Still learning: count the identity's demand and pass it.
             self._observed[identity] = self._observed.get(identity, 0) + 1
             return None
@@ -80,30 +71,27 @@ class ProfilingFilter(FilterStage):
         return "profile-violation"
 
 
+@dataclass
 class ProfilingDefense(Defense):
     """Factory for :class:`ProfilingFilter` (standalone or pipeline stage)."""
 
     name = "profiling"
 
-    def __init__(
-        self,
-        baseline_profile: Optional[Dict[str, float]] = None,
-        default_allowed_rps: float = 4.0,
-        learning_period: float = 0.0,
-        slack_factor: float = 1.5,
-    ) -> None:
-        self.baseline_profile = baseline_profile
-        self.default_allowed_rps = default_allowed_rps
-        self.learning_period = learning_period
-        self.slack_factor = slack_factor
+    baseline_profile: Optional[Dict[str, float]] = None
+    default_allowed_rps: float = 4.0
+    learning_period: float = 0.0
+    slack_factor: float = 1.5
+
+    def __post_init__(self) -> None:
+        for identity, rate in (self.baseline_profile or {}).items():
+            check_non_negative(f"baseline_profile[{identity!r}]", rate, DefenseError)
+        check_positive("default_allowed_rps", self.default_allowed_rps, DefenseError)
+        check_non_negative("learning_period", self.learning_period, DefenseError)
+        if not 1.0 <= self.slack_factor < math.inf:
+            raise DefenseError(f"slack_factor must be at least 1 and finite, got {self.slack_factor}")
 
     def build_filter(self, deployment, shard: int = 0) -> ProfilingFilter:
-        return ProfilingFilter(
-            baseline_profile=self.baseline_profile,
-            default_allowed_rps=self.default_allowed_rps,
-            learning_period=self.learning_period,
-            slack_factor=self.slack_factor,
-        )
+        return ProfilingFilter(self)
 
     def describe(self) -> str:
         return f"profiling (default {self.default_allowed_rps:g} req/s, slack {self.slack_factor:g}x)"

@@ -18,10 +18,11 @@ contenders before they ever enter the auction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.errors import DefenseError
+from repro.errors import DefenseError, check_positive
 from repro.core.thinner import ClientProtocol
 from repro.defenses.base import Defense, FilterStage, registry
 from repro.httpd.messages import Request
@@ -64,12 +65,10 @@ class RateLimitFilter(FilterStage):
 
     name = "ratelimit"
 
-    def __init__(self, allowed_rps: float = 4.0, burst: Optional[float] = None) -> None:
+    def __init__(self, settings: "RateLimitDefense") -> None:
         super().__init__()
-        if allowed_rps <= 0:
-            raise DefenseError("allowed_rps must be positive")
-        self.allowed_rps = allowed_rps
-        self.burst = burst if burst is not None else max(1.0, allowed_rps)
+        self.allowed_rps = settings.allowed_rps
+        self.burst = max(1.0, settings.allowed_rps) if settings.burst is None else settings.burst
         self._buckets: Dict[str, TokenBucket] = {}
 
     def screen(
@@ -90,17 +89,26 @@ class RateLimitFilter(FilterStage):
         return "rate-limited"
 
 
+@dataclass
 class RateLimitDefense(Defense):
-    """Factory for :class:`RateLimitFilter` (standalone or pipeline stage)."""
+    """Factory for :class:`RateLimitFilter` (standalone or pipeline stage).
+
+    ``burst`` is the bucket size; unset, it is ``max(1, allowed_rps)``.  A
+    request costs one token, so a bucket smaller than one admits nobody.
+    """
 
     name = "ratelimit"
 
-    def __init__(self, allowed_rps: float = 4.0, burst: Optional[float] = None) -> None:
-        self.allowed_rps = allowed_rps
-        self.burst = burst
+    allowed_rps: float = 4.0
+    burst: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        check_positive("allowed_rps", self.allowed_rps, DefenseError)
+        if self.burst is not None and not 1.0 <= self.burst < math.inf:
+            raise DefenseError(f"burst must be at least 1 and finite, got {self.burst}")
 
     def build_filter(self, deployment, shard: int = 0) -> RateLimitFilter:
-        return RateLimitFilter(allowed_rps=self.allowed_rps, burst=self.burst)
+        return RateLimitFilter(self)
 
     def describe(self) -> str:
         return f"rate limit ({self.allowed_rps:g} req/s per address)"

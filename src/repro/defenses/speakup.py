@@ -8,6 +8,7 @@ timeout is :class:`~repro.core.quantum.QuantumAuctionThinner`'s own default.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.auction import VirtualAuctionThinner
@@ -15,12 +16,13 @@ from repro.core.quantum import QuantumAuctionThinner
 from repro.core.retry import RandomDropThinner
 from repro.core.thinner import ThinnerBase
 from repro.defenses.base import Defense, registry
-from repro.errors import DefenseError
+from repro.errors import DefenseError, check_positive
 
 #: The three speak-up encouragement/allocation mechanisms.
 VARIANTS = ("auction", "retry", "quantum")
 
 
+@dataclass
 class SpeakUpDefense(Defense):
     """Bandwidth-as-currency defense; variant selects the mechanism.
 
@@ -30,11 +32,14 @@ class SpeakUpDefense(Defense):
 
     name = "speakup"
 
-    def __init__(self, variant: str = "auction", quantum_seconds: Optional[float] = None) -> None:
-        if variant not in VARIANTS:
-            raise DefenseError(f"unknown speak-up variant {variant!r}; expected one of {VARIANTS}")
-        self.variant = variant
-        self.quantum_seconds = quantum_seconds
+    variant: str = "auction"
+    quantum_seconds: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.variant not in VARIANTS:
+            raise DefenseError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.quantum_seconds is not None:
+            check_positive("quantum_seconds", self.quantum_seconds, DefenseError)
 
     def build_thinner(self, deployment, shard: int = 0, server=None) -> ThinnerBase:
         common = self.thinner_kwargs(deployment, shard, server=server)

@@ -14,10 +14,10 @@ from repro.scenarios.spec import (
     ARRIVAL_KINDS,
     TOPOLOGY_KINDS,
     ArrivalSpec,
+    ConfigOverrides,
     GroupSpec,
     ScenarioSpec,
     TopologySpec,
-    freeze_overrides,
 )
 from repro.scenarios.registry import (
     build_scenario,
@@ -42,10 +42,10 @@ __all__ = [
     "ARRIVAL_KINDS",
     "TOPOLOGY_KINDS",
     "ArrivalSpec",
+    "ConfigOverrides",
     "GroupSpec",
     "ScenarioSpec",
     "TopologySpec",
-    "freeze_overrides",
     "build_scenario",
     "register",
     "scenario_description",

@@ -46,7 +46,6 @@ from repro.scenarios.spec import (
     GroupSpec,
     ScenarioSpec,
     TopologySpec,
-    freeze_overrides,
 )
 
 _REGISTRY: Dict[str, Callable[..., ScenarioSpec]] = {}
@@ -236,7 +235,6 @@ def lan_baseline(
     duration: float = 60.0,
     seed: int = 0,
     encouragement_delay: float = 0.0,
-    config_overrides: Optional[dict] = None,
 ) -> ScenarioSpec:
     """Good and bad clients on one LAN (the §7.2-§7.4 workhorse)."""
     groups = _group(
@@ -261,7 +259,6 @@ def lan_baseline(
         duration=duration,
         seed=seed,
         encouragement_delay=encouragement_delay,
-        config_overrides=freeze_overrides(config_overrides or {}),
     )
 
 

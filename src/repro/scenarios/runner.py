@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import codec
-from repro.errors import DefenseError, ExperimentError
+from repro.errors import ExperimentError
 from repro.metrics.collector import RunResult
 from repro.rng import derive_seed
 from repro.scenarios.spec import ScenarioSpec
@@ -345,10 +345,10 @@ def load_results(path: str) -> List[SweepRecord]:
 def decode_record(entry: Dict[str, Any], where: str) -> SweepRecord:
     """One stored record as a :class:`SweepRecord`; a failure says ``where``.
 
-    The codec and :class:`~repro.defenses.spec.DefenseSpec` name the class
-    and key that failed; this adds the file and the record's place in it.
+    The codec names the class and key that failed, a defense setting's
+    included; this adds the file and the record's place in it.
     """
     try:
         return SweepRecord.from_dict(entry)
-    except (DefenseError, ExperimentError) as error:
+    except ExperimentError as error:
         raise ExperimentError(f"{where} is malformed: {error}") from None

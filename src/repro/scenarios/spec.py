@@ -2,10 +2,10 @@
 
 A :class:`ScenarioSpec` captures everything a run needs — topology, client
 population, defense, deployment knobs, duration, and seed — as plain frozen
-dataclasses, so a scenario can be hashed, pickled to a worker process,
-written to a results file, and rebuilt from JSON bit-for-bit.  ``build()``
-turns the spec into a ready :class:`~repro.core.frontend.Deployment`;
-``run()`` executes it and returns the :class:`~repro.metrics.collector.RunResult`.
+dataclasses, so a scenario can be pickled to a worker process, written to a
+results file, and rebuilt from JSON bit-for-bit.  ``build()`` turns the spec
+into a ready :class:`~repro.core.frontend.Deployment`; ``run()`` executes it
+and returns the :class:`~repro.metrics.collector.RunResult`.
 
 Non-steady demand (flash crowds, pulsed attackers, diurnal load) is part of
 the data model too: each client group carries an :class:`ArrivalSpec` whose
@@ -281,13 +281,29 @@ class TopologySpec:
 
 
 @dataclass(frozen=True)
+class ConfigOverrides:
+    """The :class:`DeploymentConfig` settings a scenario has no field for.
+
+    The scenario's own fields set every other deployment setting.  An unset
+    override keeps the deployment's default and is not written, so an empty
+    one writes ``{}``.
+    """
+
+    #: Bound on concurrent contenders (connection descriptors, §6).
+    max_contenders: Optional[int] = field(default=None, metadata=codec.OMIT_DEFAULT)
+
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
+
+
+@dataclass(frozen=True)
 class ScenarioSpec:
     """A complete, runnable description of one simulation run.
 
-    ``config_overrides`` holds extra :class:`DeploymentConfig` keyword
-    arguments as a sorted tuple of (name, value) pairs, which keeps the spec
-    hashable; :meth:`to_dict` writes it as an object and :meth:`from_dict`
-    accepts either that or the pair form.
+    Every field, ``defense`` and its settings and ``config_overrides``
+    included, is read and written by :mod:`repro.codec`.  The spec is
+    hashable unless its defense holds a dict-valued setting (see
+    :class:`~repro.defenses.spec.DefenseSpec`).
     """
 
     name: str = "scenario"
@@ -297,8 +313,8 @@ class ScenarioSpec:
     #: Admission policy: a :class:`~repro.defenses.spec.DefenseSpec`, or a
     #: string (``"speakup"``, ``"retry"``, ``"quantum"``, ``"none"``, any
     #: registered defense, or the ``"filter>admission"`` pipeline
-    #: shorthand).  A spec is sweepable down to individual factory kwargs —
-    #: ``"defense.check_interval"`` replaces one kwarg, ``"defense.name"``
+    #: shorthand).  A spec is sweepable down to individual settings —
+    #: ``"defense.check_interval"`` replaces one setting, ``"defense.name"``
     #: swaps the defense.
     defense: Union[str, DefenseSpec] = "speakup"
     duration: float = 60.0
@@ -335,17 +351,19 @@ class ScenarioSpec:
     #: bounds the measurement footprint to O(buckets + reservoir) — the
     #: regime for >=500k-client runs.  Sweepable (``"telemetry.reservoir"``).
     telemetry: Optional[TelemetrySpec] = field(default=None, metadata=codec.OMIT_DEFAULT)
-    config_overrides: Tuple[Tuple[str, Any], ...] = ()
+    #: Deployment settings the scenario has no field for
+    #: (``"config_overrides.max_contenders"``).
+    config_overrides: ConfigOverrides = field(default_factory=ConfigOverrides)
 
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> None:
         """Raise :class:`~repro.errors.ExperimentError` if the spec cannot build.
 
-        The scenario checks what only it owns — topology, groups, duration,
-        retry policy and ``config_overrides`` keys — and hands every
-        deployment setting to :meth:`DeploymentConfig.validate`, the same
-        check :class:`~repro.core.frontend.Deployment` runs.
+        The scenario checks what only it owns — topology, groups, duration
+        and retry policy — and hands every deployment setting, the defense's
+        included, to :meth:`DeploymentConfig.validate`, the same check
+        :class:`~repro.core.frontend.Deployment` runs.
         """
         self._validate_scenario()
         self.deployment_config().validate()
@@ -364,19 +382,6 @@ class ScenarioSpec:
                 self.retry_policy.validate()
             except ClientError as error:
                 raise ExperimentError(str(error)) from None
-        config_fields = {item.name for item in fields(DeploymentConfig)}
-        spec_owned = self._spec_config()
-        for key, _value in self.config_overrides:
-            if key not in config_fields:
-                raise ExperimentError(
-                    f"unknown config_overrides key {key!r} "
-                    f"(not a DeploymentConfig field)"
-                )
-            if key in spec_owned:
-                raise ExperimentError(
-                    f"config_overrides key {key!r} is set by the scenario itself; "
-                    f"use the scenario's own field instead"
-                )
         if self.total_clients() == 0 and self.topology.kind != "dumbbell":
             raise ExperimentError("scenario needs at least one client")
         if self.topology.kind != "lan" and any(g.extra_delay_s for g in self.groups):
@@ -426,13 +431,14 @@ class ScenarioSpec:
 
     # -- building and running ------------------------------------------------------
 
-    def _spec_config(self) -> Dict[str, Any]:
-        """The :class:`DeploymentConfig` fields the scenario sets itself."""
-        return dict(
+    def deployment_config(self) -> DeploymentConfig:
+        """The :class:`DeploymentConfig` this scenario deploys."""
+        return DeploymentConfig(
             server_capacity_rps=self.capacity_rps,
             defense=self.defense,
             seed=self.seed,
             encouragement_delay=self.encouragement_delay,
+            max_contenders=self.config_overrides.max_contenders,
             thinner_shards=self.thinner_shards,
             shard_policy=self.shard_policy,
             admission_mode=self.admission_mode,
@@ -440,9 +446,6 @@ class ScenarioSpec:
             health_probe=self.health_probe,
             telemetry=self.telemetry,
         )
-
-    def deployment_config(self) -> DeploymentConfig:
-        return DeploymentConfig(**self._spec_config(), **dict(self.config_overrides))
 
     def build(self) -> Deployment:
         """Materialise the scenario: topology, deployment, and population.
@@ -570,52 +573,10 @@ class ScenarioSpec:
         gc.collect()
         return result
 
-    # -- serialisation ---------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The codec's dictionary, with ``config_overrides`` as an object."""
-        return {**codec.to_dict(self), "config_overrides": dict(self.config_overrides)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        """Read a spec back through the codec, freezing ``config_overrides``."""
-        if not (isinstance(data, dict) and "config_overrides" in data):
-            return codec.from_dict(cls, data)
-        payload = dict(data)
-        overrides = freeze_overrides(payload.pop("config_overrides"))
-        return replace(codec.from_dict(cls, payload), config_overrides=overrides)
-
+    to_dict = codec.to_dict
+    from_dict = classmethod(codec.from_dict)
     to_json = codec.to_json
     from_json = classmethod(codec.from_json)
-
-
-def freeze_overrides(overrides: Any) -> Tuple[Tuple[str, Any], ...]:
-    """Normalise config overrides (mapping or pair sequence) to a sorted tuple."""
-    if overrides is None:
-        return ()
-    if isinstance(overrides, dict):
-        pairs = [tuple(pair) for pair in overrides.items()]
-    else:
-        if isinstance(overrides, str) or not hasattr(overrides, "__iter__"):
-            raise ExperimentError(
-                f"config_overrides must be a mapping or (name, value) pairs, "
-                f"got {overrides!r}"
-            )
-        pairs = []
-        for entry in overrides:
-            if isinstance(entry, str) or not hasattr(entry, "__iter__"):
-                raise ExperimentError(
-                    f"config_overrides entries must be (name, value) pairs, "
-                    f"got {entry!r}"
-                )
-            pair = tuple(entry)
-            if len(pair) != 2:
-                raise ExperimentError(
-                    f"config_overrides entries must be (name, value) pairs, "
-                    f"got {entry!r}"
-                )
-            pairs.append(pair)
-    return tuple(sorted((str(key), value) for key, value in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +588,9 @@ def _replace_path(obj: Any, parts: Sequence[str], value: Any, full_path: str) ->
     head, rest = parts[0], parts[1:]
     if isinstance(obj, DefenseSpec):
         # Path components below a spec-valued ``defense`` address the
-        # defense's factory kwargs (``defense.check_interval``), so sweeps can
-        # grid over defense parameters; ``defense.name`` swaps the defense
-        # itself (clearing the kwargs, which belong to the old one).
+        # defense's settings (``defense.check_interval``), so sweeps can grid
+        # over them; ``defense.name`` swaps the defense itself (clearing the
+        # settings, which belong to the old one).
         if rest:
             raise ExperimentError(
                 f"defense spec paths go at most one level deep in {full_path!r}"

@@ -182,8 +182,8 @@ def test_campaign_cli_run_kill_resume_merge(tmp_path, capsys):
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"bogus": 1}, "unknown config_overrides key 'bogus'"),
-        ({"seed": 5}, "config_overrides key 'seed' is set by the scenario itself"),
+        ({"bogus": 1}, "unknown ConfigOverrides keys: ['bogus']"),
+        ({"seed": 5}, "unknown ConfigOverrides keys: ['seed']"),
     ],
     ids=["unknown", "spec-owned"],
 )
@@ -313,10 +313,12 @@ def test_a_non_finite_duration_exits_2_and_writes_nothing(value, tmp_path, capsy
         ("fleet-failover", ["fault_plan.sample_interval_s=nan"], "fault_plan.sample_interval_s"),
         ("fleet-brownout", ["health_probe=true", "health_probe.interval_s=nan"],
          "health_probe.interval_s"),
+        ("adaptive-pulse", ["defense.check_interval=nan"], "defense.check_interval"),
+        ("layered-lan", ["allowed_rps=nan"], "defense.stages.0.allowed_rps"),
     ],
     ids=["period-nan", "period-inf", "start-nan", "start-inf", "ramp-nan", "bucket-nan",
          "bucket-inf", "repin-nan", "repin-inf", "event-at-nan", "sample-nan",
-         "probe-interval-nan"],
+         "probe-interval-nan", "check-interval-nan", "allowed-rps-nan"],
 )
 def test_a_non_finite_sub_spec_value_exits_2_and_writes_nothing(
     scenario, args, path, tmp_path, capsys

@@ -1,5 +1,8 @@
 """Tests for the DefenseSpec data model, normalisation, and the registry."""
 
+import math
+import typing
+
 import pytest
 
 from repro.constants import MBIT
@@ -18,9 +21,13 @@ from repro.simnet.topology import build_lan, uniform_bandwidths
 
 def test_spec_make_freezes_and_sorts_kwargs():
     spec = DefenseSpec.make("ratelimit", burst=2.0, allowed_rps=8.0)
-    assert spec.kwargs == (("allowed_rps", 8.0), ("burst", 2.0))
-    assert spec.kwargs_dict() == {"allowed_rps": 8.0, "burst": 2.0}
+    assert spec.kwargs == {"allowed_rps": 8.0, "burst": 2.0}
+    assert list(spec.kwargs) == ["allowed_rps", "burst"]
+    assert spec == DefenseSpec("ratelimit", (("burst", 2.0), ("allowed_rps", 8.0)))
     assert hash(spec) == hash(DefenseSpec.make("ratelimit", allowed_rps=8.0, burst=2.0))
+    # A dict-valued setting is held as read, so that spec is not hashable.
+    with pytest.raises(TypeError):
+        hash(DefenseSpec.make("captcha", solve_probabilities={"good": 0.9}))
 
 
 def test_spec_json_round_trip_plain_and_nested():
@@ -40,19 +47,32 @@ def test_spec_json_round_trip_plain_and_nested():
     )
     rebuilt = DefenseSpec.from_json(composite.to_json())
     assert rebuilt == composite
-    # The dict-valued kwarg survives the freeze/thaw round trip as a dict.
-    inner = rebuilt.kwargs_dict()["inner"]
-    captcha = inner.kwargs_dict()["stages"][0]
-    assert captcha.kwargs_dict() == {"solve_probabilities": {"good": 0.9}}
+    # Each setting reads back as its field's type: a spec, a tuple, a dict.
+    inner = rebuilt.kwargs["inner"]
+    captcha = inner.kwargs["stages"][0]
+    assert captcha.kwargs == {"solve_probabilities": {"good": 0.9}}
+    assert composite.to_dict() == {
+        "name": "adaptive",
+        "kwargs": {
+            "check_interval": 0.5,
+            "inner": {
+                "name": "pipeline",
+                "kwargs": {"stages": [
+                    {"name": "captcha", "kwargs": {"solve_probabilities": {"good": 0.9}}},
+                    {"name": "speakup", "kwargs": {}},
+                ]},
+            },
+        },
+    }
 
 
 def test_spec_with_kwarg_replaces_and_adds():
     spec = DefenseSpec.make("adaptive", check_interval=1.0)
     updated = spec.with_kwarg("check_interval", 0.25)
-    assert updated.kwargs_dict()["check_interval"] == 0.25
+    assert updated.kwargs["check_interval"] == 0.25
     added = updated.with_kwarg("engage_threshold", 0.8)
-    assert added.kwargs_dict()["engage_threshold"] == 0.8
-    assert spec.kwargs_dict()["check_interval"] == 1.0  # original untouched
+    assert added.kwargs["engage_threshold"] == 0.8
+    assert spec.kwargs["check_interval"] == 1.0  # original untouched
 
 
 def test_spec_labels():
@@ -73,11 +93,11 @@ def test_config_defense_label_accepts_spec_shaped_dicts():
 
 
 def test_spec_from_dict_rejects_malformed_documents():
-    with pytest.raises(DefenseError):
+    with pytest.raises(ExperimentError, match="missing the required key 'name'"):
         DefenseSpec.from_dict({"kwargs": {}})
-    with pytest.raises(DefenseError):
+    with pytest.raises(ExperimentError, match="'bogus'"):
         DefenseSpec.from_dict({"name": "speakup", "bogus": 1})
-    with pytest.raises(DefenseError):
+    with pytest.raises(ExperimentError, match="DefenseSpec.kwargs"):
         DefenseSpec.from_dict({"name": "speakup", "kwargs": [1, 2]})
 
 
@@ -102,7 +122,7 @@ def test_normalise_legacy_aliases():
 def test_normalise_pipeline_shorthand():
     spec = normalise_defense("ratelimit>speakup")
     assert spec.name == "pipeline"
-    assert spec.kwargs_dict()["stages"] == (
+    assert spec.kwargs["stages"] == (
         DefenseSpec("ratelimit"),
         DefenseSpec("speakup"),
     )
@@ -137,15 +157,15 @@ def test_registry_duplicate_register_rejected():
 
 def test_registry_unknown_name_error_is_one_line_with_suggestion():
     with pytest.raises(DefenseError, match="expected one of") as excinfo:
-        registry.create("ratelimitt")
+        registry.lookup("ratelimitt")
     message = str(excinfo.value)
     assert "did you mean 'ratelimit'" in message
     assert "\n" not in message
 
 
 def test_registry_unknown_kwarg_error_suggests_parameter():
-    with pytest.raises(DefenseError, match="unknown parameter") as excinfo:
-        registry.create("ratelimit", allowed_rpss=4.0)
+    with pytest.raises(ExperimentError, match="unknown parameter") as excinfo:
+        DefenseSpec.make("ratelimit", allowed_rpss=4.0)
     message = str(excinfo.value)
     assert "expected one of" in message
     assert "did you mean 'allowed_rps'" in message
@@ -164,6 +184,7 @@ def test_registry_contains_and_iter_are_sorted():
 
 
 def test_registry_parameters_reports_factory_signature():
+    """The (setting, default) pairs are the defense dataclass's fields."""
     parameters = dict(registry.parameters("ratelimit"))
     assert parameters == {"allowed_rps": 4.0, "burst": None}
     with pytest.raises(DefenseError):
@@ -173,7 +194,7 @@ def test_registry_parameters_reports_factory_signature():
 @pytest.mark.parametrize("name", registry.names())
 def test_every_registered_defense_describes_and_builds(name):
     """Each defense has a real describe() and builds on a minimal deployment."""
-    defense = registry.create(name)
+    defense = DefenseSpec(name).create()
     description = defense.describe()
     assert description and description != Defense().describe()
 
@@ -265,10 +286,39 @@ def test_scenario_defense_spec_validation():
 def test_scenario_sweeps_defense_spec_kwargs():
     base = _spec_with_defense(DefenseSpec.make("adaptive", check_interval=1.0))
     updated = base.with_value("defense.check_interval", 0.25)
-    assert updated.defense.kwargs_dict()["check_interval"] == 0.25
+    assert updated.defense.kwargs["check_interval"] == 0.25
     swapped = base.with_value("defense.name", "speakup")
     assert swapped.defense == DefenseSpec("speakup")
     with pytest.raises(ExperimentError, match="one level"):
         base.with_value("defense.inner.variant", "retry")
     with pytest.raises(ExperimentError, match="cannot descend into the plain value"):
         _spec_with_defense("speakup").with_value("defense.check_interval", 1.0)
+
+
+#: Every (defense, setting) pair the registry lists.
+SETTINGS = [
+    (name, setting) for name in registry.names() for setting, _default in registry.parameters(name)
+]
+
+
+@pytest.mark.parametrize("name, setting", SETTINGS, ids=[f"{n}.{s}" for n, s in SETTINGS])
+def test_every_defense_setting_is_read_and_range_checked(name, setting):
+    """A wrong-typed setting fails when the spec is read, from JSON or from a
+    sweep update, and a NaN float setting fails ``validate()``: one line
+    naming the setting either way, never a late failure in build() or a run
+    that reports nonsense."""
+    spec = _spec_with_defense(DefenseSpec(name))
+    document = spec.to_dict()
+    document["defense"]["kwargs"][setting] = True
+    with pytest.raises(ExperimentError, match=setting) as excinfo:
+        ScenarioSpec.from_dict(document)
+    assert "\n" not in str(excinfo.value)
+    with pytest.raises(ExperimentError, match=setting) as excinfo:
+        spec.with_value(f"defense.{setting}", True)
+    assert "\n" not in str(excinfo.value)
+
+    if typing.get_type_hints(registry.lookup(name))[setting] in (float, typing.Optional[float]):
+        nan_spec = spec.with_value(f"defense.{setting}", math.nan)
+        with pytest.raises(ExperimentError, match=rf"^defense\.{setting} .*nan") as excinfo:
+            nan_spec.validate()
+        assert "\n" not in str(excinfo.value)

@@ -24,7 +24,7 @@ from repro.defenses.pow import ProofOfWorkDefense
 from repro.defenses.profiling import ProfilingDefense
 from repro.defenses.ratelimit import RateLimitDefense, TokenBucket
 from repro.defenses.speakup import SpeakUpDefense
-from repro.errors import DefenseError
+from repro.errors import DefenseError, ExperimentError
 from repro.scenarios.registry import build_scenario
 from repro.simnet.topology import build_lan, uniform_bandwidths
 
@@ -57,9 +57,9 @@ def run_with_defense(defense, good=2, bad=2, capacity=8.0, duration=10.0, seed=0
 def test_registry_knows_all_defenses():
     for name in ("none", "speakup", "ratelimit", "profiling", "pow", "captcha"):
         assert name in registry
-    assert isinstance(registry.create("speakup"), SpeakUpDefense)
+    assert registry.lookup("speakup") is SpeakUpDefense
     with pytest.raises(DefenseError):
-        registry.create("unknown-defense")
+        registry.lookup("unknown-defense")
     with pytest.raises(DefenseError):
         registry.register("none", NoDefense)
 
@@ -161,7 +161,9 @@ def test_captcha_blocks_most_bots_but_also_good_bots():
 
 
 def test_captcha_probability_validation():
-    with pytest.raises(DefenseError):
+    # The range check is the defense's own, so the deployment's validate()
+    # refuses the setting before anything is built.
+    with pytest.raises(ExperimentError, match=r"solve_probabilities\['good'\]"):
         run_with_defense(
             DefenseSpec.make("captcha", solve_probabilities={"good": 1.5}), duration=1.0
         )

@@ -24,11 +24,15 @@ def test_config_validation():
         DeploymentConfig(server_capacity_rps=0).validate()
     with pytest.raises(ExperimentError):
         DeploymentConfig(defense="bogus").validate()
-    with pytest.raises(ExperimentError):
-        DeploymentConfig(max_contenders=0).validate()
+    # A hand-built config refuses every max_contenders a scenario cannot
+    # read: not a positive int (a bool is not a count).
+    for contenders in (0, -3, math.nan, math.inf, 0.5, True, "3"):
+        with pytest.raises(ExperimentError, match="max_contenders must be a positive int"):
+            DeploymentConfig(max_contenders=contenders).validate()
     with pytest.raises(ExperimentError):
         DeploymentConfig(encouragement_delay=-1).validate()
     DeploymentConfig().validate()
+    DeploymentConfig(max_contenders=3).validate()
 
 
 @pytest.mark.parametrize(

@@ -16,15 +16,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.defenses import DefenseSpec
 from repro.errors import ExperimentError, ReproError
 from repro.faults.spec import kill_heal_pulse
 from repro.scenarios import (
     ArrivalSpec,
+    ConfigOverrides,
     GroupSpec,
     ScenarioSpec,
     TopologySpec,
     build_scenario,
-    freeze_overrides,
     scenario_description,
     scenario_names,
 )
@@ -118,7 +119,7 @@ def test_spec_json_round_trip():
         defense="retry",
         duration=30.0,
         seed=11,
-        config_overrides=(("max_contenders", 8),),
+        config_overrides=ConfigOverrides(max_contenders=8),
     )
     assert ScenarioSpec.from_json(spec.to_json()) == spec
 
@@ -178,8 +179,11 @@ def test_spec_from_dict_accepts_mapping_overrides():
         "groups": [{"count": 1}],
         "config_overrides": {"max_contenders": 8},
     })
-    assert spec.config_overrides == (("max_contenders", 8),)
+    assert spec.config_overrides == ConfigOverrides(max_contenders=8)
     assert spec.groups[0] == GroupSpec(count=1)
+    # An override left unset is not written; none at all writes {}.
+    assert spec.to_dict()["config_overrides"] == {"max_contenders": 8}
+    assert ScenarioSpec(groups=(GroupSpec(count=1),)).to_dict()["config_overrides"] == {}
 
 
 @pytest.mark.parametrize(
@@ -203,6 +207,7 @@ def _populated_spec_document():
     from repro.clients.base import RetryPolicy
     from repro.core.fleet import HealthProbeSpec
     from repro.core.routing import RouterSpec
+    from repro.defenses import normalise_defense
     from repro.faults.spec import FaultEvent, FaultPlan
     from repro.telemetry.spec import TelemetrySpec
 
@@ -215,6 +220,7 @@ def _populated_spec_document():
                 retry_policy=RetryPolicy.naive(),
             ),
         ),
+        defense=DefenseSpec.make("adaptive", inner=normalise_defense("ratelimit>speakup")),
         thinner_shards=2,
         shard_policy=RouterSpec(name="power-of-two"),
         fault_plan=FaultPlan(
@@ -223,8 +229,14 @@ def _populated_spec_document():
         retry_policy=RetryPolicy.budgeted(),
         health_probe=HealthProbeSpec(),
         telemetry=TelemetrySpec(),
+        config_overrides=ConfigOverrides(max_contenders=8),
     )
     return json.loads(spec.to_json())
+
+
+#: The settings of the first pipeline stage inside the populated document's
+#: adaptive defense.
+_STAGE = "defense.kwargs.inner.kwargs.stages.0.kwargs"
 
 
 @pytest.mark.parametrize(
@@ -241,12 +253,28 @@ def _populated_spec_document():
         ("fault_plan.events.0", "bogus", 1, ("FaultEvent", "'bogus'")),
         ("", "capacity_rps", "fast", ("ScenarioSpec.capacity_rps", "'fast'")),
         ("groups.0", "count", "ten", ("GroupSpec.count", "'ten'")),
+        ("groups.0", "rate_rps", "x", ("GroupSpec.rate_rps: expected float or None", "'x'")),
+        ("", "shard_policy", 5, ("ScenarioSpec.shard_policy: expected str or RouterSpec", "5")),
+        ("config_overrides", "max_contenders", 0.5,
+         ("ConfigOverrides.max_contenders: expected int or None", "0.5")),
+        ("config_overrides", "max_contenders", math.nan, ("ConfigOverrides.max_contenders",)),
+        ("config_overrides", "max_contenders", True, ("ConfigOverrides.max_contenders",)),
+        ("config_overrides", "max_contenders", "3", ("ConfigOverrides.max_contenders",)),
+        ("config_overrides", "seed", 5, ("ConfigOverrides", "'seed'")),
+        ("", "config_overrides", [["max_contenders", 8]], ("ScenarioSpec.config_overrides",)),
+        ("", "config_overrides", "foo", ("ScenarioSpec.config_overrides",)),
+        (_STAGE, "bogus", 1, ("unknown parameter 'bogus' for defense 'ratelimit'",)),
+        (_STAGE, "allowed_rps", "fast", ("RateLimitDefense.allowed_rps", "'fast'")),
+        (_STAGE, "burst", "x", ("RateLimitDefense.burst: expected float or None", "'x'")),
+        ("defense.kwargs.inner.kwargs", "stages", "ratelimit",
+         ("PipelineDefense.stages", "'ratelimit'")),
     ],
 )
 def test_a_mistyped_spec_key_fails_with_one_line_at_any_depth(path, key, value, needles):
     """An unknown key in any nested object, or a wrong-typed scalar, is one
     ExperimentError line naming the class and the key, never a TypeError or
-    a silently dropped setting."""
+    a silently dropped setting.  Defense settings, a pipeline stage's inside
+    an adaptive defense included, are read by their defense's fields."""
     document = _populated_spec_document()
     target = document
     for part in filter(None, path.split(".")):
@@ -263,23 +291,25 @@ def test_a_mistyped_spec_key_fails_with_one_line_at_any_depth(path, key, value, 
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"vectorized": False}, "unknown config_overrides key 'vectorized'"),
-        ({"bogus": 1}, "unknown config_overrides key 'bogus'"),
-        ({"seed": 5}, "config_overrides key 'seed' is set by the scenario itself"),
-        ({"thinner_shards": 2}, "'thinner_shards' is set by the scenario itself"),
+        ({"vectorized": False}, r"unknown ConfigOverrides keys: \['vectorized'\]"),
+        ({"bogus": 1}, r"unknown ConfigOverrides keys: \['bogus'\]"),
+        ({"seed": 5}, r"unknown ConfigOverrides keys: \['seed'\]"),
+        ({"thinner_shards": 2}, r"unknown ConfigOverrides keys: \['thinner_shards'\]"),
     ],
     ids=["vectorized", "bogus", "seed", "thinner_shards"],
 )
 def test_bad_config_overrides_fail_with_one_clear_error(overrides, message):
     """An override that is not a DeploymentConfig field, or one the spec
-    already sets itself, is a config error naming the key, not a TypeError."""
-    spec = ScenarioSpec.from_dict({
-        "groups": [{"count": 1}],
-        "duration": 1.0,
-        "config_overrides": overrides,
-    })
-    with pytest.raises(ExperimentError, match=message):
-        spec.build()
+    already sets itself, fails to read with one line naming the key and the
+    one field an override can set, not a TypeError."""
+    with pytest.raises(ExperimentError, match=message) as excinfo:
+        ScenarioSpec.from_dict({
+            "groups": [{"count": 1}],
+            "duration": 1.0,
+            "config_overrides": overrides,
+        })
+    assert "\n" not in str(excinfo.value)
+    assert "known fields: max_contenders" in str(excinfo.value)
 
 
 def test_spec_validation_rejects_nonsense():
@@ -317,13 +347,40 @@ def test_spec_validation_rejects_nonsense():
             ),
             "fault injection",
         ),
-        (dict(config_overrides=freeze_overrides({"max_contenders": 0})), "max_contenders"),
+        (dict(config_overrides=ConfigOverrides(max_contenders=0)), "max_contenders"),
+        (dict(defense=DefenseSpec.make("ratelimit", burst=-1.0)),
+         r"^defense\.burst must be at least 1 and finite, got -1.0$"),
+        (dict(defense=DefenseSpec.make("ratelimit", burst=0.5)), r"^defense\.burst must be at least 1"),
+        (dict(defense=DefenseSpec.make("pow", puzzle_cost=math.inf)),
+         r"^defense\.puzzle_cost must be positive and finite, got inf$"),
+        (dict(defense=DefenseSpec.make("profiling", learning_period=-5.0)),
+         r"^defense\.learning_period must be non-negative"),
+        (dict(defense=DefenseSpec.make("profiling", baseline_profile={"client-000": math.nan})),
+         r"^defense\.baseline_profile\['client-000'\] must be non-negative and finite, got nan$"),
+        (dict(defense=DefenseSpec.make("captcha", solve_probabilities={"bad": math.nan})),
+         r"^defense\.solve_probabilities\['bad'\] must be in \[0, 1\], got nan$"),
+        (dict(defense=DefenseSpec.make("none", policy="bogus")), r"^defense\.policy must be one of"),
+        (dict(defense=DefenseSpec.make("speakup", variant="bogus")),
+         r"^defense\.variant must be one of"),
+        (dict(defense=DefenseSpec.make("adaptive", check_interval=math.inf)),
+         r"^defense\.check_interval must be positive and finite, got inf$"),
+        (dict(defense=DefenseSpec.make("adaptive", inner=DefenseSpec.make("pipeline", stages=(
+            DefenseSpec.make("ratelimit", allowed_rps=math.nan), "speakup")))),
+         r"^defense\.inner\.stages\.0\.allowed_rps must be positive and finite, got nan$"),
+        (dict(defense=DefenseSpec.make("pipeline", stages=("ratelimit", "bogus"))),
+         r"^defense\.stages\.1: unknown defense 'bogus'"),
+        (dict(defense=DefenseSpec("firewall")), r"^defense: unknown defense 'firewall'"),
     ],
-    ids=["quantum-pooled", "quantum-faults", "max-contenders"],
+    ids=["quantum-pooled", "quantum-faults", "max-contenders", "burst-negative",
+         "burst-below-one", "puzzle-inf", "learning-negative", "profile-nan",
+         "probability-nan", "policy", "variant", "interval-inf", "nested-stage-nan",
+         "nested-unknown", "unknown-defense"],
 )
 def test_validate_rejects_every_deployment_setting_build_rejects(changes, message):
     """validate() runs the deployment's own checks, so a spec that passes it
-    cannot fail in build() on a deployment setting."""
+    cannot fail in build() on a deployment setting.  A defense setting's
+    range check is the defense's own, and its line names the setting's path
+    from the scenario's ``defense`` field."""
     spec = replace(build_scenario("fleet-lan", thinner_shards=2, duration=2.0), **changes)
     with pytest.raises(ExperimentError, match=message):
         spec.validate()
@@ -560,14 +617,3 @@ def test_flash_crowd_good_demand_is_back_loaded():
                             capacity_rps=10.0, duration=12.0).run()
     # Before the flash no good requests exist, so issuance is well below steady.
     assert 0 < flash.good.issued < 0.7 * steady.good.issued
-
-
-def test_freeze_overrides_rejects_malformed_input():
-    from repro.scenarios import freeze_overrides
-
-    assert freeze_overrides(None) == ()
-    assert freeze_overrides({"b": 2, "a": 1}) == (("a", 1), ("b", 2))
-    assert freeze_overrides([("a", 1)]) == (("a", 1),)
-    for bad in ("foo", 7, ["ab"], [("a", 1, 2)], [3]):
-        with pytest.raises(ExperimentError):
-            freeze_overrides(bad)

@@ -227,7 +227,7 @@ def test_a_malformed_defense_in_a_stored_record_names_the_results_file(tmp_path)
     document = json.loads(path.read_text())
     document["records"][0]["spec"]["defense"] = {"name": "speakup", "extra": 1}
     path.write_text(json.dumps(document))
-    with pytest.raises(ExperimentError, match="unexpected defense spec keys") as excinfo:
+    with pytest.raises(ExperimentError, match=r"unknown DefenseSpec keys: \['extra'\]") as excinfo:
         load_results(str(path))
     assert f"record 0 of results file {str(path)!r}" in str(excinfo.value)
 
