@@ -24,7 +24,6 @@ by a mid-write crash, and re-executes exactly the points that are absent.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -468,6 +467,10 @@ class CampaignRunner:
             for worker in worker_ids:
                 _worker_main(directory, worker)
             return campaign_status(directory)
+        # Imported here, as in :class:`repro.scenarios.runner.SweepRunner`:
+        # only the worker processes need it.
+        import multiprocessing
+
         context = multiprocessing.get_context()
         pending = list(worker_ids)
         running: List[Tuple[int, Any]] = []

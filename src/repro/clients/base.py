@@ -28,22 +28,26 @@ bit-identical under a fixed seed.  The one exception is a *callable*
 arrival time, so those clients keep the legacy per-event path.
 
 Footprint: an idle client costs only its identity.  Clients and their stats
-use ``__slots__``.  The backlog, the pending arrivals and the three sample
-lists are the shared empty tuple, and the channel and upload maps a shared
-empty mapping, until their first write; the upload map goes back to the
-shared empty when a shard kill clears it, and the pending arrivals whenever
-the last one is taken.  The retry dicts exist only under a
-:class:`RetryPolicy`.  The client's own Mersenne Twister (about 2.9 KB),
-which every pinned output depends on, is resident only while the client has
-draws left in the run: a refill whose next successor lies past the run
-horizon parks the stream, and the next draw replays it exactly.
+use ``__slots__``.  Every client starts on one shared idle
+:class:`ClientStats` and gets its own at its first arrival, which comes
+before any other stats write.  The backlog, the pending arrivals and the
+three sample lists are the shared empty tuple, and the channel and upload
+maps a shared empty mapping, until their first write; the upload map goes
+back to the shared empty when a shard kill clears it, and the pending
+arrivals whenever the last one is taken.  The retry state is one slot,
+``None`` unless the client has a :class:`RetryPolicy`.  The client's random
+stream is its own and not registered with the deployment's stream factory.
+Its Mersenne Twister (about 2.9 KB), which every pinned output depends on,
+is resident only while the client has draws left in the run: a refill whose
+next successor lies past the run horizon parks the stream, and the next
+draw replays it exactly.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -53,6 +57,7 @@ from repro.errors import ClientError, check_non_negative
 from repro.core.frontend import Deployment
 from repro.core.payment import PaymentChannel
 from repro.httpd.messages import Request, RequestState, Response, new_request
+from repro.rng import RandomStream
 from repro.simnet.host import Host
 
 #: A request difficulty is either a constant or a draw from the client's RNG.
@@ -201,6 +206,37 @@ class ClientStats:
         return self.served / self.finished
 
 
+#: The stats a client holds until its first arrival gives it its own.  It is
+#: never written, so it always equals ``ClientStats()``.
+_IDLE_STATS = ClientStats()
+
+
+@dataclass(slots=True)
+class _Retries:
+    """What a client keeps to retry with; made only under a :class:`RetryPolicy`."""
+
+    policy: RetryPolicy
+    #: The ``retry:<host>`` stream the backoff jitter draws from.
+    rng: RandomStream
+    #: Tokens left in the budget as of ``refill_time``.
+    tokens: float
+    refill_time: float = 0.0
+    #: request_id -> (attempts so far, previous backoff) while a request is
+    #: being retried.
+    attempts: Dict[int, tuple] = field(default_factory=dict)
+    #: request_id -> (request, timer event) while one is waiting out a
+    #: backoff (still counted ``outstanding``).
+    pending: Dict[int, tuple] = field(default_factory=dict)
+
+    def refill(self, now: float) -> None:
+        """Credit the budget with what it refilled since the last call."""
+        policy = self.policy
+        elapsed = now - self.refill_time
+        if elapsed > 0.0 and policy.refill_per_s > 0.0:
+            self.tokens = min(policy.budget, self.tokens + elapsed * policy.refill_per_s)
+        self.refill_time = now
+
+
 class ArrivalPark:
     """Accepted arrivals past the run horizon, held off the engine heap.
 
@@ -265,9 +301,7 @@ class BaseClient:
         "host", "rate_rps", "window", "client_class", "category", "difficulty",
         "rate_modulator", "cpu_power", "rng", "stats", "outstanding", "backlog",
         "channels", "_started", "_sweep_event", "_inflight", "_shard_down",
-        "retry_policy", "_retry_state", "_retry_pending", "_retry_rng",
-        "_retry_tokens", "_retry_refill_time", "_pending_arrivals", "_gen_time",
-        "_batched_arrivals",
+        "_retry", "_pending_arrivals", "_gen_time", "_batched_arrivals",
     )
 
     def __init__(
@@ -306,7 +340,7 @@ class BaseClient:
         #: (:mod:`repro.defenses.pow`); no other defense reads it.
         self.cpu_power = 1.0
         self.rng = deployment.client_stream(host.name)
-        self.stats = ClientStats()
+        self.stats = _IDLE_STATS
 
         self.outstanding = 0
         self.backlog: Union[tuple, Deque[Request]] = _NO_ITEMS
@@ -321,27 +355,19 @@ class BaseClient:
         #: by the normal sweep) instead of being sent to a dead front-end.
         self._shard_down = False
 
-        #: Retry discipline for aborted/dropped uploads.  ``None`` (the
-        #: default) preserves the pre-retry behaviour bit for bit: no extra
-        #: random stream is created, no state is kept, drops finalise
-        #: immediately.
-        self.retry_policy = retry_policy
-        #: request_id -> (attempts so far, previous backoff) while a request
-        #: is being retried; request_id -> (request, timer event) while one
-        #: is waiting out a backoff (still counted ``outstanding``).  Both
-        #: stay None without a policy.
-        self._retry_state: Optional[Dict[int, tuple]] = None
-        self._retry_pending: Optional[Dict[int, tuple]] = None
-        self._retry_rng = None
-        self._retry_tokens = 0.0
-        self._retry_refill_time = 0.0
+        #: Retry discipline for aborted/dropped uploads.  ``None`` without a
+        #: policy (the default) preserves the pre-retry behaviour bit for
+        #: bit: no extra random stream is created, no state is kept, drops
+        #: finalise immediately.
+        self._retry: Optional[_Retries] = None
         if retry_policy is not None:
             retry_policy.validate()
-            self._retry_state = {}
-            self._retry_pending = {}
-            self._retry_rng = deployment.streams.stream(f"retry:{host.name}")
-            if retry_policy.budget is not None:
-                self._retry_tokens = retry_policy.budget
+            budget = retry_policy.budget
+            self._retry = _Retries(
+                retry_policy,
+                RandomStream(deployment.streams.root_seed, f"retry:{host.name}"),
+                tokens=budget if budget is not None else 0.0,
+            )
 
         #: Pregenerated accepted arrival times, newest first; ``pop()``
         #: takes the oldest.
@@ -478,7 +504,12 @@ class BaseClient:
             difficulty=self._draw_difficulty(),
             size_bytes=REQUEST_BYTES,
         )
-        self.stats.issued += 1
+        # Every other stats write follows an arrival, so this is where a
+        # client trades the shared idle stats for its own.
+        stats = self.stats
+        if stats is _IDLE_STATS:
+            stats = self.stats = ClientStats()
+        stats.issued += 1
         if self.outstanding < self.window and not self._shard_down:
             self._issue(request)
         else:
@@ -486,7 +517,7 @@ class BaseClient:
             if self.backlog is _NO_ITEMS:
                 self.backlog = deque()
             self.backlog.append(request)
-            self.stats.backlogged += 1
+            stats.backlogged += 1
             self._ensure_sweep()
         self._schedule_next_arrival()
 
@@ -586,8 +617,8 @@ class BaseClient:
                 response_time,
                 request.price_paid,
             )
-        if self._retry_state:
-            self._retry_state.pop(request.request_id, None)
+        if self._retry is not None:
+            self._retry.attempts.pop(request.request_id, None)
         self._drain_backlog()
 
     def on_dropped(self, request: Request, reason: str) -> None:
@@ -598,8 +629,8 @@ class BaseClient:
         self.outstanding -= 1
         self.stats.dropped += 1
         self.stats.bytes_paid += request.bytes_paid
-        if self._retry_state:
-            self._retry_state.pop(request.request_id, None)
+        if self._retry is not None:
+            self._retry.attempts.pop(request.request_id, None)
         self._drain_backlog()
 
     # -- retry machinery (active only with a RetryPolicy) ---------------------------
@@ -611,20 +642,21 @@ class BaseClient:
         ``outstanding`` throughout, so the accounting identity (issued ==
         served + denied + dropped + outstanding + backlog) is untouched.
         """
-        policy = self.retry_policy
-        if policy is None or self._shard_down:
+        retry = self._retry
+        if retry is None or self._shard_down:
             return False
-        attempts, prev_backoff = self._retry_state.get(request.request_id, (0, 0.0))
+        policy = retry.policy
+        attempts, prev_backoff = retry.attempts.get(request.request_id, (0, 0.0))
         if attempts >= policy.max_attempts:
             return False
         if policy.budget is not None:
-            self._refill_retry_tokens()
-            if self._retry_tokens < 1.0:
+            retry.refill(self.engine.now)
+            if retry.tokens < 1.0:
                 self.stats.retries_suppressed += 1
                 return False
-            self._retry_tokens -= 1.0
-        delay = policy.backoff_delay(prev_backoff, self._retry_rng)
-        self._retry_state[request.request_id] = (attempts + 1, delay)
+            retry.tokens -= 1.0
+        delay = policy.backoff_delay(prev_backoff, retry.rng)
+        retry.attempts[request.request_id] = (attempts + 1, delay)
         self.stats.retries_attempted += 1
         # Bank this attempt's payment now; the next attempt's channel close
         # overwrites request.bytes_paid, so without this the earlier
@@ -632,28 +664,19 @@ class BaseClient:
         self.stats.bytes_paid += request.bytes_paid
         request.bytes_paid = 0.0
         event = self.engine.schedule_after(delay, self._retry_fire, request)
-        self._retry_pending[request.request_id] = (request, event)
+        retry.pending[request.request_id] = (request, event)
         return True
 
-    def _refill_retry_tokens(self) -> None:
-        policy = self.retry_policy
-        now = self.engine.now
-        elapsed = now - self._retry_refill_time
-        if elapsed > 0.0 and policy.refill_per_s > 0.0:
-            self._retry_tokens = min(
-                policy.budget, self._retry_tokens + elapsed * policy.refill_per_s
-            )
-        self._retry_refill_time = now
-
     def _retry_fire(self, request: Request) -> None:
-        self._retry_pending.pop(request.request_id, None)
+        retry = self._retry
+        retry.pending.pop(request.request_id, None)
         if self._shard_down:
             # The shard died while this request waited out its backoff and
             # the kill path could not see it; finalise it as dropped here.
             self.outstanding -= 1
             self.stats.dropped += 1
             self.stats.bytes_paid += request.bytes_paid
-            self._retry_state.pop(request.request_id, None)
+            retry.attempts.pop(request.request_id, None)
             return
         self._send_upload(request)
 
@@ -739,17 +762,17 @@ class BaseClient:
         # Requests waiting out a retry backoff are equally orphaned: cancel
         # their timers and finalise them, or they would re-send to the dead
         # shard (or leak from ``outstanding``) after the re-pin.
-        if self._retry_pending:
-            for request, event in self._retry_pending.values():
+        retry = self._retry
+        if retry is not None:
+            for request, event in retry.pending.values():
                 event.cancel()
                 request.state = RequestState.DROPPED
                 request.drop_reason = "shard-killed"
                 self.outstanding -= 1
                 self.stats.dropped += 1
                 orphaned += 1
-            self._retry_pending.clear()
-        if self._retry_state:
-            self._retry_state.clear()
+            retry.pending.clear()
+            retry.attempts.clear()
         return orphaned
 
     def repin(self, shard: int) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import ThinnerError
 from repro.core.thinner import ClientProtocol, Contender, ThinnerBase
 from repro.httpd.messages import Request
 from repro.rng import RandomStream
@@ -31,26 +30,16 @@ class NoDefenseThinner(ThinnerBase):
         *args,
         rng: RandomStream,
         policy: str = "random",
-        pending_limit: Optional[int] = None,
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
-        if pending_limit is not None and pending_limit <= 0:
-            raise ThinnerError("pending_limit must be positive or None")
         self.rng = rng
         self.policy = policy
-        #: Optional bound on the pending pool (a full listen queue); arrivals
-        #: beyond it are dropped outright.
-        self.pending_limit = pending_limit
 
     def _handle_arrival(self, request: Request, client: ClientProtocol) -> None:
         if self._server_idle and not self.server.busy:
             contender = Contender(request=request, client=client, arrived_at=self.engine.now)
             self._admit(contender, price_bytes=0.0)
-            return
-        if self.pending_limit is not None and len(self._contenders) >= self.pending_limit:
-            self._owners[request.request_id] = client
-            self._drop(request, "queue-full")
             return
         self._add_contender(request, client)
 

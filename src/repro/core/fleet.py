@@ -41,7 +41,6 @@ The two admission modes bracket how a real fleet shares the back-end:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import median
 from typing import Callable, Dict, List, Optional
 
 from repro import codec
@@ -378,6 +377,10 @@ class HealthProber:
         ]
         if len(fleet) < 2:
             return
+        # Imported here: only a prober needs it, and it loads ``decimal``
+        # and ``fractions`` into every process that imports it.
+        from statistics import median
+
         admit_median = median(self._admit_ewma[shard] for shard in fleet)
         sink_median = median(self._sink_ewma[shard] for shard in fleet)
         for shard in fleet:

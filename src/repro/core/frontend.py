@@ -47,7 +47,7 @@ from repro.core.pricing import PriceBook
 from repro.core.thinner import ThinnerBase
 from repro.httpd.messages import Request
 from repro.httpd.server import EmulatedServer
-from repro.rng import StreamFactory
+from repro.rng import RandomStream, StreamFactory
 from repro.simnet.engine import Engine
 from repro.simnet.host import Host
 from repro.simnet.network import FluidNetwork
@@ -416,9 +416,14 @@ class Deployment:
             slow_start=self.slow_start,
         )
 
-    def client_stream(self, name: str):
-        """A per-client random stream derived from the deployment seed."""
-        return self.streams.stream(f"client:{name}")
+    def client_stream(self, name: str) -> RandomStream:
+        """The random stream of the client on host ``name``.
+
+        Derived from the deployment seed like every stream, but not
+        registered with :attr:`streams`: the client asks for it once, at
+        construction, and is its only holder.
+        """
+        return RandomStream(self.streams.root_seed, f"client:{name}")
 
     # -- running ------------------------------------------------------------------------------
 

@@ -25,7 +25,6 @@ for its front stages, and standalone the same stage runs inside a
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import fields
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -178,6 +177,9 @@ class Defense:
 
 def _close_matches_note(name: str, candidates) -> str:
     """A ``did you mean`` suffix for one-line errors (empty if nothing close)."""
+    # Imported here: only an unknown name needs it.
+    import difflib
+
     matches = difflib.get_close_matches(name, list(candidates), n=2, cutoff=0.6)
     if not matches:
         return ""

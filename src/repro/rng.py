@@ -18,6 +18,14 @@ fixed size (one ``random()`` call, two words); a draw of variable length
 (``randint``, ``choice``, ``sample``) stops it, and that stream never parks
 again.  A population of clients that each draw
 once and then idle past the run's end thus holds no generator while idle.
+
+A stream keeps its seed, not its name.  :class:`StreamFactory` registers a
+deployment's own streams (the server's, the telemetry's, each shard's).  A
+client's arrival and retry streams are not registered: the client makes
+each once, at construction, from the factory's ``root_seed`` (see
+:meth:`repro.core.frontend.Deployment.client_stream`) and is the only
+holder, so their ``"client:<host>"`` and ``"retry:<host>"`` names live only
+while :func:`derive_seed` hashes them.
 """
 
 from __future__ import annotations
@@ -41,12 +49,14 @@ _UNCOUNTED = PARK_LIMIT + 1
 
 
 class RandomStream:
-    """A named pseudo-random stream with the distributions the sim needs."""
+    """A named pseudo-random stream with the distributions the sim needs.
 
-    __slots__ = ("name", "seed", "_rng", "_words")
+    The name only derives the seed; the stream does not keep it.
+    """
+
+    __slots__ = ("seed", "_rng", "_words")
 
     def __init__(self, root_seed: int, name: str) -> None:
-        self.name = name
         self.seed = derive_seed(root_seed, name)
         #: The generator, made at the first draw and dropped by :meth:`park`.
         self._rng: Optional[random.Random] = None

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -211,6 +210,10 @@ class SweepRunner:
         """Run a list of scenarios, preserving order."""
         if self.jobs == 1 or len(specs) <= 1:
             return [run_spec(spec) for spec in specs]
+        # Imported here: only a pool needs it, and it costs about 1 MB of
+        # RSS in every process that loads it.
+        import multiprocessing
+
         context = multiprocessing.get_context()
         workers = min(self.jobs, len(specs))
         with context.Pool(processes=workers) as pool:

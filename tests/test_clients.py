@@ -7,17 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clients.bad import BadClient
-from repro.clients.base import _NO_ENTRIES, _NO_ITEMS, ARRIVAL_BATCH, ArrivalPark
+from repro.clients.base import (
+    _IDLE_STATS,
+    _NO_ENTRIES,
+    _NO_ITEMS,
+    ARRIVAL_BATCH,
+    ArrivalPark,
+    ClientStats,
+    RetryPolicy,
+)
 from repro.clients.cheats import FocusedCheater, LurkingCheater
 from repro.clients.good import GoodClient
 from repro.constants import MBIT
 from repro.core.frontend import Deployment, DeploymentConfig
 from repro.errors import ClientError, ExperimentError
+from repro.faults import FaultPlan
+from repro.faults.spec import gray_pulse, kill_heal_pulse
 from repro.rng import RandomStream
 from repro.scenarios.registry import build_scenario
 from repro.simnet.engine import Engine
-from repro.simnet.topology import build_lan, uniform_bandwidths
-from tests.conftest import make_deployment
+from repro.simnet.topology import build_fleet, build_lan, uniform_bandwidths
+from tests.conftest import add_clients, make_deployment
 
 
 def build_empty_deployment(clients=4, capacity=10.0, defense="speakup", seed=0):
@@ -271,7 +281,7 @@ def test_a_refill_under_a_horizon_stops_at_its_batch():
 
 
 def test_clients_have_no_instance_dict():
-    deployment, hosts = build_empty_deployment(clients=4)
+    deployment, hosts = build_empty_deployment(clients=5)
     clients = [
         GoodClient(deployment, hosts[0]),
         BadClient(deployment, hosts[1]),
@@ -281,6 +291,9 @@ def test_clients_have_no_instance_dict():
     for client in clients:
         assert not hasattr(client, "__dict__"), type(client).__name__
         assert not hasattr(client.stats, "__dict__")
+        assert client._retry is None
+    retrying = GoodClient(deployment, hosts[4], retry_policy=RetryPolicy.budgeted())
+    assert not hasattr(retrying._retry, "__dict__")
 
 
 def _rollup_mega_2000():
@@ -290,15 +303,19 @@ def _rollup_mega_2000():
     )
 
 
-def test_a_built_client_costs_at_most_1200_bytes():
+def test_a_built_client_costs_at_most_800_bytes():
     """Bytes ``build()`` allocates per client at 2,000 clients.
 
-    A slotted client reads about 0.9 KB on CPython 3.11.  Its host keeps
+    A slotted client reads about 600 B on CPython 3.11.  Its host keeps
     only its access parameters: the access link is built when the client
-    first sends, inside ``run()``, and so is its Mersenne Twister.  Its
-    sample lists, channel and upload maps and pending arrivals are shared
-    empties until their first write; fresh empty ones read about 1.25 KB
-    per client and fail the bound, as do access links built with every
+    first sends, inside ``run()``, and so are its Mersenne Twister and its
+    own ``ClientStats``.  Its stream is not registered with the
+    deployment's stream factory and keeps no name, its retry state is one
+    empty slot, and its sample lists, channel and upload maps and pending
+    arrivals are shared empties until their first write.  Its own
+    ``ClientStats`` at build time, with a registered, named stream and six
+    retry slots, reads about 870 B per client and fails the bound, as do
+    fresh empty containers (about 1.25 KB), access links built with every
     host (about 2.2 KB) and a Twister made at build time (about 4.1 KB).
     The headroom is for other CPython versions.
     """
@@ -311,17 +328,18 @@ def test_a_built_client_costs_at_most_1200_bytes():
     finally:
         tracemalloc.stop()
     assert len(deployment.clients) == 2000
-    assert allocated / 2000 <= 1200
+    assert allocated / 2000 <= 800
 
 
 def test_idle_clients_hold_no_generator_after_a_run():
     """After a 0.05 s run nearly every client's next draw lies past the
     run's end, so its stream is parked, and so is its next arrival.  The
-    peak of ``build()`` plus ``run()`` is about 1.05 KB per client.  An
-    engine event per idle arrival with fresh empty containers puts it at
-    about 1.63 KB, access links built with every host at about 2.6 KB,
-    Twisters made at build time at about 4.2 KB, and Twisters never parked
-    at about 4.5 KB."""
+    peak of ``build()`` plus ``run()`` is about 750 B per client.  Its own
+    ``ClientStats`` for every client, with registered, named streams and
+    six retry slots, puts it at about 1,020 B, an engine event per idle
+    arrival with fresh empty containers at about 1.63 KB, access links
+    built with every host at about 2.6 KB, Twisters made at build time at
+    about 4.2 KB, and Twisters never parked at about 4.5 KB."""
     spec = _rollup_mega_2000()
     tracemalloc.start()
     try:
@@ -338,7 +356,7 @@ def test_idle_clients_hold_no_generator_after_a_run():
     ]
     assert len(idle) >= 1950
     assert all(client.rng._rng is None for client in idle)
-    assert allocated / 2000 <= 1450
+    assert allocated / 2000 <= 950
 
 
 def test_idle_clients_hold_no_engine_event_and_no_containers():
@@ -355,6 +373,39 @@ def test_idle_clients_hold_no_engine_event_and_no_containers():
         assert client._pending_arrivals is _NO_ITEMS and client.backlog is _NO_ITEMS
         stats = client.stats
         assert stats.payment_times is stats.response_times is stats.prices is _NO_ITEMS
+
+
+@pytest.mark.parametrize(
+    "retry_policy", [RetryPolicy.naive(), RetryPolicy.budgeted()], ids=["naive", "budgeted"]
+)
+def test_no_outcome_writes_the_shared_idle_stats(retry_policy):
+    """Served, dropped, denied, backlogged, retried, budget-suppressed and
+    shard-killed requests all count in their own client's stats: after a
+    run with every one of them the shared idle stats still equal
+    ``ClientStats()``, and exactly the clients that never issued hold them."""
+    lossy = gray_pulse((0, 1, 2), 2.0, 10.0, loss_p=0.5)
+    kill = kill_heal_pulse(1, kill_at_s=4.0, heal_at_s=8.0)
+    topology, hosts, thinner_hosts = build_fleet(uniform_bandwidths(16, 2 * MBIT), 3)
+    config = DeploymentConfig(
+        server_capacity_rps=18.0, seed=0, thinner_shards=3,
+        fault_plan=FaultPlan(events=lossy.events + kill.events),
+    )
+    deployment = Deployment(topology, thinner_hosts, config)
+    add_clients(deployment, hosts, 6, 6, retry_policy=retry_policy)
+    for host in hosts[12:]:
+        GoodClient(deployment, host, rate_rps=1e-6, retry_policy=retry_policy)
+    deployment.run(14.0)
+
+    result = deployment.results()
+    stats = [client.stats for client in deployment.clients]
+    for name in ("served", "dropped", "denied", "backlogged", "retries_attempted"):
+        assert sum(getattr(each, name) for each in stats) > 0, name
+    if retry_policy.budget is not None:
+        assert sum(each.retries_suppressed for each in stats) > 0
+    assert result.failover.kills == 1 and result.failover.orphaned_requests > 0
+    assert _IDLE_STATS == ClientStats()
+    assert sum(each is _IDLE_STATS for each in stats) == 4
+    assert all((each is _IDLE_STATS) == (each.issued == 0) for each in stats)
 
 
 @pytest.mark.parametrize(

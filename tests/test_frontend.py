@@ -83,11 +83,18 @@ def test_payment_channel_posts_the_prototype_size():
 
 
 def test_client_streams_are_distinct_per_name():
+    """One name draws the same values every time it is asked for; two
+    names draw different ones.  Client streams are not registered, so a
+    second request makes a fresh stream rather than returning the first."""
     deployment, _hosts = build()
-    a = deployment.client_stream("client-a")
-    b = deployment.client_stream("client-b")
-    assert a is not b
-    assert deployment.client_stream("client-a") is a
+
+    def draws(name):
+        stream = deployment.client_stream(name)
+        return [stream.random() for _ in range(5)]
+
+    assert draws("client-a") == draws("client-a")
+    assert draws("client-a") != draws("client-b")
+    assert "client:client-a" not in deployment.streams
 
 
 def test_gc_reenabled_even_when_run_raises():

@@ -4,11 +4,16 @@ No linter ships with the project, so this parses each module and fails on
 any imported name the module never reads.  ``__init__.py`` files are
 skipped (their imports are the package's re-exports), as are names a
 module lists in ``__all__``.  A name used only inside a string annotation
-counts as used.
+counts as used.  Heavy standard-library modules that only a rare path runs
+are imported on that path, and a fresh interpreter checks that importing
+the scenario layer and running a serial sweep loads none of them.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -87,3 +92,25 @@ def test_the_scan_flags_what_is_unused_and_reads_string_annotations():
         "Sequence",
         "os",
     ]
+
+
+#: Standard-library modules only a rare path needs: a process pool
+#: (``jobs > 1``), the health prober's median, an unknown defense name.
+LAZY_MODULES = ("multiprocessing", "statistics", "difflib")
+
+
+def test_a_serial_sweep_loads_no_lazy_module():
+    code = (
+        "import sys\n"
+        "from repro.scenarios.registry import build_scenario\n"
+        "from repro.scenarios.runner import SweepRunner\n"
+        "spec = build_scenario('lan-baseline', good_clients=2, bad_clients=2, duration=1.0)\n"
+        "SweepRunner(jobs=1).run_specs([spec])\n"
+        f"print(sorted(set({LAZY_MODULES!r}) & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SOURCE.parent))
+    completed = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert completed.stdout.strip() == "[]"
