@@ -16,12 +16,15 @@ what must cover ``G + B``.  This module supplies the pieces a
   hash/least-loaded/random policies plus power-of-two-choices,
   weighted-by-measured-sink-rate, and sticky-with-spill;
 * :class:`ServerMux` / :class:`ServerView` — the shared-server
-  coordination used by the ``"pooled"`` admission mode, where every shard
-  can claim any freed server slot (the adaptive controller shares one
-  shard's server between its two sides with the same pair);
+  coordination used by the ``"pooled"`` admission mode, where every live
+  shard can claim any freed server slot; the mux reads the router's
+  liveness mask, so a killed shard sits out the offers until it heals (the
+  adaptive controller shares one shard's server between its two sides with
+  the same pair, and no mask);
 * ``"partitioned"`` admission needs no coordinator: the deployment gives
   each shard its own :class:`~repro.httpd.server.EmulatedServer` running at
-  ``c / shards``, so a shard's auctions only ever fill its own slots.
+  ``c / shards``, so a shard's auctions only ever fill its own slots.  A
+  one-shard deployment is one such partition, of all of ``c``.
 
 The two admission modes bracket how a real fleet shares the back-end:
 
@@ -41,7 +44,7 @@ The two admission modes bracket how a real fleet shares the back-end:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import codec
 from repro.core.routing import ShardRouter
@@ -129,19 +132,24 @@ class ServerMux:
       across shards;
     * ``rotate=False`` (the adaptive controller): every offer starts at
       ``next_offer``, which the controller points at its active side.
+
+    ``alive`` is the liveness mask the offers read, one flag per view: the
+    pooled fleet hands in its router's mask, so a shard the fault injector
+    killed sits out the offers until it heals.  Without one every view is
+    offered every freed slot, as the adaptive controller's two sides are.
     """
 
-    def __init__(self, server: EmulatedServer, rotate: bool) -> None:
+    def __init__(
+        self, server: EmulatedServer, rotate: bool, alive: Optional[Sequence[bool]] = None
+    ) -> None:
         self.server = server
         self.rotate = rotate
+        self.alive = alive
         self.views: List[ServerView] = []
         #: Which view (by index) submitted each in-slot request.
         self._owner_by_request: Dict[int, int] = {}
         #: The view offered a freed slot first.
         self.next_offer = 0
-        #: Liveness mask maintained by the fault injector: dead shards are
-        #: skipped by the offer loop until healed.
-        self.alive: List[bool] = []
         server.on_request_done = self._request_done
         server.on_ready = self._slot_freed
 
@@ -149,17 +157,12 @@ class ServerMux:
         """Create the server view for the next thinner."""
         view = ServerView(self, len(self.views))
         self.views.append(view)
-        self.alive.append(True)
         return view
 
     def note_owner(self, request: Request, index: int) -> None:
         self._owner_by_request[request.request_id] = index
 
-    # -- failover hooks (driven by the fault injector) ---------------------------
-
-    def set_alive(self, index: int, alive: bool) -> None:
-        """Mark a shard dead (skipped by slot offers) or alive again."""
-        self.alive[index] = alive
+    # -- failover hook (driven by the fault injector) ----------------------------
 
     def reclaim(self, index: int) -> Optional[Request]:
         """Take back the shared slot if view ``index`` currently holds it.
@@ -189,9 +192,10 @@ class ServerMux:
 
     def _slot_freed(self) -> None:
         count = len(self.views)
+        alive = self.alive
         for step in range(count):
             index = (self.next_offer + step) % count
-            if not self.alive[index]:
+            if alive is not None and not alive[index]:
                 continue  # dead shards sit out the rotation until healed
             view = self.views[index]
             if view.on_ready is not None:
@@ -280,7 +284,6 @@ class HealthProber:
     """
 
     def __init__(self, deployment, spec: HealthProbeSpec) -> None:
-        spec.validate()
         self.deployment = deployment
         self.spec = spec
         self.engine = deployment.engine
@@ -370,11 +373,7 @@ class HealthProber:
 
     def _maybe_eject(self, now: float, router: ShardRouter) -> None:
         spec = self.spec
-        fleet = [
-            shard
-            for shard in range(self.shards)
-            if router.alive[shard] and not router.ejected[shard]
-        ]
+        fleet = router.routable_shards()
         if len(fleet) < 2:
             return
         # Imported here: only a prober needs it, and it loads ``decimal``

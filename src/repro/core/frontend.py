@@ -278,31 +278,33 @@ class Deployment:
         #: winning bids into, across shards and engagement sides alike.
         self.prices = PriceBook()
 
-        #: The back-end server(s).  A single-thinner or pooled-fleet
-        #: deployment has exactly one; a partitioned fleet has one
-        #: ``c / shards`` server per shard.  ``server`` stays the shard-0 /
-        #: shared instance for existing callers.
-        self.servers: List[EmulatedServer] = []
-        self._pool: Optional[ServerMux] = None
-        pooled = shards > 1 and self.config.admission_mode == "pooled"
-        if shards == 1 or pooled:
-            self.servers.append(self._build_server(0, self.config.server_capacity_rps))
-            if pooled:
-                self._pool = ServerMux(self.servers[0], rotate=True)
-        else:
-            per_shard_capacity = self.config.server_capacity_rps / shards
-            for shard in range(shards):
-                self.servers.append(self._build_server(shard, per_shard_capacity))
-        self.server = self.servers[0]
+        router_spec = as_router_spec(self.config.shard_policy)
+        dispatch_rng = (
+            self.streams.stream("shard-dispatch")
+            if shards > 1 and strategy_needs_rng(router_spec.name)
+            else None
+        )
+        probe = build_probe(self, router_spec) if shards > 1 else None
+        self._router = ShardRouter(shards, router_spec, rng=dispatch_rng, probe=probe)
 
-        #: What each shard's thinner drives as "its" server: the one real
-        #: server, the shard's ``c / N`` partition, or its pooled view.
-        if pooled:
+        #: The back-end server(s) and what each shard's thinner drives as
+        #: "its" server.  A pooled fleet has one shared server, seen by each
+        #: shard through a view of a mux whose slot offers skip the shards
+        #: the router's liveness mask marks dead; otherwise each shard owns
+        #: a ``c / shards`` partition (one shard: all of ``c``).  ``server``
+        #: stays the shard-0 / shared instance for existing callers.
+        self._pool: Optional[ServerMux] = None
+        if shards > 1 and self.config.admission_mode == "pooled":
+            self.servers: List[EmulatedServer] = [
+                self._build_server(0, self.config.server_capacity_rps)
+            ]
+            self._pool = ServerMux(self.servers[0], rotate=True, alive=self._router.alive)
             self._shard_servers: List = [self._pool.view() for _ in range(shards)]
-        elif shards == 1:
-            self._shard_servers = [self.servers[0]]
         else:
-            self._shard_servers = list(self.servers)
+            capacity = self.config.server_capacity_rps / shards
+            self.servers = [self._build_server(shard, capacity) for shard in range(shards)]
+            self._shard_servers = self.servers
+        self.server = self.servers[0]
 
         #: The admission policy, instantiated from the normalised spec via
         #: the defense registry.
@@ -314,15 +316,6 @@ class Deployment:
             self.defense.build_thinner(self, shard) for shard in range(shards)
         ]
         self.thinner = self.thinners[0]
-
-        router_spec = as_router_spec(self.config.shard_policy)
-        dispatch_rng = (
-            self.streams.stream("shard-dispatch")
-            if shards > 1 and strategy_needs_rng(router_spec.name)
-            else None
-        )
-        probe = build_probe(self, router_spec) if shards > 1 else None
-        self._router = ShardRouter(shards, router_spec, rng=dispatch_rng, probe=probe)
 
         self.clients: List = []
         #: Non-client traffic drivers (cross-traffic generators and the

@@ -1,10 +1,13 @@
 """Pluggable client→shard dispatch strategies for the thinner fleet (§4.3).
 
-Dispatch is a **strategy registry**: each strategy is a small stateless
-object that picks a shard for a client, reading whatever router state (pin
-counts) or live measurements (probe signals) it needs.  The three original
-policies (``hash`` / ``least-loaded`` / ``random``) come first, and three
-load-aware strategies join them:
+Dispatch is a **strategy registry**: each strategy is one pick function,
+``pick(router, client_name, candidates)``, that chooses a shard from its
+candidate shards, reading whatever router state (pin counts) or live
+measurements (probe signals) it needs.  :meth:`ShardRouter.assign` picks
+over every shard and :meth:`ShardRouter.reassign` over the routable ones;
+a lone candidate is taken without a pick.  The three original policies
+(``hash`` / ``least-loaded`` / ``random``) come first, and three load-aware
+strategies join them:
 
 * ``power-of-two``  — two uniform draws, keep the better-probing one.  The
   classic result: almost all the balance of least-loaded at a fraction of
@@ -25,7 +28,10 @@ default spec (:func:`as_router_spec`), so ``"hash"`` and
 ``RouterSpec(name="hash")`` are the same setting.  Spec fields are sweepable
 (``shard_policy.probe_window_s``), and strategies compose with the
 fault-injection and health-probing layers, which only ever talk to the
-router through ``set_alive`` / ``set_ejected`` / ``reassign``.
+router through ``set_alive`` / ``set_ejected`` / ``reassign``.  The
+router's ``alive`` list is the fleet's one liveness mask: the fault injector
+flips it, and the health prober and a pooled
+:class:`~repro.core.fleet.ServerMux` read it.
 
 Probe signals (how a load-aware strategy observes a shard):
 
@@ -45,7 +51,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import codec
 from repro.errors import ThinnerError
@@ -164,10 +170,6 @@ def build_probe(deployment, spec: RouterSpec) -> Optional[Probe]:
 # ---------------------------------------------------------------------------
 
 
-def _hash_index(client_name: str, buckets: int) -> int:
-    return zlib.crc32(client_name.encode("utf-8")) % buckets
-
-
 def _probe_prefers(probe: Probe, router: "ShardRouter", b: int, a: int) -> bool:
     """True when the probe says shard ``b`` is strictly better than ``a``."""
     if probe.kind == "load":
@@ -175,111 +177,71 @@ def _probe_prefers(probe: Probe, router: "ShardRouter", b: int, a: int) -> bool:
     return probe(router, b) > probe(router, a)
 
 
-class _HashStrategy:
+def _pick_hash(router: "ShardRouter", client_name: str, candidates: Sequence[int]) -> int:
     """Stable CRC32 of the client host name — consistent hashing."""
-
-    name = "hash"
-    needs_rng = False
-
-    def assign(self, router: "ShardRouter", client_name: str) -> int:
-        return _hash_index(client_name, router.shards)
-
-    def reassign(self, router: "ShardRouter", client_name: str, live: List[int]) -> int:
-        return live[_hash_index(client_name, len(live))]
+    return candidates[zlib.crc32(client_name.encode("utf-8")) % len(candidates)]
 
 
-class _LeastLoadedStrategy:
+def _pick_least_loaded(
+    router: "ShardRouter", client_name: str, candidates: Sequence[int]
+) -> int:
     """The shard with the fewest pinned clients (ties to the lowest index)."""
-
-    name = "least-loaded"
-    needs_rng = False
-
-    def assign(self, router: "ShardRouter", client_name: str) -> int:
-        return min(range(router.shards), key=lambda i: (router.counts[i], i))
-
-    def reassign(self, router: "ShardRouter", client_name: str, live: List[int]) -> int:
-        return min(live, key=lambda i: (router.counts[i], i))
+    return min(candidates, key=lambda i: (router.counts[i], i))
 
 
-class _RandomStrategy:
+def _pick_random(router: "ShardRouter", client_name: str, candidates: Sequence[int]) -> int:
     """One uniform draw per client from the seeded dispatch stream."""
-
-    name = "random"
-    needs_rng = True
-
-    def assign(self, router: "ShardRouter", client_name: str) -> int:
-        return router.rng.randint(0, router.shards - 1)
-
-    def reassign(self, router: "ShardRouter", client_name: str, live: List[int]) -> int:
-        return live[router.rng.randint(0, len(live) - 1)]
+    return candidates[router.rng.randint(0, len(candidates) - 1)]
 
 
-class _PowerOfTwoStrategy:
+def _pick_power_of_two(
+    router: "ShardRouter", client_name: str, candidates: Sequence[int]
+) -> int:
     """Two uniform draws, keep the one the probe prefers.
 
     With no probe signal the second draw carries no information, so the
     strategy performs exactly one uniform draw — byte-identical to the
     ``random`` policy (the regression tests pin this degradation).
     """
-
-    name = "power-of-two"
-    needs_rng = True
-
-    def assign(self, router: "ShardRouter", client_name: str) -> int:
-        probe = router.probe
-        if probe is None:
-            return router.rng.randint(0, router.shards - 1)
-        a = router.rng.randint(0, router.shards - 1)
-        b = router.rng.randint(0, router.shards - 1)
-        return b if _probe_prefers(probe, router, b, a) else a
-
-    def reassign(self, router: "ShardRouter", client_name: str, live: List[int]) -> int:
-        probe = router.probe
-        if probe is None:
-            return live[router.rng.randint(0, len(live) - 1)]
-        a = live[router.rng.randint(0, len(live) - 1)]
-        b = live[router.rng.randint(0, len(live) - 1)]
-        return b if _probe_prefers(probe, router, b, a) else a
+    a = _pick_random(router, client_name, candidates)
+    probe = router.probe
+    if probe is None:
+        return a
+    b = _pick_random(router, client_name, candidates)
+    return b if _probe_prefers(probe, router, b, a) else a
 
 
-class _WeightedSinkStrategy:
+def _pick_weighted_sink(
+    router: "ShardRouter", client_name: str, candidates: Sequence[int]
+) -> int:
     """Roulette-wheel draw weighted by the probe signal.
 
     ``rate`` probes weight shards directly (faster sink, more clients);
     ``load`` probes weight by ``1 / (1 + load)``.  With no signal — probe
     absent, or every weight zero — the draw falls back to uniform.
     """
-
-    name = "weighted-sink"
-    needs_rng = True
-
-    def _pick(self, router: "ShardRouter", candidates: List[int]) -> int:
-        probe = router.probe
-        if probe is None:
-            return candidates[router.rng.randint(0, len(candidates) - 1)]
-        if probe.kind == "rate":
-            weights = [max(probe(router, i), 0.0) for i in candidates]
-        else:
-            weights = [1.0 / (1.0 + max(probe(router, i), 0.0)) for i in candidates]
-        total = sum(weights)
-        if total <= 0.0:
-            return candidates[router.rng.randint(0, len(candidates) - 1)]
-        target = router.rng.random() * total
-        acc = 0.0
-        for index, weight in zip(candidates, weights):
-            acc += weight
-            if target < acc:
-                return index
-        return candidates[-1]
-
-    def assign(self, router: "ShardRouter", client_name: str) -> int:
-        return self._pick(router, list(range(router.shards)))
-
-    def reassign(self, router: "ShardRouter", client_name: str, live: List[int]) -> int:
-        return self._pick(router, live)
+    probe = router.probe
+    if probe is None:
+        return _pick_random(router, client_name, candidates)
+    if probe.kind == "rate":
+        weights = [max(probe(router, i), 0.0) for i in candidates]
+    else:
+        weights = [1.0 / (1.0 + max(probe(router, i), 0.0)) for i in candidates]
+    total = sum(weights)
+    if total <= 0.0:
+        return _pick_random(router, client_name, candidates)
+    target = router.rng.random() * total
+    acc = 0.0
+    for index, weight in zip(candidates, weights):
+        acc += weight
+        if target < acc:
+            return index
+    return candidates[-1]
 
 
-class _StickySpillStrategy:
+def _pick_sticky_spill(
+    router: "ShardRouter", client_name: str, candidates: Sequence[int]
+) -> int:
     """Consistent hashing with a bounded-skew escape hatch.
 
     Each client's primary shard is its CRC32 bucket (identical to ``hash``).
@@ -287,53 +249,34 @@ class _StickySpillStrategy:
     past ``spill_factor`` times the fair share, in which case the client
     spills to the least-loaded shard.
     """
-
-    name = "sticky-spill"
-    needs_rng = False
-
-    def _pick(self, router: "ShardRouter", primary: int, candidates: List[int]) -> int:
-        assigned = sum(router.counts[i] for i in candidates)
-        # Floor the threshold at one pin: at low occupancy the fair share is
-        # below a single client, and spilling a lone client would reduce the
-        # strategy to least-loaded exactly when stickiness is cheapest.
-        limit = max(
-            1.0, router.spec.spill_factor * (assigned + 1) / len(candidates)
-        )
-        if router.counts[primary] + 1 <= limit:
-            return primary
-        return min(candidates, key=lambda i: (router.counts[i], i))
-
-    def assign(self, router: "ShardRouter", client_name: str) -> int:
-        primary = _hash_index(client_name, router.shards)
-        return self._pick(router, primary, list(range(router.shards)))
-
-    def reassign(self, router: "ShardRouter", client_name: str, live: List[int]) -> int:
-        primary = live[_hash_index(client_name, len(live))]
-        return self._pick(router, primary, live)
+    primary = _pick_hash(router, client_name, candidates)
+    assigned = sum(router.counts[i] for i in candidates)
+    # Floor the threshold at one pin: at low occupancy the fair share is
+    # below a single client, and spilling a lone client would reduce the
+    # strategy to least-loaded exactly when stickiness is cheapest.
+    limit = max(1.0, router.spec.spill_factor * (assigned + 1) / len(candidates))
+    if router.counts[primary] + 1 <= limit:
+        return primary
+    return _pick_least_loaded(router, client_name, candidates)
 
 
-#: The strategy registry: name → stateless strategy object.  All per-router
-#: state (counts, masks, rng, probe) lives on the :class:`ShardRouter`.
-ROUTER_STRATEGIES: Dict[str, Any] = {}
-
-
-def register_strategy(strategy) -> None:
-    """Register a dispatch strategy (``name``/``needs_rng``/``assign``/``reassign``)."""
-    ROUTER_STRATEGIES[strategy.name] = strategy
-
-
-for _strategy in (
-    _HashStrategy(),
-    _LeastLoadedStrategy(),
-    _RandomStrategy(),
-    _PowerOfTwoStrategy(),
-    _WeightedSinkStrategy(),
-    _StickySpillStrategy(),
-):
-    register_strategy(_strategy)
+#: The strategy registry: name → pick function ``(router, client_name,
+#: candidates) -> shard``.  All per-router state (counts, masks, rng, probe)
+#: lives on the :class:`ShardRouter`.
+ROUTER_STRATEGIES: Dict[str, Callable[["ShardRouter", str, Sequence[int]], int]] = {
+    "hash": _pick_hash,
+    "least-loaded": _pick_least_loaded,
+    "random": _pick_random,
+    "power-of-two": _pick_power_of_two,
+    "weighted-sink": _pick_weighted_sink,
+    "sticky-spill": _pick_sticky_spill,
+}
 
 #: Every registered strategy name, the original three policies first.
 ROUTER_STRATEGY_NAMES: Tuple[str, ...] = tuple(ROUTER_STRATEGIES)
+
+#: The strategies that draw from the seeded ``"shard-dispatch"`` stream.
+DRAWING_STRATEGIES = frozenset({"random", "power-of-two", "weighted-sink"})
 
 
 def as_router_spec(policy: Union[str, RouterSpec]) -> RouterSpec:
@@ -359,7 +302,7 @@ def strategy_needs_rng(name: str) -> bool:
         raise ThinnerError(
             f"unknown router strategy {name!r}; expected one of {ROUTER_STRATEGY_NAMES}"
         )
-    return ROUTER_STRATEGIES[name].needs_rng
+    return name in DRAWING_STRATEGIES
 
 
 class ShardRouter:
@@ -399,24 +342,24 @@ class ShardRouter:
         if shards < 1:
             raise ThinnerError(f"shards must be at least 1, got {shards}")
         spec = as_router_spec(policy)
-        strategy = ROUTER_STRATEGIES[spec.name]
-        if strategy.needs_rng and shards > 1 and rng is None:
+        if spec.name in DRAWING_STRATEGIES and shards > 1 and rng is None:
             raise ThinnerError(f"the {spec.name!r} shard policy needs a seeded stream")
         self.shards = shards
         self.spec = spec
-        self.policy = spec.name
         self.rng = rng
         self.probe = probe
-        self._strategy = strategy
+        self._pick = ROUTER_STRATEGIES[spec.name]
         #: Clients currently pinned to each shard (drives ``least-loaded``).
         self.counts: List[int] = [0] * shards
-        #: Liveness mask maintained by the fault injector; initial
-        #: assignment ignores it (every shard is alive before the run), but
+        #: The fleet's one liveness mask, flipped by the fault injector
+        #: through :meth:`set_alive` and read by the health prober and a
+        #: pooled :class:`~repro.core.fleet.ServerMux`.  Initial assignment
+        #: ignores it (every shard is alive before the run), but
         #: :meth:`reassign` only ever lands on live shards.
         self.alive: List[bool] = [True] * shards
         #: Ejection mask maintained by the :class:`HealthProber`: an ejected
         #: shard is up but judged sick, so :meth:`reassign` routes around it
-        #: while the fault injector's liveness mask is left untouched.
+        #: while the liveness mask is left untouched.
         self.ejected: List[bool] = [False] * shards
 
     def set_alive(self, shard: int, alive: bool) -> None:
@@ -446,26 +389,21 @@ class ShardRouter:
     def reassign(self, client_name: str, from_shard: int) -> int:
         """Re-pin a failed-over client to a live shard, policy-consistently.
 
-        ``hash`` rehashes over the live shards (consistent hashing after a
-        node leaves the ring), ``least-loaded`` picks the live shard with the
-        fewest current pins, and ``random`` redraws from the same seeded
-        stream as initial dispatch; the load-aware strategies re-run their
-        pick over the live candidate set.  The old pin's count is released so
-        pin-counting strategies track live populations, not history.  Ejected
-        shards are avoided while any non-ejected live shard remains; when
-        the prober has ejected everything that is still up, liveness wins
-        (a sick front-end beats no front-end).
+        The strategy picks over the routable shards as it picks over the
+        whole fleet at :meth:`assign`: ``hash`` rehashes over them
+        (consistent hashing after a node leaves the ring), ``least-loaded``
+        takes the one with the fewest current pins, and ``random`` redraws
+        from the same seeded stream as initial dispatch.  The old pin's count
+        is released first so pin-counting strategies track live populations,
+        not history.  Ejected shards are avoided while any non-ejected live
+        shard remains; when the prober has ejected everything that is still
+        up, liveness wins (a sick front-end beats no front-end).
         """
-        live = self.routable_shards()
-        if not live:
-            live = self.live_shards()
+        live = self.routable_shards() or self.live_shards()
         if not live:
             raise ThinnerError("cannot reassign: no live shards")
         self.counts[from_shard] -= 1
-        if len(live) == 1:
-            index = live[0]
-        else:
-            index = self._strategy.reassign(self, client_name, live)
+        index = live[0] if len(live) == 1 else self._pick(self, client_name, live)
         self.counts[index] += 1
         return index
 
@@ -473,9 +411,9 @@ class ShardRouter:
         """The shard index for ``client_name`` (counts it as assigned)."""
         if self.shards == 1:
             # Single-thinner deployments take this path for every client;
-            # keep it free of hashing and RNG draws.
+            # keep it free of hashing, RNG draws and allocation.
             self.counts[0] += 1
             return 0
-        index = self._strategy.assign(self, client_name)
+        index = self._pick(self, client_name, range(self.shards))
         self.counts[index] += 1
         return index

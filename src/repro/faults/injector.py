@@ -7,9 +7,12 @@ keeping fault-free runs byte-identical to deployments with no plan at all.
 
 What a **kill** does, in order (all within one engine event):
 
-1. the shard leaves every dispatch candidate set — the
-   :class:`~repro.core.routing.ShardRouter` liveness mask and, in pooled
-   admission, the :class:`~repro.core.fleet.ServerMux` offer rotation;
+1. the shard is marked dead in the
+   :class:`~repro.core.routing.ShardRouter`'s liveness mask, the fleet's
+   one record of which shards are up, so it leaves every dispatch candidate
+   set: the re-pin candidates and, in pooled admission, the
+   :class:`~repro.core.fleet.ServerMux` offer rotation, which reads the same
+   mask;
 2. the shard's thinner evicts its contenders: payment channels close (their
    POST flows stop), owners are dropped with reason ``"shard-killed"``, and
    the clients hear about it after one propagation delay — exactly the
@@ -22,34 +25,35 @@ What a **kill** does, in order (all within one engine event):
 4. each client pinned to the shard aborts its in-flight request uploads
    (connection reset; counted as orphaned) and stops issuing — new arrivals
    back up in its backlog, subject to the normal 10-second denial sweep;
-5. the shard host's access link is marked down and swept of any residual
-   flows;
+5. the shard host's access link is swept of any residual flows;
 6. every affected client schedules a re-pin after a per-client lag drawn
    uniformly from ``[0, repin_ttl_s]`` off the dedicated ``"fault-repin"``
    stream (a DNS cache expiring somewhere inside one TTL).  At re-pin time
    the client is reassigned among the shards alive *then*; if none are, it
    waits for the next heal.
 
-A **heal** marks the shard alive again (router mask, pooled rotation, access
-link) and re-pins any clients whose lag expired while the whole fleet was
-dark.  Clients that already failed over elsewhere do not migrate back —
-their cached resolution is fine — matching §4.3's sticky-pinning model.
+A **heal** restores the shard in the router's mask (so it rejoins the re-pin
+candidates and the pooled rotation) and re-pins any clients whose lag
+expired while the whole fleet was dark.  Clients that already failed over
+elsewhere do not migrate back — their cached resolution is fine — matching
+§4.3's sticky-pinning model.
 
 The three **gray failures** never touch the dispatch masks — the point is
 that the fleet keeps routing to a misbehaving shard until the health prober
-(if configured) notices:
+(if configured) notices.  Each moves one per-shard level, and an event that
+leaves its level as it found it is a no-op:
 
-* ``degrade``/``restore`` — scale the shard's access-link capacity through
+* ``degrade``/``restore`` — the capacity factor: scale the shard's
+  access-link capacity through
   :meth:`~repro.simnet.link.Link.set_capacity_factor` (both directions,
-  through the live network so every crossing flow is re-allocated) while
-  ``is_up`` stays true;
-* ``lossy``/``lossless`` — set the shard's upload-loss probability; each
+  through the live network so every crossing flow is re-allocated);
+* ``lossy``/``lossless`` — the shard's upload-loss probability; each
   completed request upload is then dropped with that probability, drawn
   from the dedicated ``"fault-loss"`` stream (created only when the plan
   has lossy events, preserving the empty-plan bit-identity contract);
-* ``stall``/``resume`` — gate the shard's thinner admission
-  (:meth:`~repro.core.thinner.ThinnerBase.set_stalled`): it keeps receiving
-  requests and sinking payment bytes but stops granting admission.
+* ``stall``/``resume`` — the stall flag, which gates the shard's thinner
+  admission (:meth:`~repro.core.thinner.ThinnerBase.set_stalled`): it keeps
+  receiving requests and sinking payment bytes but stops granting admission.
 
 Every transition that takes effect (a no-op kill of a dead shard does not)
 appends ``(time, action, shard)`` to the deployment's ``timeline``, which
@@ -65,7 +69,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Tuple
 
-from repro.errors import FaultError
 from repro.faults.spec import FaultEvent, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,16 +83,10 @@ class FaultInjector:
 
     def __init__(self, deployment: "Deployment", plan: FaultPlan) -> None:
         shards = deployment.config.thinner_shards
-        if shards < 2:
-            raise FaultError(
-                "fault injection needs a sharded fleet (thinner_shards > 1); "
-                "a single-thinner deployment has nothing to fail over to"
-            )
-        plan.validate(shards)
         self.deployment = deployment
         self.plan = plan
         self.engine = deployment.engine
-        self.alive: List[bool] = [True] * shards
+        self._router = deployment._router
         #: Per-client re-pin lags come from their own named stream so arming
         #: the injector never perturbs any existing consumer's draws.
         self._repin_rng = deployment.streams.stream("fault-repin")
@@ -132,38 +129,47 @@ class FaultInjector:
     # -- event execution -----------------------------------------------------
 
     def _execute(self, event: FaultEvent) -> None:
-        action = event.action
+        action, shard = event.action, event.shard
         if action == "kill":
-            self._kill(event.shard)
+            self._kill(shard)
         elif action == "heal":
-            self._heal(event.shard)
-        elif action == "degrade":
-            self._degrade(event.shard, event.factor)
-        elif action == "restore":
-            self._restore(event.shard)
-        elif action == "lossy":
-            self._lossy(event.shard, event.loss_p)
-        elif action == "lossless":
-            self._lossless(event.shard)
-        elif action == "stall":
-            self._stall(event.shard)
-        elif action == "resume":
-            self._resume(event.shard)
+            self._heal(shard)
+        elif action in ("degrade", "restore"):
+            factor = event.factor if action == "degrade" else 1.0
+            if self._set_level(self.capacity_factor, action, shard, factor):
+                host = self.deployment.thinner_hosts[shard]
+                for link in (host.access.up, host.access.down):
+                    link.set_capacity_factor(factor, network=self.deployment.network)
+        elif action in ("lossy", "lossless"):
+            loss_p = event.loss_p if action == "lossy" else 0.0
+            self._set_level(self.loss_p, action, shard, loss_p)
+        elif self._set_level(self.stalled, action, shard, action == "stall"):
+            self.deployment.thinners[shard].set_stalled(action == "stall")
+
+    def _set_level(self, levels: List, action: str, shard: int, level) -> bool:
+        """Move ``shard``'s gray-fault level to ``level``; True if it moved.
+
+        An event that leaves the level as it found it (restoring an
+        undegraded shard, stalling a stalled one, ...) is a no-op and is not
+        recorded, so random schedules compose.
+        """
+        if levels[shard] == level:
+            return False
+        levels[shard] = level
+        self._record(action, shard)
+        return True
 
     def _kill(self, shard: int) -> None:
-        if not self.alive[shard]:
+        router = self._router
+        if not router.alive[shard]:
             return  # already dead: a no-op, so random schedules compose
-        self.alive[shard] = False
+        router.set_alive(shard, False)
         self._record("kill", shard)
-
-        deployment = self.deployment
-        deployment._router.set_alive(shard, False)
-        if deployment._pool is not None:
-            deployment._pool.set_alive(shard, False)
 
         # Evict the thinner's contenders: channels close (stopping their
         # payment flows), owners drop, clients are notified after one
         # propagation delay — ordinary drop book-keeping.
+        deployment = self.deployment
         thinner = deployment.thinners[shard]
         for contender in thinner.contenders():
             thinner._drop(contender.request, KILL_REASON)
@@ -182,82 +188,25 @@ class FaultInjector:
             lag = self._repin_rng.uniform(0.0, self.plan.repin_ttl_s)
             self.engine.schedule_after(lag, self._repin, client)
 
-        # Take the access link down and sweep any residual flows (the drops
+        # Sweep any residual flows off the shard's access link (the drops
         # above already stopped everything a well-formed run sends here).
         network = deployment.network
         for link in (host.access.up, host.access.down):
-            link.is_up = False
             for flow in network.flows_on(link):
                 network.stop_flow(flow)
 
     def _heal(self, shard: int) -> None:
-        if self.alive[shard]:
+        router = self._router
+        if router.alive[shard]:
             return  # healing a live shard is a no-op
-        self.alive[shard] = True
+        router.set_alive(shard, True)
         self._record("heal", shard)
-
-        deployment = self.deployment
-        deployment._router.set_alive(shard, True)
-        if deployment._pool is not None:
-            deployment._pool.set_alive(shard, True)
-        host = deployment.thinner_hosts[shard]
-        host.access.up.is_up = True
-        host.access.down.is_up = True
 
         # Clients whose lag expired during a fleet-wide blackout re-resolve
         # as soon as anything is alive again.
         stranded, self._stranded = self._stranded, []
         for client in stranded:
             self._repin_now(client)
-
-    # -- gray failures ---------------------------------------------------------
-
-    def _degrade(self, shard: int, factor: float) -> None:
-        if self.capacity_factor[shard] == factor:
-            return  # re-degrading at the same factor is a no-op
-        self.capacity_factor[shard] = factor
-        self._record("degrade", shard)
-        self._apply_capacity_factor(shard, factor)
-
-    def _restore(self, shard: int) -> None:
-        if self.capacity_factor[shard] == 1.0:
-            return  # restoring an undegraded shard is a no-op
-        self.capacity_factor[shard] = 1.0
-        self._record("restore", shard)
-        self._apply_capacity_factor(shard, 1.0)
-
-    def _apply_capacity_factor(self, shard: int, factor: float) -> None:
-        deployment = self.deployment
-        host = deployment.thinner_hosts[shard]
-        network = deployment.network
-        for link in (host.access.up, host.access.down):
-            link.set_capacity_factor(factor, network=network)
-
-    def _lossy(self, shard: int, loss_p: float) -> None:
-        if self.loss_p[shard] == loss_p:
-            return
-        self.loss_p[shard] = loss_p
-        self._record("lossy", shard)
-
-    def _lossless(self, shard: int) -> None:
-        if self.loss_p[shard] == 0.0:
-            return
-        self.loss_p[shard] = 0.0
-        self._record("lossless", shard)
-
-    def _stall(self, shard: int) -> None:
-        if self.stalled[shard]:
-            return
-        self.stalled[shard] = True
-        self._record("stall", shard)
-        self.deployment.thinners[shard].set_stalled(True)
-
-    def _resume(self, shard: int) -> None:
-        if not self.stalled[shard]:
-            return
-        self.stalled[shard] = False
-        self._record("resume", shard)
-        self.deployment.thinners[shard].set_stalled(False)
 
     def upload_lost(self, shard: int) -> bool:
         """Bernoulli drop decision for one completed upload toward ``shard``.
@@ -278,13 +227,13 @@ class FaultInjector:
     def _repin(self, client) -> None:
         if not client._shard_down:  # pragma: no cover - defensive
             return
-        if not any(self.alive):
+        if not any(self._router.alive):
             self._stranded.append(client)
             return
         self._repin_now(client)
 
     def _repin_now(self, client) -> None:
-        new_shard = self.deployment._router.reassign(client.name, client.shard)
+        new_shard = self._router.reassign(client.name, client.shard)
         client.repin(new_shard)
         self.repinned_clients += 1
 

@@ -11,7 +11,7 @@ Beyond the fail-stop pair (``kill``/``heal``), three gray-failure pairs
 model shards that misbehave while still answering health checks:
 
 * ``degrade``/``restore`` — scale the shard's access-link capacity by
-  ``factor`` while ``Link.is_up`` stays true (a browned-out front-end);
+  ``factor``, which stays above zero (a browned-out front-end);
 * ``lossy``/``lossless`` — drop each completed upload at the thinner with
   probability ``loss_p``, drawn from the dedicated ``"fault-loss"`` stream;
 * ``stall``/``resume`` — the shard stops granting admission but keeps

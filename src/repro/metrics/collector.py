@@ -525,27 +525,18 @@ def collect(deployment) -> RunResult:
     served_by_category = dict(server_stats.served_by_category)
     allocation_by_category = server_stats.allocation_by_category()
 
-    served_fraction_by_category: Dict[str, float] = {}
-    issued_by_category: Dict[str, int] = {}
-    finished_by_category: Dict[str, int] = {}
+    # Served and finished requests per client category.
+    tallies: Dict[str, List[int]] = {}
     for client in deployment.clients:
         if client.category is None:
             continue
-        issued_by_category[client.category] = (
-            issued_by_category.get(client.category, 0) + client.stats.issued
-        )
-        finished_by_category[client.category] = (
-            finished_by_category.get(client.category, 0)
-            + client.stats.served
-            + client.stats.denied
-            + client.stats.dropped
-        )
-    for category, finished in finished_by_category.items():
-        served = 0
-        for client in deployment.clients:
-            if client.category == category:
-                served += client.stats.served
-        served_fraction_by_category[category] = ratio(served, finished)
+        stats = client.stats
+        tally = tallies.setdefault(client.category, [0, 0])
+        tally[0] += stats.served
+        tally[1] += stats.served + stats.denied + stats.dropped
+    served_fraction_by_category = {
+        category: ratio(served, finished) for category, (served, finished) in tallies.items()
+    }
 
     return RunResult(
         duration=deployment.duration,
@@ -563,7 +554,7 @@ def collect(deployment) -> RunResult:
         allocation_by_category=allocation_by_category,
         served_by_category=served_by_category,
         served_fraction_by_category=served_fraction_by_category,
-        mean_price_by_class=deployment.thinner.prices.average_by_class(),
+        mean_price_by_class=deployment.prices.average_by_class(),
         price_upper_bound_bytes=upper_bound,
         auctions_held=sum(thinner.stats.auctions_held for thinner in thinners),
         free_admissions=sum(thinner.stats.free_admissions for thinner in thinners),

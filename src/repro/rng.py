@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -171,14 +171,4 @@ class StreamFactory:
         if name not in self._streams:
             self._streams[name] = RandomStream(self.root_seed, name)
         return self._streams[name]
-
-    def streams(self, names: Iterable[str]) -> list[RandomStream]:
-        """Return (creating as needed) one stream per name."""
-        return [self.stream(name) for name in names]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
-
-    def __len__(self) -> int:
-        return len(self._streams)
 

@@ -63,7 +63,6 @@ class Link:
         "base_capacity_bps",
         "delay_s",
         "buffer_bytes",
-        "is_up",
         "_flows",
         "_entry_sums",
         "_lid",
@@ -91,10 +90,6 @@ class Link:
         self.base_capacity_bps = float(capacity_bps)
         self.delay_s = float(delay_s)
         self.buffer_bytes = float(buffer_bytes if buffer_bytes is not None else self.DEFAULT_BUFFER_BYTES)
-        #: Administrative liveness: the fault injector marks a killed shard's
-        #: access link down (and stops its flows); capacity is untouched so
-        #: allocator bookkeeping never sees a zero-capacity link.
-        self.is_up = True
         self._flows: Dict = {}
         self._entry_sums: Dict[int, float] = {}
         #: Dense id in the owning network's :class:`~repro.simnet.soa.SoAStore`
@@ -111,10 +106,10 @@ class Link:
     def set_capacity_factor(self, factor: float, network=None) -> None:
         """Scale the capacity to ``factor * base_capacity_bps``.
 
-        The gray-failure ``degrade`` fault: the link stays up (``is_up`` is
-        untouched) but carries less.  Always scales from the *base* capacity,
-        so degrades are absolute rather than compounding and ``factor=1.0``
-        restores the configured capacity exactly.  With a ``network`` the
+        The gray-failure ``degrade`` fault: the link carries less, but
+        never nothing.  Always scales from the *base* capacity, so degrades
+        are absolute rather than compounding and ``factor=1.0`` restores the
+        configured capacity exactly.  With a ``network`` the
         change flows through :meth:`FluidNetwork.set_link_capacity`, which
         re-derives every crossing flow's bound and reallocates rates through
         both the scalar and vectorized waterfill paths; without one (links

@@ -8,15 +8,18 @@ Three families of tests:
   both still match them bit for bit, across all three dispatch policies and
   both admission modes: the fault layer must be invisible until a plan has
   events.  Its ``faulted`` pins cover runs whose failover timeline is not
-  empty: a kill/heal pulse, probed stall and lossy pulses (entries at one
-  instant), and a degrade pulse on an adaptive fleet.
+  empty: a kill/heal pulse under every dispatch strategy (and
+  ``power-of-two`` with partitioned admission), probed stall and lossy
+  pulses (entries at one instant), and a degrade pulse on an adaptive
+  fleet.
 * **semantic tests** — what one kill/heal pulse does: eviction, slot
   reclamation (both admission modes), lagged re-pinning, sticky healing,
   and the validation errors (quantum, single shard, malformed plans).
-* **property tests** (``-m slow``) — randomized kill/heal schedules over
-  several seeds preserve the client-accounting identity, leave nothing
-  attached to dead shards, record exactly the transitions the plan takes
-  effect as, keep the injector's counters monotone, and stay deterministic
+* **property tests** (``-m slow``) — randomized kill/heal and gray
+  schedules over several seeds, both admission modes and every dispatch
+  strategy preserve the client-accounting identity, leave nothing attached
+  to dead shards, and record exactly the transitions the plan takes effect
+  as; the injector's counters stay monotone and runs stay deterministic
   run-to-run.
 """
 
@@ -33,7 +36,8 @@ from repro.constants import MBIT, REQUEST_TIMEOUT
 from repro.core.fleet import ServerMux
 from repro.core.frontend import Deployment, DeploymentConfig
 from repro.errors import ExperimentError, FaultError
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.core.routing import ROUTER_STRATEGY_NAMES
+from repro.faults import FaultEvent, FaultPlan
 from repro.faults.spec import gray_pulse, kill_heal_pulse
 from repro.httpd.messages import RequestState
 from repro.scenarios.registry import build_scenario
@@ -241,15 +245,15 @@ def run_faulted_fleet(
 
 def _assert_invariants(deployment):
     """The cross-cutting conservation laws every faulted run must keep."""
-    injector = deployment.fault_injector
+    router = deployment._router
     # Client-count conservation: every client is pinned to exactly one shard.
-    assert sum(deployment._router.counts) == len(deployment.clients)
+    assert sum(router.counts) == len(deployment.clients)
     dead_hosts = {
         deployment.thinner_hosts[shard]
-        for shard, alive in enumerate(injector.alive)
+        for shard, alive in enumerate(router.alive)
         if not alive
     }
-    for shard, alive in enumerate(injector.alive):
+    for shard, alive in enumerate(router.alive):
         if not alive:
             # Nothing contends at a dead thinner.
             assert deployment.thinners[shard].contenders() == []
@@ -279,13 +283,10 @@ def test_kill_evicts_and_clients_repin_to_survivors(mode):
     assert deployment.timeline == [(4.0, "kill", 1)]
     assert injector.repinned_clients > 0
     assert injector.orphaned_requests > 0
-    assert not injector.alive[1]
+    assert not deployment._router.alive[1]
     # Everyone left the dead shard for the survivors.
     assert deployment._router.counts[1] == 0
     assert not any(client.shard == 1 for client in deployment.clients)
-    # The access link went down with the shard.
-    host = deployment.thinner_hosts[1]
-    assert not host.access.up.is_up and not host.access.down.is_up
     # Service continued on the survivors after the kill.
     assert result.total_served > 0
     _assert_invariants(deployment)
@@ -296,11 +297,8 @@ def test_kill_evicts_and_clients_repin_to_survivors(mode):
 def test_heal_rejoins_but_repinned_clients_stay_put():
     plan = kill_heal_pulse(1, kill_at_s=4.0, heal_at_s=8.0, repin_ttl_s=1.0)
     deployment, result = run_faulted_fleet(plan)
-    injector = deployment.fault_injector
     assert deployment.timeline == [(4.0, "kill", 1), (8.0, "heal", 1)]
-    assert injector.alive == [True, True, True]
-    host = deployment.thinner_hosts[1]
-    assert host.access.up.is_up and host.access.down.is_up
+    assert deployment._router.alive == [True, True, True]
     # Sticky DNS: healed shards only receive *future* re-pins, and with no
     # further kills nobody re-resolves, so the shard stays empty.
     assert deployment._router.counts[1] == 0
@@ -334,17 +332,18 @@ def test_pooled_slot_offers_skip_dead_shards():
         on_request_done = None
         on_ready = None
 
-    pool = ServerMux(_Server(), rotate=True)
+    alive = [True, True, True]
+    pool = ServerMux(_Server(), rotate=True, alive=alive)
     offered = []
     for index in range(3):
         view = pool.view()
         view.on_ready = lambda index=index: offered.append(index)
-    pool.set_alive(1, False)
+    alive[1] = False  # the mask is shared, as with the router's
     pool._slot_freed()
     assert 1 not in offered
     assert offered == [0, 2]
     offered.clear()
-    pool.set_alive(1, True)
+    alive[1] = True
     pool._slot_freed()
     assert offered == [0, 1, 2]
 
@@ -373,6 +372,7 @@ def test_pooled_fleet_survives_shard_death_end_to_end():
     plan = kill_heal_pulse(0, kill_at_s=3.0, heal_at_s=30.0, repin_ttl_s=0.5)
     deployment, result = run_faulted_fleet(plan, admission_mode="pooled")
     assert not deployment._pool.alive[0]
+    assert deployment._pool.alive is deployment._router.alive
     # The shared slot kept cycling through the survivors after the kill.
     assert result.total_served > 0
     current = deployment.server.current
@@ -401,7 +401,8 @@ def _build_faulted_fleet(plan, good=6, bad=6, shards=3, retry_policy=None, **kwa
 
 def test_a_kill_before_any_flow_takes_the_link_down_and_the_heal_restores_it():
     """A kill at t = 0 reaches the shard's access link before any flow has
-    crossed it, so the kill builds it; the heal brings that link back up."""
+    crossed it, so the kill builds it; no flow crosses it while the shard
+    is dead, and after the heal paths to the shard cross it again."""
     plan = kill_heal_pulse(1, kill_at_s=0.0, heal_at_s=4.0, repin_ttl_s=1.0)
     deployment = _build_faulted_fleet(plan)
     host = deployment.thinner_hosts[1]
@@ -410,16 +411,11 @@ def test_a_kill_before_any_flow_takes_the_link_down_and_the_heal_restores_it():
 
     def peek():
         access = host.access
-        observed["killed"] = (
-            access.up.is_up,
-            access.down.is_up,
-            network.flows_on(access.up) + network.flows_on(access.down),
-        )
+        observed["killed"] = network.flows_on(access.up) + network.flows_on(access.down)
 
     deployment.engine.schedule_at(2.0, peek)
     deployment.run(8.0)
-    assert observed["killed"] == (False, False, [])
-    assert host.access.up.is_up and host.access.down.is_up
+    assert observed["killed"] == []
     assert deployment.timeline == [(0.0, "kill", 1), (4.0, "heal", 1)]
     # The link the kill built is the one a path to the shard crosses.
     client = deployment.clients[0]
@@ -436,14 +432,14 @@ def test_degrade_scales_the_access_link_and_restores():
     observed = {}
 
     def peek():
-        observed["mid"] = (host.access.up.capacity_bps, host.access.up.is_up)
+        observed["mid"] = host.access.up.capacity_bps
         observed["host"] = host.upload_capacity_bps
 
     deployment.engine.schedule_at(5.0, peek)
     deployment.run(12.0)
-    # Mid-pulse the link ran at a quarter capacity but never went down, and
-    # the host's capacity reads the live link.
-    assert observed["mid"] == (0.25 * base_up, True)
+    # Mid-pulse the link ran at a quarter capacity, and the host's capacity
+    # reads the live link.
+    assert observed["mid"] == 0.25 * base_up
     assert observed["host"] == 0.25 * base_up
     # The restore put both directions back at their base capacity.
     assert host.access.up.capacity_bps == base_up
@@ -454,7 +450,6 @@ def test_degrade_scales_the_access_link_and_restores():
     assert deployment.timeline == [(3.0, "degrade", 1), (8.0, "restore", 1)]
     assert deployment.results().failover.degrades == 1
     # Degrades never touch the dispatch masks.
-    assert injector.alive == [True, True, True]
     assert deployment._router.alive == [True, True, True]
     _assert_invariants(deployment)
 
@@ -684,21 +679,6 @@ def test_empty_plan_wires_no_injector():
     assert result.failover is None
 
 
-def test_injector_requires_a_sharded_fleet():
-    topology, hosts, thinner_host = build_fleet(uniform_bandwidths(4, 2 * MBIT), 2)
-    config = DeploymentConfig(server_capacity_rps=10.0, thinner_shards=2)
-    deployment = Deployment(topology, thinner_host, config)
-
-    class _One:
-        config = DeploymentConfig(server_capacity_rps=10.0)
-
-    with pytest.raises(FaultError):
-        FaultInjector(_One(), kill_heal_pulse(0, 1.0, 2.0))
-    # And a well-formed fleet accepts one.
-    injector = FaultInjector(deployment, kill_heal_pulse(0, 1.0, 2.0))
-    assert injector.alive == [True, True]
-
-
 # ---------------------------------------------------------------------------
 # The fleet-failover scenario and experiment
 # ---------------------------------------------------------------------------
@@ -780,6 +760,22 @@ def _effective_transitions(plan, shards=3):
     return effective
 
 
+def _schedule_cases():
+    """``(mode, seed, policy)`` for a random schedule under every strategy.
+
+    The default strategy's cases keep the plain ``mode-seed`` id; the
+    others add the strategy's name.
+    """
+    return [
+        pytest.param(
+            mode, seed, policy, id=f"{mode}-{seed}" + ("" if policy == "hash" else f"-{policy}")
+        )
+        for policy in ROUTER_STRATEGY_NAMES
+        for mode in ADMISSION_MODES
+        for seed in (1, 2, 3)
+    ]
+
+
 def _random_plan(seed, shards=3, duration=10.0, events=8):
     rng = random.Random(seed)
     return FaultPlan(
@@ -796,12 +792,11 @@ def _random_plan(seed, shards=3, duration=10.0, events=8):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("mode", ADMISSION_MODES)
-def test_random_schedules_preserve_invariants(seed, mode):
+@pytest.mark.parametrize("mode, seed, policy", _schedule_cases())
+def test_random_schedules_preserve_invariants(mode, seed, policy):
     plan = _random_plan(seed)
     deployment, result = run_faulted_fleet(
-        plan, duration=10.0, admission_mode=mode
+        plan, duration=10.0, admission_mode=mode, shard_policy=policy
     )
     injector = deployment.fault_injector
     _assert_invariants(deployment)
@@ -885,17 +880,15 @@ def _random_gray_plan(seed, shards=3, duration=10.0, events=10):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("mode", ADMISSION_MODES)
-def test_random_gray_schedules_preserve_invariants(seed, mode):
+@pytest.mark.parametrize("mode, seed, policy", _schedule_cases())
+def test_random_gray_schedules_preserve_invariants(mode, seed, policy):
     plan = _random_gray_plan(seed)
-    deployment, result = run_faulted_fleet(plan, duration=10.0, admission_mode=mode)
+    deployment, result = run_faulted_fleet(
+        plan, duration=10.0, admission_mode=mode, shard_policy=policy
+    )
     injector = deployment.fault_injector
     _assert_invariants(deployment)
     for shard, host in enumerate(deployment.thinner_hosts):
-        # Administrative liveness tracks the injector's view exactly.
-        assert host.access.up.is_up == injector.alive[shard]
-        assert host.access.down.is_up == injector.alive[shard]
         # Degrades scale from the base capacity, so the final factor fully
         # determines the final capacity — no compounding, no drift.
         factor = injector.capacity_factor[shard]

@@ -94,7 +94,7 @@ def test_client_streams_are_distinct_per_name():
 
     assert draws("client-a") == draws("client-a")
     assert draws("client-a") != draws("client-b")
-    assert "client:client-a" not in deployment.streams
+    assert "client:client-a" not in deployment.streams._streams
 
 
 def test_gc_reenabled_even_when_run_raises():

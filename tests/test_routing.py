@@ -159,7 +159,7 @@ def test_a_strategy_name_is_its_default_spec():
     with pytest.raises(ThinnerError, match="unknown router strategy"):
         ShardRouter(2, "round-robin")
     router = ShardRouter(2, "power-of-two", rng=_dispatch_stream())
-    assert router.policy == "power-of-two"
+    assert router.spec.name == "power-of-two"
     assert router.spec == RouterSpec(name="power-of-two")
     with pytest.raises(ThinnerError, match="needs a seeded stream"):
         ShardRouter(2, RouterSpec(name="weighted-sink"))
@@ -410,5 +410,5 @@ def test_sweeping_shard_policy_on_fabric_mega_dispatches_with_each_point():
         "fabric-mega", good_clients=8, bad_clients=4, thinner_shards=4, duration=1.0
     )
     sweep = Sweep(base, axes={"shard_policy": ("hash", "least-loaded")})
-    policies = [point.spec.build()._router.policy for point in sweep.points()]
+    policies = [point.spec.build()._router.spec.name for point in sweep.points()]
     assert policies == ["hash", "least-loaded"]
